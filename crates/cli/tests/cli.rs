@@ -300,7 +300,9 @@ fn batch_runs_jobs_from_file_with_stats() {
 {"id":"bad","sigma":["a -> "],"phi":"a -> a"}
 "#,
     );
-    let out = run(&["batch", "--jobs", jobs.to_str().unwrap(), "--threads", "2"]);
+    // One worker: with two, j1 and j2 run at once and j2 hits only when
+    // j1 happens to finish first.
+    let out = run(&["batch", "--jobs", jobs.to_str().unwrap(), "--threads", "1"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();

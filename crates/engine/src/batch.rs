@@ -1,7 +1,7 @@
 //! The batch engine: cached, parallel, deadline-bounded implication.
 
 use crate::cache::{AnswerCache, CacheStats, CachedEntry};
-use crate::canon::{self, snapshot_id, CanonicalQuery, QueryKey, Renaming};
+use crate::canon::{self, snapshot_id, CanonicalQuery, Renaming};
 use crate::certify::certify;
 use crate::certwire;
 use crate::executor;
@@ -350,12 +350,11 @@ impl BatchEngine {
     ) -> Result<(Answer, CacheOutcome, Option<Certificate>), SolverError> {
         let telemetry = budget.telemetry.clone();
         let rec = telemetry.active();
-        let canon = canon::canonicalize(context, sigma, phi);
-        let cache_key = QueryKey {
-            revision,
-            ..canon.key.clone()
-        };
-        let cached = self.cache_guard().lookup(&cache_key);
+        let mut canon = canon::canonicalize(context, sigma, phi);
+        // The revision scopes the cache entry; snapshot ids (and so
+        // certificates) ignore it.
+        canon.key.revision = revision;
+        let cached = self.cache_guard().lookup(&canon.key);
         // Hit-validation: never serve a structurally implausible entry.
         // A torn write (chaos-injected or real) is detected here, the
         // entry evicted, and the query falls through to a fresh solve.
@@ -363,7 +362,7 @@ impl BatchEngine {
             Some(entry) => match resilience::validate_hit(&entry) {
                 Ok(()) => Some(entry),
                 Err(_why) => {
-                    self.cache_guard().evict_invalid(&cache_key);
+                    self.cache_guard().evict_invalid(&canon.key);
                     if let Some(rec) = rec {
                         rec.counter("cache.validation_evict", 1);
                     }
@@ -397,7 +396,7 @@ impl BatchEngine {
                         // entry: evict and re-solve, exactly like a
                         // failed structural validation.
                         self.cache_guard().note_certcheck(false);
-                        self.cache_guard().evict_invalid(&cache_key);
+                        self.cache_guard().evict_invalid(&canon.key);
                         if let Some(rec) = rec {
                             rec.counter("cache.cert_invalid", 1);
                         }
@@ -474,7 +473,7 @@ impl BatchEngine {
                     rec.counter("cache.insert", 1);
                 }
                 self.cache_guard().insert(
-                    cache_key,
+                    canon.key,
                     CachedEntry {
                         answer: answer.clone(),
                         renaming: canon.renaming,
@@ -921,12 +920,10 @@ impl BatchEngine {
         phi: &PathConstraint,
         revision: u64,
     ) {
-        let canon = canon::canonicalize(context, sigma, phi);
+        let mut canon = canon::canonicalize(context, sigma, phi);
+        canon.key.revision = revision;
         self.cache_guard().insert(
-            QueryKey {
-                revision,
-                ..canon.key
-            },
+            canon.key,
             CachedEntry {
                 answer: Answer {
                     outcome: Outcome::Unknown(UnknownReason::DeadlineExceeded),
@@ -1130,7 +1127,7 @@ pub struct PreparedJob {
     /// is exactly the context's base Σ.
     pub shared: Option<Arc<SharedContext>>,
     /// Revision of the resident context, scoping the engine's cache key
-    /// (see [`QueryKey::revision`]). `0` for cold jobs.
+    /// (see [`crate::QueryKey::revision`]). `0` for cold jobs.
     pub revision: u64,
 }
 
@@ -1954,7 +1951,11 @@ mod tests {
 
     #[test]
     fn schema_contexts_cache_by_fingerprint() {
-        let engine = BatchEngine::new(EngineConfig::default());
+        // One worker, so the second job runs after the first is cached.
+        let engine = BatchEngine::new(EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        });
         let job = Job {
             id: "m".into(),
             context: "m-bibliography".into(),

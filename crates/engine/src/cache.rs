@@ -1,16 +1,23 @@
 //! The canonicalizing answer cache: a bounded LRU from [`QueryKey`] to
 //! solved [`Answer`]s, with hit/miss/eviction counters.
 //!
+//! Keys are stored once per entry, in a compact byte encoding shared by
+//! the map and the LRU slot (see `encode_key`): a resident-context key
+//! carries the whole canonical Σ, so its storage sets the cache's
+//! footprint.
+//!
 //! Entries store the answer *in the label space of the query that
 //! inserted it*, together with that query's renaming into the canonical
 //! space. A later alpha-variant hit composes the two renamings to map
 //! evidence (countermodel graphs) into its own label space — see
 //! [`crate::BatchEngine`] for the adaptation step.
 
-use crate::canon::{QueryKey, Renaming};
+use crate::canon::{ContextKey, QueryKey, Renaming};
 use pathcons_cert::Certificate;
+use pathcons_constraints::{Kind, Path, PathConstraint};
 use pathcons_core::Answer;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Monotonic counters describing cache behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,8 +65,68 @@ pub struct CachedEntry {
 
 const NIL: usize = usize::MAX;
 
+/// A key as the cache stores it: its [`encode_key`] bytes in one
+/// allocation, shared by the map and the LRU slot.
+type StoredKey = Arc<[u8]>;
+
+/// Writes the stored encoding of `key` into `out` (cleared first).
+///
+/// Layout: a context tag byte (followed, for schema contexts, by the
+/// 8-byte little-endian fingerprint), the revision, `|Σ|`, then each
+/// constraint of Σ and finally φ as a kind byte plus, for each of
+/// prefix, lhs and rhs, its length and its label ids. Every integer
+/// but the fingerprint is LEB128 — canonical ids are small, so most
+/// take one byte. Each field is fixed-width or length-prefixed, so the
+/// encoding is injective: equal bytes mean equal keys, and a hit still
+/// proves alpha-equivalence.
+fn encode_key(key: &QueryKey, out: &mut Vec<u8>) {
+    out.clear();
+    let (tag, fingerprint) = match key.context {
+        ContextKey::Semistructured => (0, None),
+        ContextKey::M(fingerprint) => (1, Some(fingerprint)),
+        ContextKey::MPlus(fingerprint) => (2, Some(fingerprint)),
+        ContextKey::MPlusFinite(fingerprint) => (3, Some(fingerprint)),
+    };
+    out.push(tag);
+    if let Some(fingerprint) = fingerprint {
+        out.extend_from_slice(&fingerprint.to_le_bytes());
+    }
+    leb128(out, key.revision);
+    leb128(out, key.sigma.len() as u64);
+    for c in key.sigma.iter().chain(std::iter::once(&key.phi)) {
+        encode_constraint(c, out);
+    }
+}
+
+fn encode_constraint(c: &PathConstraint, out: &mut Vec<u8>) {
+    out.push(match c.kind() {
+        Kind::Forward => 0,
+        Kind::Backward => 1,
+    });
+    for path in [c.prefix(), c.lhs(), c.rhs()] {
+        encode_path(path, out);
+    }
+}
+
+fn encode_path(path: &Path, out: &mut Vec<u8>) {
+    leb128(out, path.len() as u64);
+    for label in path.labels() {
+        leb128(out, label.index() as u64);
+    }
+}
+
+/// Unsigned LEB128: seven bits per byte, high bit set on all but the
+/// last.
+fn leb128(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
 struct Slot {
-    key: QueryKey,
+    key: StoredKey,
     entry: CachedEntry,
     prev: usize,
     next: usize,
@@ -71,7 +138,7 @@ struct Slot {
 /// dropped (counters still run, so a disabled cache is observable).
 pub struct AnswerCache {
     capacity: usize,
-    map: HashMap<QueryKey, usize>,
+    map: HashMap<StoredKey, usize>,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
     head: usize,
@@ -82,6 +149,9 @@ pub struct AnswerCache {
     /// [`AnswerCache::recover_after_poison`] tells a torn cache from a
     /// benign lock-holder panic.
     mutating: bool,
+    /// The encoding of the key being looked up, reused across calls so
+    /// lookups allocate nothing.
+    scratch: Vec<u8>,
 }
 
 impl AnswerCache {
@@ -96,6 +166,7 @@ impl AnswerCache {
             tail: NIL,
             stats: CacheStats::default(),
             mutating: false,
+            scratch: Vec::new(),
         }
     }
 
@@ -124,10 +195,11 @@ impl AnswerCache {
     /// [`CacheStats::validation_evictions`] is counted — rather than
     /// served or panicked on.
     pub fn lookup(&mut self, key: &QueryKey) -> Option<CachedEntry> {
+        encode_key(key, &mut self.scratch);
         self.mutating = true;
-        let result = match self.map.get(key).copied() {
+        let result = match self.map.get(&self.scratch[..]).copied() {
             Some(idx) => match self.slots.get(idx).and_then(Option::as_ref) {
-                Some(slot) if slot.key == *key => {
+                Some(slot) if slot.key[..] == self.scratch[..] => {
                     self.stats.hits += 1;
                     self.unlink(idx);
                     self.push_front(idx);
@@ -141,7 +213,7 @@ impl AnswerCache {
                 }
                 _ => {
                     // Torn map entry: never serve it.
-                    self.map.remove(key);
+                    self.map.remove(&self.scratch[..]);
                     self.stats.validation_evictions += 1;
                     self.stats.misses += 1;
                     None
@@ -160,8 +232,9 @@ impl AnswerCache {
     /// [`CacheStats::validation_evictions`]. Returns whether the key
     /// was present.
     pub fn evict_invalid(&mut self, key: &QueryKey) -> bool {
+        encode_key(key, &mut self.scratch);
         self.mutating = true;
-        let removed = match self.map.remove(key) {
+        let removed = match self.map.remove(&self.scratch[..]) {
             None => false,
             Some(idx) => {
                 if self.slots.get(idx).and_then(Option::as_ref).is_some() {
@@ -184,9 +257,10 @@ impl AnswerCache {
         if self.capacity == 0 {
             return;
         }
+        encode_key(&key, &mut self.scratch);
         self.mutating = true;
         self.stats.insertions += 1;
-        if let Some(idx) = self.map.get(&key).copied() {
+        if let Some(idx) = self.map.get(&self.scratch[..]).copied() {
             // Overwrite in place (a concurrent miss may have re-solved).
             let slot = self.slots[idx].as_mut().expect("mapped slot is live");
             slot.entry = entry;
@@ -211,8 +285,9 @@ impl AnswerCache {
                 self.slots.len() - 1
             }
         };
+        let key: StoredKey = Arc::from(&self.scratch[..]);
         self.slots[idx] = Some(Slot {
-            key: key.clone(),
+            key: Arc::clone(&key),
             entry,
             prev: NIL,
             next: NIL,
@@ -341,6 +416,12 @@ mod tests {
         }
     }
 
+    fn stored(key: &QueryKey) -> StoredKey {
+        let mut out = Vec::new();
+        encode_key(key, &mut out);
+        out.into()
+    }
+
     fn entry() -> CachedEntry {
         CachedEntry {
             answer: Answer {
@@ -448,17 +529,81 @@ mod tests {
         cache.insert(key(0), entry());
         // Tear the map: point a key at a slot index that was never
         // allocated (as a panic mid-insert could).
-        cache.map.insert(key(7), 999);
+        cache.map.insert(stored(&key(7)), 999);
         assert!(cache.lookup(&key(7)).is_none(), "torn entry is a miss");
         assert_eq!(cache.stats().validation_evictions, 1);
-        assert!(!cache.map.contains_key(&key(7)), "torn mapping dropped");
+        assert!(
+            !cache.map.contains_key(&stored(&key(7))),
+            "torn mapping dropped"
+        );
         // Tear differently: map key(8) at key(0)'s slot (key mismatch).
-        let idx0 = *cache.map.get(&key(0)).unwrap();
-        cache.map.insert(key(8), idx0);
+        let idx0 = *cache.map.get(&stored(&key(0))).unwrap();
+        cache.map.insert(stored(&key(8)), idx0);
         assert!(cache.lookup(&key(8)).is_none());
         assert_eq!(cache.stats().validation_evictions, 2);
         // The legitimate entry is untouched throughout.
         assert!(cache.lookup(&key(0)).is_some());
+    }
+
+    #[test]
+    fn same_content_under_another_revision_misses() {
+        let mut cache = AnswerCache::new(4);
+        cache.insert(key(0), entry());
+        let bumped = QueryKey {
+            revision: 1,
+            ..key(0)
+        };
+        assert!(cache.lookup(&bumped).is_none());
+        assert!(cache.lookup(&key(0)).is_some());
+        assert_eq!(cache.stats().validation_evictions, 0, "a plain miss");
+    }
+
+    #[test]
+    fn stored_encoding_separates_near_miss_keys() {
+        let path = |ids: &[usize]| Path::from_labels(ids.iter().map(|&i| Label::from_index(i)));
+        let with =
+            |context: ContextKey, sigma: Vec<PathConstraint>, phi: PathConstraint| QueryKey {
+                context,
+                sigma,
+                phi,
+                revision: 0,
+            };
+        let word = |lhs: &[usize], rhs: &[usize]| PathConstraint::word(path(lhs), path(rhs));
+        let keys = [
+            with(ContextKey::Semistructured, vec![], word(&[0, 1], &[2])),
+            // A label moved across the lhs/rhs boundary.
+            with(ContextKey::Semistructured, vec![], word(&[0], &[1, 2])),
+            // The same labels split between Σ and φ.
+            with(
+                ContextKey::Semistructured,
+                vec![word(&[0, 1], &[2])],
+                word(&[], &[]),
+            ),
+            // Kind and prefix.
+            with(
+                ContextKey::Semistructured,
+                vec![],
+                PathConstraint::backward(path(&[0]), path(&[1]), path(&[2])),
+            ),
+            with(
+                ContextKey::Semistructured,
+                vec![],
+                PathConstraint::forward(path(&[0]), path(&[1]), path(&[2])),
+            ),
+            // Multi-byte label ids.
+            with(ContextKey::Semistructured, vec![], word(&[128], &[2])),
+            with(ContextKey::Semistructured, vec![], word(&[0, 1], &[300])),
+            // Same fingerprint, different schema model.
+            with(ContextKey::M(7), vec![], word(&[0, 1], &[2])),
+            with(ContextKey::MPlus(7), vec![], word(&[0, 1], &[2])),
+            with(ContextKey::MPlusFinite(7), vec![], word(&[0, 1], &[2])),
+            with(ContextKey::M(8), vec![], word(&[0, 1], &[2])),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(stored(a), stored(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,9 @@
 use pathcons_constraints::{Kind, Path, PathConstraint};
 use pathcons_core::DataContext;
 use pathcons_graph::{Graph, Label};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
+use std::fmt::{self, Write as _};
 
 /// An injective label renaming, as a total map on the labels it covers.
 pub type Renaming = BTreeMap<Label, Label>;
@@ -48,13 +50,9 @@ impl ContextKey {
     pub fn of(context: &DataContext) -> ContextKey {
         match context {
             DataContext::Semistructured => ContextKey::Semistructured,
-            DataContext::M(ctx) => ContextKey::M(schema_fingerprint(&format!("{:?}", ctx.schema))),
-            DataContext::MPlus(ctx) => {
-                ContextKey::MPlus(schema_fingerprint(&format!("{:?}", ctx.schema)))
-            }
-            DataContext::MPlusFinite(ctx) => {
-                ContextKey::MPlusFinite(schema_fingerprint(&format!("{:?}", ctx.schema)))
-            }
+            DataContext::M(ctx) => ContextKey::M(fnv_debug(&ctx.schema)),
+            DataContext::MPlus(ctx) => ContextKey::MPlus(fnv_debug(&ctx.schema)),
+            DataContext::MPlusFinite(ctx) => ContextKey::MPlusFinite(fnv_debug(&ctx.schema)),
         }
     }
 
@@ -65,20 +63,33 @@ impl ContextKey {
     }
 }
 
-/// FNV-1a over the schema's structural debug rendering. Only used to
-/// separate *different* schemas into different cache keys; the
-/// constraints themselves are stored structurally, so a (vanishingly
-/// unlikely) fingerprint collision between two distinct schemas could
-/// at worst conflate their contexts — acceptable for a cache whose
-/// verify mode re-checks, and irrelevant for the single-schema batches
-/// the service front-end produces.
-fn schema_fingerprint(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+/// FNV-1a 64 as a streaming [`fmt::Write`] sink: hashes a value's
+/// `Debug` rendering as it is written, without building the `String`.
+struct Fnv(u64);
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
     }
-    hash
+}
+
+/// FNV-1a over a value's structural debug rendering.
+///
+/// Schema fingerprints only separate *different* schemas into
+/// different cache keys; the constraints themselves are stored
+/// structurally, so a (vanishingly unlikely) fingerprint collision
+/// between two distinct schemas could at worst conflate their contexts
+/// — acceptable for a cache whose verify mode re-checks, and irrelevant
+/// for the single-schema batches the service front-end produces.
+fn fnv_debug(value: &dyn fmt::Debug) -> u64 {
+    let mut sink = Fnv(0xcbf2_9ce4_8422_2325);
+    // The sink never fails, and the workspace's Debug impls don't either.
+    let _ = write!(sink, "{value:?}");
+    sink.0
 }
 
 /// A stable fingerprint of a canonical query — the *snapshot id*
@@ -97,11 +108,22 @@ fn schema_fingerprint(text: &str) -> u64 {
 /// offline auditor re-canonicalizing the job text (which records no
 /// revision) must recover the id the engine issued.
 pub fn snapshot_id(key: &QueryKey) -> u64 {
-    let revisionless = QueryKey {
-        revision: 0,
-        ..key.clone()
-    };
-    schema_fingerprint(&format!("{revisionless:?}"))
+    fnv_debug(&Revisionless(key))
+}
+
+/// Renders a key exactly as its derived `Debug` does with `revision`
+/// zeroed — the rendering snapshot ids have always hashed.
+struct Revisionless<'a>(&'a QueryKey);
+
+impl fmt::Debug for Revisionless<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QueryKey")
+            .field("context", &self.0.context)
+            .field("sigma", &self.0.sigma)
+            .field("phi", &self.0.phi)
+            .field("revision", &0u64)
+            .finish()
+    }
 }
 
 /// The cache key: the alpha-renamed normal form itself.
@@ -132,25 +154,21 @@ pub struct CanonicalQuery {
 }
 
 /// Computes the canonical form of a query.
+///
+/// The greedy step compares every remaining constraint's renamed form
+/// without building it: each candidate's sort key is written into one
+/// reused buffer (see `Shapes`), and only the winner is renamed into
+/// a [`PathConstraint`].
 pub fn canonicalize(
     context: &DataContext,
     sigma: &[PathConstraint],
     phi: &PathConstraint,
 ) -> CanonicalQuery {
     let context_key = ContextKey::of(context);
-
-    // Σ denotes a set: drop duplicates, keeping first occurrences.
-    let mut seen: HashSet<&PathConstraint> = HashSet::new();
-    let mut uniq: Vec<&PathConstraint> = Vec::new();
-    for c in sigma {
-        if seen.insert(c) {
-            uniq.push(c);
-        }
-    }
-
     if !context_key.renames_labels() {
         return identity_canonical(context_key, sigma, phi);
     }
+    let uniq = distinct(sigma);
 
     // Alpha-renaming, anchored at φ: φ's labels get the smallest ids in
     // order of occurrence, then constraints are placed greedily.
@@ -160,43 +178,60 @@ pub fn canonicalize(
 
     // Presort by each constraint's *self-canonical* shape (renamed in
     // isolation), which is independent of the caller's label names and
-    // of Σ's order — so greedy tie-breaks don't depend on either.
-    let mut remaining = uniq;
-    remaining.sort_by_cached_key(|c| self_key(c));
+    // of Σ's order — so greedy tie-breaks don't depend on either. The
+    // sort is stable: equal shapes keep their input order.
+    let mut shapes = Shapes::new(&uniq);
+    let mut remaining: Vec<usize> = (0..uniq.len()).collect();
+    remaining.sort_by(|&a, &b| shapes.cmp_keys(a, b));
+    for &i in &remaining {
+        shapes.write(i, uniq[i], &renaming);
+    }
 
-    let mut renamed_sigma: Vec<PathConstraint> = Vec::with_capacity(remaining.len());
+    let mut renamed_sigma: Vec<PathConstraint> = Vec::with_capacity(uniq.len());
     while !remaining.is_empty() {
-        let mut best: Option<(usize, PathConstraint, Renaming, usize)> = None;
-        for (i, c) in remaining.iter().enumerate() {
-            let mut trial = renaming.clone();
-            let mut trial_next = next;
-            assign_first_occurrence(&mut trial, &mut trial_next, c);
-            // `assign_first_occurrence` just covered every label of
-            // `c`, so the rename is total. If that invariant is ever
-            // broken, degrade to the identity form instead of aborting
-            // — the query stays solvable and cacheable, just without
-            // alpha-variant sharing.
-            let Some(rc) = rename_constraint(c, &trial) else {
-                return identity_canonical(context_key, sigma, phi);
-            };
-            let better = match &best {
-                None => true,
-                Some((_, bc, _, _)) => sort_key(&rc) < sort_key(bc),
-            };
-            if better {
-                best = Some((i, rc, trial, trial_next));
+        if !remaining.iter().any(|&i| shapes.open[i]) {
+            // Every remaining key is final (all its labels committed),
+            // so taking the first minimum over and over is exactly a
+            // stable sort by key.
+            remaining.sort_by(|&a, &b| shapes.cmp_keys(a, b));
+            for &i in &remaining {
+                let Some(rc) = rename_constraint(uniq[i], &renaming) else {
+                    return identity_canonical(context_key, sigma, phi);
+                };
+                renamed_sigma.push(rc);
+            }
+            break;
+        }
+        // The first strict minimum wins, as in input-order tie-breaking.
+        let mut best = 0;
+        for pos in 1..remaining.len() {
+            if shapes.cmp_keys(remaining[pos], remaining[best]) == Ordering::Less {
+                best = pos;
             }
         }
-        let Some((i, rc, committed, committed_next)) = best else {
-            // Unreachable (`remaining` is non-empty), but never abort.
+        let winner = uniq[remaining.remove(best)];
+        let assigned = next;
+        assign_first_occurrence(&mut renaming, &mut next, winner);
+        // `assign_first_occurrence` just covered every label of the
+        // winner, so the rename is total. If that invariant is ever
+        // broken, degrade to the identity form instead of aborting —
+        // the query stays solvable and cacheable, just without
+        // alpha-variant sharing.
+        let Some(rc) = rename_constraint(winner, &renaming) else {
             return identity_canonical(context_key, sigma, phi);
         };
-        renaming = committed;
-        next = committed_next;
         renamed_sigma.push(rc);
-        remaining.remove(i);
+        if next != assigned {
+            // New committed ids change the keys of candidates that
+            // still had provisional labels; closed keys never change.
+            for &i in &remaining {
+                if shapes.open[i] {
+                    shapes.write(i, uniq[i], &renaming);
+                }
+            }
+        }
     }
-    renamed_sigma.sort_by_key(sort_key);
+    renamed_sigma.sort_by(cmp_constraints);
     renamed_sigma.dedup();
 
     let Some(phi) = rename_constraint(phi, &renaming) else {
@@ -214,6 +249,98 @@ pub fn canonicalize(
     }
 }
 
+/// Σ without duplicates, keeping first occurrences.
+fn distinct(sigma: &[PathConstraint]) -> Vec<&PathConstraint> {
+    let mut seen: HashSet<&PathConstraint> = HashSet::with_capacity(sigma.len());
+    sigma.iter().filter(|c| seen.insert(*c)).collect()
+}
+
+/// Offset of provisional ids: every committed id is a `u32`, so a
+/// provisional id `PROVISIONAL + rank` sorts above all of them and in
+/// rank order among themselves — the same order as the `next + rank`
+/// ids the candidate would receive if committed now. Keeping the offset
+/// fixed (instead of `next`) means a candidate's key changes only when
+/// one of its own labels is committed.
+const PROVISIONAL: u64 = 1 << 32;
+
+/// The candidates' renamed sort keys, `(kind, prefix, lhs, rhs)`,
+/// stored flat in one buffer: each candidate owns a fixed region of
+/// `ids` holding its prefix, lhs and rhs label ids back to back.
+struct Shapes {
+    ids: Vec<u64>,
+    /// Per candidate: kind rank, region start, and the three lengths.
+    spans: Vec<(u8, usize, [usize; 3])>,
+    /// Per candidate: whether its key still holds a provisional id.
+    open: Vec<bool>,
+    /// Scratch: the candidate's uncommitted labels in first-occurrence
+    /// order (a label's rank is its position).
+    fresh: Vec<Label>,
+}
+
+impl Shapes {
+    /// Every constraint's self-canonical key: its labels renamed in
+    /// isolation, all provisional.
+    fn new(constraints: &[&PathConstraint]) -> Shapes {
+        let mut shapes = Shapes {
+            ids: Vec::new(),
+            spans: Vec::with_capacity(constraints.len()),
+            open: vec![false; constraints.len()],
+            fresh: Vec::new(),
+        };
+        for c in constraints {
+            let lens = [c.prefix().len(), c.lhs().len(), c.rhs().len()];
+            shapes
+                .spans
+                .push((kind_rank(c.kind()), shapes.ids.len(), lens));
+            shapes
+                .ids
+                .resize(shapes.ids.len() + lens.iter().sum::<usize>(), 0);
+        }
+        for (i, c) in constraints.iter().enumerate() {
+            shapes.write(i, c, &Renaming::new());
+        }
+        shapes
+    }
+
+    /// Rewrites candidate `i`'s key (`c` is its constraint) under
+    /// `renaming`: committed labels keep their ids, the others get
+    /// provisional ids by first occurrence within `c`.
+    fn write(&mut self, i: usize, c: &PathConstraint, renaming: &Renaming) {
+        let (_, start, lens) = self.spans[i];
+        let region = &mut self.ids[start..start + lens.iter().sum::<usize>()];
+        self.fresh.clear();
+        for (slot, label) in region.iter_mut().zip(constraint_labels(c)) {
+            *slot = match renaming.get(&label) {
+                Some(id) => id.index() as u64,
+                None => {
+                    let rank = match self.fresh.iter().position(|&l| l == label) {
+                        Some(rank) => rank,
+                        None => {
+                            self.fresh.push(label);
+                            self.fresh.len() - 1
+                        }
+                    };
+                    PROVISIONAL + rank as u64
+                }
+            };
+        }
+        self.open[i] = !self.fresh.is_empty();
+    }
+
+    /// Candidate `i`'s key as a tuple ordered like [`cmp_constraints`].
+    fn key(&self, i: usize) -> (u8, &[u64], &[u64], &[u64]) {
+        let (kind, start, [prefix, lhs, rhs]) = self.spans[i];
+        let ids = &self.ids[start..start + prefix + lhs + rhs];
+        let (prefix_ids, rest) = ids.split_at(prefix);
+        let (lhs_ids, rhs_ids) = rest.split_at(lhs);
+        (kind, prefix_ids, lhs_ids, rhs_ids)
+    }
+
+    fn cmp_keys(&self, a: usize, b: usize) -> Ordering {
+        self.key(a).cmp(&self.key(b))
+    }
+}
+
 /// The identity-renamed canonical form: Σ de-duplicated and sorted,
 /// labels kept as-is. The normal form for schema contexts (labels are
 /// pinned by the schema), and the never-abort fallback should the
@@ -223,13 +350,7 @@ fn identity_canonical(
     sigma: &[PathConstraint],
     phi: &PathConstraint,
 ) -> CanonicalQuery {
-    let mut seen: HashSet<&PathConstraint> = HashSet::new();
-    let mut uniq: Vec<&PathConstraint> = Vec::new();
-    for c in sigma {
-        if seen.insert(c) {
-            uniq.push(c);
-        }
-    }
+    let uniq = distinct(sigma);
     let mut renaming = Renaming::new();
     for c in uniq.iter().copied().chain(std::iter::once(phi)) {
         for l in constraint_labels(c) {
@@ -237,7 +358,7 @@ fn identity_canonical(
         }
     }
     let mut sigma: Vec<PathConstraint> = uniq.into_iter().cloned().collect();
-    sigma.sort_by_key(sort_key);
+    sigma.sort_by(cmp_constraints);
     CanonicalQuery {
         key: QueryKey {
             context: context_key,
@@ -305,36 +426,26 @@ pub fn invert(map: &Renaming) -> Renaming {
     map.iter().map(|(k, v)| (*v, *k)).collect()
 }
 
-/// Total order on constraints used for canonical sorting.
-fn sort_key(c: &PathConstraint) -> (u8, Vec<u32>, Vec<u32>, Vec<u32>) {
-    let kind = match c.kind() {
-        Kind::Forward => 0u8,
-        Kind::Backward => 1u8,
-    };
-    (
-        kind,
-        path_key(c.prefix()),
-        path_key(c.lhs()),
-        path_key(c.rhs()),
-    )
-}
-
-fn path_key(path: &Path) -> Vec<u32> {
-    path.labels().iter().map(|l| l.index() as u32).collect()
-}
-
-/// A constraint's shape with its own labels renamed in isolation —
-/// identical for alpha-equivalent constraints regardless of the
-/// caller's label numbering.
-fn self_key(c: &PathConstraint) -> (u8, Vec<u32>, Vec<u32>, Vec<u32>) {
-    let mut map = Renaming::new();
-    let mut next = 0usize;
-    assign_first_occurrence(&mut map, &mut next, c);
-    // Total by construction; fall back to the raw shape, never panic.
-    match rename_constraint(c, &map) {
-        Some(rc) => sort_key(&rc),
-        None => sort_key(c),
+fn kind_rank(kind: Kind) -> u8 {
+    match kind {
+        Kind::Forward => 0,
+        Kind::Backward => 1,
     }
+}
+
+/// Total order on constraints used for canonical sorting: kind, then
+/// the label ids of prefix, lhs and rhs, each compared
+/// lexicographically.
+fn cmp_constraints(a: &PathConstraint, b: &PathConstraint) -> Ordering {
+    fn key(c: &PathConstraint) -> (u8, &[Label], &[Label], &[Label]) {
+        (
+            kind_rank(c.kind()),
+            c.prefix().labels(),
+            c.lhs().labels(),
+            c.rhs().labels(),
+        )
+    }
+    key(a).cmp(&key(b))
 }
 
 #[cfg(test)]
@@ -342,6 +453,7 @@ mod tests {
     use super::*;
     use pathcons_constraints::parse_constraints;
     use pathcons_graph::LabelInterner;
+    use proptest::prelude::*;
 
     fn canon(sigma_text: &str, phi_text: &str) -> QueryKey {
         let mut labels = LabelInterner::new();
@@ -434,5 +546,168 @@ mod tests {
         // Uncovered labels are detected, not dropped.
         let partial: Renaming = [(a, a)].into_iter().collect();
         assert!(rename_graph(&g, &partial).is_none());
+    }
+
+    #[test]
+    fn symmetric_ties_go_to_the_first_candidate() {
+        // `a -> b` and `a -> c` tie under φ's renaming; the first in
+        // input order is placed first, so `b` takes id 1.
+        let mut labels = LabelInterner::new();
+        let sigma = parse_constraints("a -> b\na -> c", &mut labels).unwrap();
+        let phi = PathConstraint::parse("a -> a", &mut labels).unwrap();
+        let canon = canonicalize(&DataContext::Semistructured, &sigma, &phi);
+        let b = labels.get("b").unwrap();
+        assert_eq!(canon.renaming[&b], Label::from_index(1));
+    }
+
+    /// FNV-1a over a finished string: what fingerprints hashed before
+    /// they streamed through the [`Fnv`] sink.
+    fn fnv(text: &str) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in text.bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn streamed_fingerprints_match_the_formatted_rendering() {
+        let corpus = [
+            ("", "() -> ()"),
+            ("a -> b\nb -> c", "a -> c"),
+            ("p: a -> a.b\np: b <- c", "p: a -> c"),
+            ("a.b: c <- d.e\nx -> x\nx -> x", "a.b.c -> ()"),
+        ];
+        for (revision, (sigma, phi)) in corpus.iter().enumerate() {
+            let key = QueryKey {
+                revision: revision as u64 * 7,
+                ..canon(sigma, phi)
+            };
+            let revisionless = QueryKey {
+                revision: 0,
+                ..key.clone()
+            };
+            assert_eq!(snapshot_id(&key), fnv(&format!("{revisionless:?}")));
+        }
+        for name in ["m-bibliography", "mplus-bibliography"] {
+            let context = crate::build_context(name, &mut LabelInterner::new()).unwrap();
+            let schema = match &context {
+                DataContext::M(ctx) | DataContext::MPlus(ctx) | DataContext::MPlusFinite(ctx) => {
+                    format!("{:?}", ctx.schema)
+                }
+                DataContext::Semistructured => unreachable!("schema context"),
+            };
+            let fingerprint = match ContextKey::of(&context) {
+                ContextKey::M(fp) | ContextKey::MPlus(fp) | ContextKey::MPlusFinite(fp) => fp,
+                ContextKey::Semistructured => unreachable!("schema context"),
+            };
+            assert_eq!(fingerprint, fnv(&schema), "{name}");
+        }
+    }
+
+    /// The greedy canonicalization as first written — every trial clones
+    /// the renaming and builds the renamed constraint — kept as the
+    /// oracle the buffered implementation must agree with exactly.
+    fn reference_canonicalize(sigma: &[PathConstraint], phi: &PathConstraint) -> CanonicalQuery {
+        fn sort_key(c: &PathConstraint) -> (u8, Vec<u32>, Vec<u32>, Vec<u32>) {
+            let path_key = |p: &Path| p.labels().iter().map(|l| l.index() as u32).collect();
+            (
+                kind_rank(c.kind()),
+                path_key(c.prefix()),
+                path_key(c.lhs()),
+                path_key(c.rhs()),
+            )
+        }
+        fn self_key(c: &PathConstraint) -> (u8, Vec<u32>, Vec<u32>, Vec<u32>) {
+            let mut map = Renaming::new();
+            assign_first_occurrence(&mut map, &mut 0, c);
+            sort_key(&rename_constraint(c, &map).unwrap())
+        }
+        let mut renaming = Renaming::new();
+        let mut next = 0usize;
+        assign_first_occurrence(&mut renaming, &mut next, phi);
+        let mut remaining = distinct(sigma);
+        remaining.sort_by_cached_key(|c| self_key(c));
+        let mut renamed_sigma = Vec::new();
+        while !remaining.is_empty() {
+            let mut best: Option<(usize, PathConstraint, Renaming, usize)> = None;
+            for (i, c) in remaining.iter().enumerate() {
+                let mut trial = renaming.clone();
+                let mut trial_next = next;
+                assign_first_occurrence(&mut trial, &mut trial_next, c);
+                let rc = rename_constraint(c, &trial).unwrap();
+                let better = match &best {
+                    None => true,
+                    Some((_, bc, _, _)) => sort_key(&rc) < sort_key(bc),
+                };
+                if better {
+                    best = Some((i, rc, trial, trial_next));
+                }
+            }
+            let (i, rc, committed, committed_next) = best.unwrap();
+            renaming = committed;
+            next = committed_next;
+            renamed_sigma.push(rc);
+            remaining.remove(i);
+        }
+        renamed_sigma.sort_by_key(sort_key);
+        renamed_sigma.dedup();
+        CanonicalQuery {
+            key: QueryKey {
+                context: ContextKey::Semistructured,
+                sigma: renamed_sigma,
+                phi: rename_constraint(phi, &renaming).unwrap(),
+                revision: 0,
+            },
+            renaming,
+        }
+    }
+
+    /// A constraint over labels `0..alphabet` drawn from raw numbers.
+    fn constraint(kind: bool, parts: &[Vec<usize>; 3]) -> PathConstraint {
+        let path = |ids: &Vec<usize>| Path::from_labels(ids.iter().map(|&i| Label::from_index(i)));
+        let [prefix, lhs, rhs] = parts;
+        if kind {
+            PathConstraint::backward(path(prefix), path(lhs), path(rhs))
+        } else {
+            PathConstraint::forward(path(prefix), path(lhs), path(rhs))
+        }
+    }
+
+    fn arb_constraint(alphabet: usize) -> impl Strategy<Value = PathConstraint> {
+        let path = move |max: usize| proptest::collection::vec(0..alphabet, 0..max);
+        (0u8..3, path(2), path(3), path(3))
+            .prop_map(|(kind, prefix, lhs, rhs)| constraint(kind == 0, &[prefix, lhs, rhs]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn buffered_greedy_matches_the_reference(
+            alphabet in 1usize..7,
+            sigma_seeds in proptest::collection::vec(arb_constraint(6), 0..12),
+            phi in arb_constraint(6),
+            repeats in proptest::collection::vec(0usize..12, 0..4),
+        ) {
+            // Fold labels into the drawn alphabet (small alphabets force
+            // symmetric ties) and repeat some constraints (duplicates).
+            let fold = |c: &PathConstraint| {
+                let ids = |p: &Path| p.labels().iter().map(|l| l.index() % alphabet).collect();
+                constraint(c.is_backward(), &[ids(c.prefix()), ids(c.lhs()), ids(c.rhs())])
+            };
+            let mut sigma: Vec<PathConstraint> = sigma_seeds.iter().map(fold).collect();
+            for r in repeats {
+                if let Some(c) = sigma.get(r % sigma.len().max(1)).cloned() {
+                    sigma.push(c);
+                }
+            }
+            let phi = fold(&phi);
+            let got = canonicalize(&DataContext::Semistructured, &sigma, &phi);
+            let want = reference_canonicalize(&sigma, &phi);
+            prop_assert_eq!(&got.key, &want.key, "keys for Σ = {:?}, φ = {:?}", sigma, phi);
+            prop_assert_eq!(&got.renaming, &want.renaming, "renamings for Σ = {:?}, φ = {:?}", sigma, phi);
+        }
     }
 }
