@@ -20,6 +20,7 @@
 //!                   [--retries N] [--shed-depth N]    supervised retry budget and
 //!                                                     admission-control queue depth
 //!                   [--chaos seed=N[,rate=R][,kind=K]] deterministic fault injection
+//!                                                     (kind: panic or stall)
 //!                   [--trace F.jsonl]                 write a structured JSONL trace and
 //!                                                     print a profile summary to stderr
 //! pathcons trace-check --trace F.jsonl               validate a trace: every line parses,
@@ -112,13 +113,13 @@ usage:
   pathcons batch    [--jobs FILE.jsonl] [--threads N] [--cache-size N]
                     [--deadline-ms N] [--chase-rounds N] [--chase-max-nodes N]
                     [--search-samples N] [--retries N] [--shed-depth N]
-                    [--chaos seed=N[,rate=R][,kind=K]]
+                    [--chaos seed=N[,rate=R][,kind=panic|stall]]
                     [--verify[=check|resolve]] [--quiet] [--trace FILE.jsonl]
                     (jobs from stdin when --jobs is `-` or absent;
                      JSONL results + a stats line on stdout; malformed job
                      lines become per-line error records, never an abort;
-                     --chaos injects deterministic faults to exercise the
-                     supervised-recovery path;
+                     --chaos injects deterministic worker panics and solver
+                     stalls to exercise the supervised-recovery path;
                      --trace writes a structured event log and profiles it on stderr)
   pathcons trace-check --trace FILE.jsonl
                     (validate a --trace log: lines parse, spans balance,
@@ -762,18 +763,13 @@ fn quiet_injected_panics() {
             .map(|s| (*s).to_owned())
             .or_else(|| info.payload().downcast_ref::<String>().cloned())
             .unwrap_or_default();
-        if message.contains("chaos:") || message.contains("malformed result for job") {
+        if message.contains("chaos:") {
             return;
         }
         default(info);
     }));
 }
 
-/// `--chaos seed=N[,rate=R][,kind=K]` arms the deterministic fault
-/// injector (panics, stalls, poisoned locks, torn cache writes,
-/// malformed results) to exercise the supervised-recovery path;
-/// `--retries N` bounds per-job retry attempts and `--shed-depth N`
-/// sheds jobs beyond a queue depth with fast `overloaded` answers.
 /// Parses the `--verify` family of flags into a [`VerifyMode`].
 ///
 /// Accepted spellings: bare `--verify` and `--verify check` /
@@ -850,6 +846,11 @@ fn engine_config_from_args(args: &Args) -> Result<EngineConfig, CliError> {
     })
 }
 
+/// `--chaos seed=N[,rate=R][,kind=panic|stall]` arms the deterministic
+/// fault injector (worker panics, solver stalls) to exercise the
+/// supervised-recovery path; `--retries N` bounds per-job retry
+/// attempts and `--shed-depth N` sheds jobs beyond a queue depth with
+/// fast `overloaded` answers.
 fn cmd_batch(args: &Args) -> Result<String, CliError> {
     let jobs_path = args.optional("jobs");
     let results_path = args.optional("results");

@@ -218,6 +218,8 @@ fn usage_errors_exit_2() {
         "x",
     ]);
     assert_eq!(out.status.code(), Some(2));
+    let out = run(&["batch", "--chaos", "seed=1,kind=poisoned-lock"]);
+    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]

@@ -187,16 +187,14 @@ impl FromIterator<Label> for Path {
 impl fmt::Debug for Path {
     /// Debug shows raw label indices; use [`Path::display`] for names.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            write!(f, "ε")
-        } else {
-            let parts: Vec<String> = self
-                .labels
-                .iter()
-                .map(|l| format!("#{}", l.index()))
-                .collect();
-            write!(f, "{}", parts.join("."))
+        let Some((first, rest)) = self.labels.split_first() else {
+            return f.write_str("ε");
+        };
+        write!(f, "#{}", first.index())?;
+        for label in rest {
+            write!(f, ".#{}", label.index())?;
         }
+        Ok(())
     }
 }
 

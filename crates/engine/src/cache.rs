@@ -34,8 +34,6 @@ pub struct CacheStats {
     pub verifications: u64,
     /// Verify-mode re-solves that disagreed with the cached answer.
     pub verify_mismatches: u64,
-    /// Times the cache was cleared to recover from lock poisoning.
-    pub poison_resets: u64,
     /// Entries rejected at serve time — by the structural hit-validator
     /// or by the cache's own map/slot consistency check — and evicted
     /// instead of served.
@@ -144,11 +142,6 @@ pub struct AnswerCache {
     head: usize,
     tail: usize,
     stats: CacheStats,
-    /// Set while a structural mutation is in flight; a panic that
-    /// unwinds out of a mutating method leaves it set, which is how
-    /// [`AnswerCache::recover_after_poison`] tells a torn cache from a
-    /// benign lock-holder panic.
-    mutating: bool,
     /// The encoding of the key being looked up, reused across calls so
     /// lookups allocate nothing.
     scratch: Vec<u8>,
@@ -165,7 +158,6 @@ impl AnswerCache {
             head: NIL,
             tail: NIL,
             stats: CacheStats::default(),
-            mutating: false,
             scratch: Vec::new(),
         }
     }
@@ -196,8 +188,7 @@ impl AnswerCache {
     /// served or panicked on.
     pub fn lookup(&mut self, key: &QueryKey) -> Option<CachedEntry> {
         encode_key(key, &mut self.scratch);
-        self.mutating = true;
-        let result = match self.map.get(&self.scratch[..]).copied() {
+        match self.map.get(&self.scratch[..]).copied() {
             Some(idx) => match self.slots.get(idx).and_then(Option::as_ref) {
                 Some(slot) if slot.key[..] == self.scratch[..] => {
                     self.stats.hits += 1;
@@ -223,9 +214,7 @@ impl AnswerCache {
                 self.stats.misses += 1;
                 None
             }
-        };
-        self.mutating = false;
-        result
+        }
     }
 
     /// Removes an entry the hit-validator rejected, counting a
@@ -233,7 +222,6 @@ impl AnswerCache {
     /// was present.
     pub fn evict_invalid(&mut self, key: &QueryKey) -> bool {
         encode_key(key, &mut self.scratch);
-        self.mutating = true;
         let removed = match self.map.remove(&self.scratch[..]) {
             None => false,
             Some(idx) => {
@@ -248,7 +236,6 @@ impl AnswerCache {
         if removed {
             self.stats.validation_evictions += 1;
         }
-        self.mutating = false;
         removed
     }
 
@@ -258,7 +245,6 @@ impl AnswerCache {
             return;
         }
         encode_key(&key, &mut self.scratch);
-        self.mutating = true;
         self.stats.insertions += 1;
         if let Some(idx) = self.map.get(&self.scratch[..]).copied() {
             // Overwrite in place (a concurrent miss may have re-solved).
@@ -266,7 +252,6 @@ impl AnswerCache {
             slot.entry = entry;
             self.unlink(idx);
             self.push_front(idx);
-            self.mutating = false;
             return;
         }
         if self.map.len() >= self.capacity {
@@ -294,48 +279,20 @@ impl AnswerCache {
         });
         self.map.insert(key, idx);
         self.push_front(idx);
-        self.mutating = false;
     }
 
-    /// Restores consistency after the enclosing lock was poisoned.
+    /// Drops every entry and keeps the counters, so they keep growing.
     ///
-    /// A panic by a thread that merely *held* the lock leaves the cache
-    /// intact, and this is a no-op. A panic that unwound out of a
-    /// mutating cache method (the `mutating` marker is still set) may
-    /// have torn the LRU list or slot table, so every entry is
-    /// discarded and the structure returns to a sound empty state;
-    /// counters survive and [`CacheStats::poison_resets`] is bumped.
-    /// Dropping entries is always safe — the cache is a performance
-    /// layer, never a source of truth.
-    ///
-    /// Idempotent, and cheap when nothing is wrong: a `std::sync`
-    /// mutex stays poisoned forever once poisoned, so the owning
-    /// engine calls this on every post-poison acquisition.
-    ///
-    /// Returns whether a reset was performed — the owning engine uses
-    /// that signal to drop into degraded (read-only) mode.
-    pub fn recover_after_poison(&mut self) -> bool {
-        if !self.mutating {
-            return false;
-        }
+    /// The owning engine calls this once when it finds the cache lock
+    /// poisoned: a panic may have unwound out of a cache method midway
+    /// through an update, and dropping entries is always safe, since the
+    /// cache is a performance layer, never a source of truth.
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
-        self.stats.poison_resets += 1;
-        self.mutating = false;
-        true
-    }
-
-    /// Marks a structural mutation as in flight without completing it —
-    /// the fault-injection hook behind `FaultKind::PoisonedLock`. A
-    /// panic taken while this marker is set (and the enclosing lock is
-    /// held) reproduces exactly the torn-mid-mutation state that
-    /// [`AnswerCache::recover_after_poison`] exists to repair.
-    #[doc(hidden)]
-    pub fn chaos_begin_torn_mutation(&mut self) {
-        self.mutating = true;
     }
 
     /// Records a verify-mode re-solve and whether it agreed.
@@ -478,33 +435,6 @@ mod tests {
         assert!(cache.lookup(&key(0)).is_none());
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn poison_recovery_resets_only_after_a_torn_mutation() {
-        let mut cache = AnswerCache::new(4);
-        cache.insert(key(0), entry());
-
-        // Consistent cache (no mutation in flight): recovery is a no-op.
-        cache.recover_after_poison();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().poison_resets, 0);
-
-        // Simulate a panic that unwound out of a mutating method.
-        cache.mutating = true;
-        cache.recover_after_poison();
-        assert_eq!(cache.len(), 0, "a torn cache is cleared");
-        assert_eq!(cache.stats().poison_resets, 1);
-        assert_eq!(cache.stats().insertions, 1, "counters survive the reset");
-
-        // Idempotent: a second recovery on the now-sound cache does
-        // nothing (the poisoned mutex makes this the common path).
-        cache.recover_after_poison();
-        assert_eq!(cache.stats().poison_resets, 1);
-
-        // And the cleared cache accepts fresh entries.
-        cache.insert(key(1), entry());
-        assert!(cache.lookup(&key(1)).is_some());
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! - **Resilience layer** ([`resilience`]): deterministic fault
 //!   injection (`--chaos seed=N`), retry/backoff and load-shedding
 //!   policies, and a hit-validator that structurally checks cached
-//!   answers before they are served. Poison recovery that had to reset
-//!   the cache drops the engine into degraded read-only mode.
+//!   answers before they are served. The injector covers the failures
+//!   safe Rust can have: worker panics and solver stalls. A poisoned
+//!   cache lock is cleared once and the cache emptied.
 //! - **Deadline budgets** (in `pathcons_core`): `Budget::with_deadline`
 //!   arms a wall-clock cut-off (plus optional cancellation flag)
 //!   checked inside the chase and search loops; an out-of-time job

@@ -1,8 +1,8 @@
 //! The `pathcons-resilience` layer: deterministic fault injection,
 //! retry/shed policies, and the cache hit-validator.
 //!
-//! The batch engine's failure model (DESIGN.md section I) assumes that
-//! any worker may die mid-job, any cache write may be torn, and any
+//! The batch engine's failure model (DESIGN.md section I) covers the
+//! failures safe Rust can have: any worker may panic mid-job and any
 //! semi-decider may stall. This module supplies the three pieces that
 //! make those failures survivable *and testable*:
 //!
@@ -16,8 +16,8 @@
 //!   (bounded retries with deadline-aware exponential backoff) and of
 //!   the admission controller (queue-depth load shedding).
 //! - [`validate_hit`]: structural re-validation of cached answers
-//!   before they are served. A torn write is detected here and evicted
-//!   instead of returned.
+//!   before they are served. An incoherent entry is detected here and
+//!   evicted instead of returned.
 
 use crate::cache::CachedEntry;
 use pathcons_core::{Outcome, RefutationBasis, UnknownReason};
@@ -36,38 +36,18 @@ pub enum FaultKind {
     /// deadline supervisor cuts the job off: it answers
     /// `Unknown(DeadlineExceeded)` instead of hanging the batch.
     Stall,
-    /// A thread panics while holding the cache lock mid-mutation,
-    /// leaving the lock poisoned over a torn structure. Recovery resets
-    /// the cache and the engine drops to degraded (read-only) mode.
-    PoisonedLock,
-    /// A cache write is torn: a structurally invalid entry lands under
-    /// the job's key. The hit-validator detects and evicts it on the
-    /// next lookup instead of serving it.
-    TornCacheWrite,
-    /// The job produces a result for the wrong job id (a corrupted
-    /// result record). The batch layer rejects it and retries.
-    MalformedResult,
 }
 
 impl FaultKind {
     /// Every fault kind, in schedule order (the chaos matrix iterates
     /// this to build one single-kind plan per fault).
-    pub const ALL: [FaultKind; 5] = [
-        FaultKind::Panic,
-        FaultKind::Stall,
-        FaultKind::PoisonedLock,
-        FaultKind::TornCacheWrite,
-        FaultKind::MalformedResult,
-    ];
+    pub const ALL: [FaultKind; 2] = [FaultKind::Panic, FaultKind::Stall];
 
     /// Stable name, used by `--chaos kind=…` and in test output.
     pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::Stall => "stall",
-            FaultKind::PoisonedLock => "poisoned-lock",
-            FaultKind::TornCacheWrite => "torn-cache-write",
-            FaultKind::MalformedResult => "malformed-result",
         }
     }
 
@@ -85,7 +65,7 @@ pub struct FaultPlan {
     seed: u64,
     /// Faulted jobs per 256 (so 256 faults every job).
     rate: u32,
-    /// Restrict the schedule to a single kind (`None` mixes all five).
+    /// Restrict the schedule to a single kind (`None` mixes both).
     only: Option<FaultKind>,
 }
 
@@ -149,10 +129,7 @@ impl FaultPlan {
                 }
                 "kind" => {
                     only = Some(FaultKind::parse(value.trim()).ok_or_else(|| {
-                        format!(
-                            "unknown fault kind `{value}` (expected panic, stall, \
-                             poisoned-lock, torn-cache-write or malformed-result)"
-                        )
+                        format!("unknown fault kind `{value}` (expected panic or stall)")
                     })?)
                 }
                 other => return Err(format!("unknown chaos option `{other}`")),
@@ -396,6 +373,7 @@ mod tests {
         );
         assert!(FaultPlan::parse("rate=3").is_err(), "seed is required");
         assert!(FaultPlan::parse("seed=42,kind=gremlin").is_err());
+        assert!(FaultPlan::parse("seed=42,kind=torn-cache-write").is_err());
         assert!(FaultPlan::parse("seed=42,bogus=1").is_err());
     }
 

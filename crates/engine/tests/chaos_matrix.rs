@@ -1,14 +1,12 @@
 //! The acceptance matrix for the resilience layer: under every fault
-//! plan, a 256-job batch completes with zero lost jobs, every served
-//! answer passes the hit-validator, and the outcomes of un-faulted jobs
-//! are identical to a chaos-free run of the same workload.
+//! plan, a 256-job batch completes with zero lost jobs, and the outcomes
+//! of un-faulted jobs are identical to a chaos-free run of the same
+//! workload.
 
-use pathcons_constraints::PathConstraint;
-use pathcons_core::{Budget, DataContext};
+use pathcons_core::Budget;
 use pathcons_engine::{
     BatchEngine, EngineConfig, FaultKind, FaultPlan, Job, JobResult, RetryPolicy, Verdict,
 };
-use pathcons_graph::LabelInterner;
 
 /// Silences the panic noise of injected faults; genuine panics (test
 /// assertions included) still print.
@@ -23,7 +21,7 @@ fn quiet_chaos_panics() {
                 .map(|s| (*s).to_owned())
                 .or_else(|| info.payload().downcast_ref::<String>().cloned())
                 .unwrap_or_default();
-            if message.contains("chaos:") || message.contains("malformed result for job") {
+            if message.contains("chaos:") {
                 return;
             }
             default(info);
@@ -131,8 +129,7 @@ fn every_fault_plan_completes_with_zero_lost_jobs_and_clean_survivors() {
     plans.push(FaultPlan::from_seed(42).with_rate(64)); // mixed kinds
 
     for plan in plans {
-        let chaos_engine = engine(Some(plan.clone()));
-        let report = chaos_engine.run_batch(jobs.clone());
+        let report = engine(Some(plan.clone())).run_batch(jobs.clone());
 
         // Zero lost jobs: one result per job, in input order, and no
         // job fell out of the retry budget (faults fire only on
@@ -159,9 +156,9 @@ fn every_fault_plan_completes_with_zero_lost_jobs_and_clean_survivors() {
                         "plan {plan:?} job {idx}"
                     );
                 }
-                Some(_) => {
-                    // Every other fault is fully recovered: the retried
-                    // (or unaffected) outcome matches the clean run.
+                Some(FaultKind::Panic) => {
+                    // A panicked job is fully recovered: the retried
+                    // outcome matches the clean run.
                     faulted += 1;
                     assert_eq!(
                         signature(result),
@@ -182,72 +179,9 @@ fn every_fault_plan_completes_with_zero_lost_jobs_and_clean_survivors() {
 
         // The recovery counters must account for the injected faults.
         let stats = &report.stats;
-        match plan_kind(&plan) {
-            Some(FaultKind::Panic) | Some(FaultKind::MalformedResult) => {
-                assert!(stats.respawns > 0 && stats.retries > 0, "plan {plan:?}");
-                assert_eq!(stats.abandoned, 0, "plan {plan:?}");
-            }
-            Some(FaultKind::PoisonedLock) => {
-                assert!(stats.poison_resets >= 1, "plan {plan:?}");
-                assert!(chaos_engine.is_degraded(), "plan {plan:?}");
-            }
-            Some(FaultKind::TornCacheWrite) => {
-                // Alpha-variant repeats hit the torn entries; the
-                // hit-validator must catch and evict every one.
-                assert!(stats.validation_evictions > 0, "plan {plan:?}");
-            }
-            Some(FaultKind::Stall) | None => {}
+        if (0..256).any(|idx| plan.fault_for(idx, 0) == Some(FaultKind::Panic)) {
+            assert!(stats.respawns > 0 && stats.retries > 0, "plan {plan:?}");
         }
+        assert_eq!(stats.abandoned, 0, "plan {plan:?}");
     }
-}
-
-fn plan_kind(plan: &FaultPlan) -> Option<FaultKind> {
-    // Recover the restriction by probing: a restricted plan only ever
-    // produces its one kind.
-    let mut seen = None;
-    for idx in 0..256 {
-        if let Some(kind) = plan.fault_for(idx, 0) {
-            match seen {
-                None => seen = Some(kind),
-                Some(prev) if prev == kind => {}
-                Some(_) => return None, // mixed plan
-            }
-        }
-    }
-    seen
-}
-
-#[test]
-fn degraded_mode_keeps_serving_without_inserts() {
-    quiet_chaos_panics();
-    // Only poisoned-lock faults: after the first one fires, the cache
-    // resets and the engine degrades, but every job still gets its
-    // correct answer and new inserts are skipped.
-    let plan = FaultPlan::from_seed(7)
-        .with_rate(64)
-        .with_kind(FaultKind::PoisonedLock);
-    let chaos_engine = engine(Some(plan));
-    let report = chaos_engine.run_batch(workload());
-    assert_eq!(report.results.len(), 256);
-    assert!(report.results.iter().all(|r| r.verdict != Verdict::Error));
-    assert!(chaos_engine.is_degraded());
-    assert!(report.stats.degraded);
-    assert!(report.stats.degraded_skips > 0);
-
-    // An operator can clear the mode; inserts resume. `solve` has no
-    // fault hooks (chaos is a batch concern), so this cannot re-poison.
-    chaos_engine.exit_degraded();
-    assert!(!chaos_engine.is_degraded());
-    let mut labels = LabelInterner::new();
-    let sigma = vec![PathConstraint::parse("fresh -> label", &mut labels).unwrap()];
-    let phi = PathConstraint::parse("fresh -> label", &mut labels).unwrap();
-    let len_before = chaos_engine.cache_len();
-    chaos_engine
-        .solve(&DataContext::Semistructured, &sigma, &phi)
-        .unwrap();
-    assert_eq!(
-        chaos_engine.cache_len(),
-        len_before + 1,
-        "inserts resume after the operator clears degraded mode"
-    );
 }

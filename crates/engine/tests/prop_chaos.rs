@@ -24,7 +24,7 @@ fn quiet_chaos_panics() {
                 .map(|s| (*s).to_owned())
                 .or_else(|| info.payload().downcast_ref::<String>().cloned())
                 .unwrap_or_default();
-            if message.contains("chaos:") || message.contains("malformed result for job") {
+            if message.contains("chaos:") {
                 return;
             }
             default(info);
@@ -101,28 +101,6 @@ proptest! {
         let clean: Vec<_> = run(jobs.clone(), threads, None).iter().map(signature).collect();
         let plan = FaultPlan::from_seed(seed).with_rate(rate).with_kind(FaultKind::Panic);
         let chaotic = run(jobs, threads, Some(plan));
-
-        prop_assert_eq!(chaotic.len(), clean.len());
-        for (idx, result) in chaotic.iter().enumerate() {
-            prop_assert_eq!(&signature(result), &clean[idx], "job {} diverged", idx);
-        }
-    }
-
-    /// Same totality for malformed-result faults: the echo check turns
-    /// them into retried panics, and the retry recovers the true answer
-    /// under the correct id.
-    #[test]
-    fn malformed_results_are_retried_to_identical_outcomes(
-        seed in 0u64..u64::MAX,
-        rate in 16u32..160,
-    ) {
-        quiet_chaos_panics();
-        let jobs = workload(24);
-        let clean: Vec<_> = run(jobs.clone(), 2, None).iter().map(signature).collect();
-        let plan = FaultPlan::from_seed(seed)
-            .with_rate(rate)
-            .with_kind(FaultKind::MalformedResult);
-        let chaotic = run(jobs, 2, Some(plan));
 
         prop_assert_eq!(chaotic.len(), clean.len());
         for (idx, result) in chaotic.iter().enumerate() {

@@ -81,7 +81,7 @@ pub const SOLVE_MICROS_HELP: &str = "Solver latency per answered job in microsec
 pub const RESILIENCE_TOTAL: &str = "pathcons_resilience_total";
 /// Help for [`RESILIENCE_TOTAL`].
 pub const RESILIENCE_TOTAL_HELP: &str =
-    "Resilience events (respawn, retry, abandoned, shed, queued_expired, validation_evict, degraded_skip)";
+    "Resilience events (respawn, retry, abandoned, shed, queued_expired, validation_evict)";
 
 /// Answer-cache resident entries (gauge, set at scrape time).
 pub const CACHE_ENTRIES: &str = "pathcons_cache_entries";
@@ -92,11 +92,6 @@ pub const CACHE_ENTRIES_HELP: &str = "Answer-cache resident entries";
 pub const CACHE_HIT_RATIO: &str = "pathcons_cache_hit_ratio";
 /// Help for [`CACHE_HIT_RATIO`].
 pub const CACHE_HIT_RATIO_HELP: &str = "Answer-cache lifetime hit ratio";
-
-/// Whether the engine is in degraded read-only mode (gauge).
-pub const DEGRADED: &str = "pathcons_degraded";
-/// Help for [`DEGRADED`].
-pub const DEGRADED_HELP: &str = "1 when the engine is in degraded read-only mode";
 
 /// Per-context store revision, labelled `context=` (gauge).
 pub const CONTEXT_REVISION: &str = "pathcons_context_revision";

@@ -184,7 +184,7 @@ impl MetricsPlane {
             g(serve.inflight as f64),
         );
 
-        let cache = self.engine.cache_stats();
+        let (cache, entries) = self.engine.cache_snapshot();
         let lookups = cache.hits + cache.misses;
         let hit_ratio = if lookups == 0 {
             0.0
@@ -203,14 +203,7 @@ impl MetricsPlane {
             Gauge,
             names::CACHE_ENTRIES_HELP,
             vec![],
-            g(cache.insertions.saturating_sub(cache.evictions) as f64),
-        );
-        snap.set(
-            names::DEGRADED,
-            Gauge,
-            names::DEGRADED_HELP,
-            vec![],
-            g(if self.engine.is_degraded() { 1.0 } else { 0.0 }),
+            g(entries as f64),
         );
 
         for ctx in self.store.context_stats() {

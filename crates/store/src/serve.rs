@@ -691,7 +691,6 @@ impl ConnectionWorker {
                     ("slow", Json::Num(serve.slow as f64)),
                     ("cache_hits", Json::Num(cache.hits as f64)),
                     ("cache_misses", Json::Num(cache.misses as f64)),
-                    ("degraded", Json::Bool(self.engine.is_degraded())),
                     ("contexts_detail", Json::Arr(contexts_detail)),
                 ])
             }

@@ -97,6 +97,8 @@ fn metrics_op_and_scrape_agree_with_traffic() {
     assert_eq!(metrics.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(family_value(&metrics, names::JOBS_TOTAL), Some(JOBS as f64));
     assert_eq!(family_value(&metrics, names::INFLIGHT), Some(0.0));
+    // All 17 jobs are one canonical query, so one resident entry.
+    assert_eq!(family_value(&metrics, names::CACHE_ENTRIES), Some(1.0));
     let verdicts = metrics
         .get("families")
         .and_then(|f| f.get(names::VERDICTS_TOTAL))

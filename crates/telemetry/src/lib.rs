@@ -84,8 +84,8 @@ pub mod schema {
 
     /// `LABEL_ENGINE` value of the per-batch resilience attribution
     /// record: an [`EVENT_ATTRIBUTION`] whose `phase.*` fields count
-    /// recovery actions (respawns, retries, sheds, poison resets,
-    /// validation evictions, queued-deadline fast answers) and sum to
+    /// recovery actions (respawns, retries, sheds, validation
+    /// evictions, queued-deadline fast answers) and sum to
     /// [`FIELD_STEPS_TOTAL`], so `trace-check` validates it like any
     /// other attribution.
     pub const ENGINE_BATCH_RESILIENCE: &str = "batch.resilience";
@@ -95,8 +95,6 @@ pub mod schema {
     pub const PHASE_RETRY: &str = "phase.retry";
     /// Resilience phase: jobs shed by the admission controller.
     pub const PHASE_SHED: &str = "phase.shed";
-    /// Resilience phase: cache poison resets observed during the batch.
-    pub const PHASE_POISON_RESET: &str = "phase.poison-reset";
     /// Resilience phase: cache hits rejected by the hit-validator.
     pub const PHASE_VALIDATION_EVICT: &str = "phase.validation-evict";
     /// Resilience phase: jobs found already past their deadline while
