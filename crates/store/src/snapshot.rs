@@ -188,22 +188,15 @@ pub fn encode(doc: &SnapshotDoc) -> Vec<u8> {
 /// Renders as 16 hex digits (`{:016x}`), lining up with the certificate
 /// layer's snapshot-id strings.
 pub fn content_id(bytes: &[u8]) -> Result<u64, SnapshotError> {
-    let (payload, stored) = frame(bytes)?;
-    let computed = fnv1a(payload);
-    if computed != stored {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
-    }
-    Ok(computed)
+    verified_payload(bytes).map(|(_, checksum)| checksum)
 }
 
 /// Decodes snapshot bytes into a document, validating magic, version,
-/// framing, checksum, and every embedded length.
-pub fn decode(bytes: &[u8]) -> Result<SnapshotDoc, SnapshotError> {
-    let (payload, stored) = frame(bytes)?;
-    let computed = fnv1a(payload);
-    if computed != stored {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
-    }
+/// framing, checksum, and every embedded length. Also returns the
+/// verified payload checksum — the [`content_id`] — so a loader hashes
+/// the payload exactly once.
+pub fn decode(bytes: &[u8]) -> Result<(SnapshotDoc, u64), SnapshotError> {
+    let (payload, checksum) = verified_payload(bytes)?;
     let mut r = Reader {
         bytes: payload,
         pos: 0,
@@ -232,13 +225,9 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotDoc, SnapshotError> {
                 let node_count = r.u32("node count")?;
                 let root = r.u32("root")?;
                 let edge_count = r.u32("edge count")?;
-                let mut columns = Vec::with_capacity(3);
-                for name in ["src column", "label column", "dst column"] {
-                    columns.push(r.u32_array(edge_count, name)?);
-                }
-                let dst = columns.pop().expect("three columns");
-                let label = columns.pop().expect("three columns");
-                let src = columns.pop().expect("three columns");
+                let src = r.u32_array(edge_count, "src column")?;
+                let label = r.u32_array(edge_count, "label column")?;
+                let dst = r.u32_array(edge_count, "dst column")?;
                 for &l in &label {
                     if l as usize >= labels.len() {
                         return Err(SnapshotError::Corrupt(format!(
@@ -274,7 +263,18 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotDoc, SnapshotError> {
             payload.len() - r.pos
         )));
     }
-    Ok(SnapshotDoc { labels, contexts })
+    Ok((SnapshotDoc { labels, contexts }, checksum))
+}
+
+/// The payload of snapshot bytes and its checksum, after validating
+/// magic, version, framing and the checksum itself.
+fn verified_payload(bytes: &[u8]) -> Result<(&[u8], u64), SnapshotError> {
+    let (payload, stored) = frame(bytes)?;
+    let computed = fnv1a(payload);
+    if computed != stored {
+        return Err(SnapshotError::ChecksumMismatch { stored, computed });
+    }
+    Ok((payload, computed))
 }
 
 /// Splits snapshot bytes into `(payload, stored_checksum)` after
@@ -434,11 +434,10 @@ mod tests {
     fn encode_decode_round_trips() {
         let doc = sample_doc();
         let bytes = encode(&doc);
-        assert_eq!(decode(&bytes).unwrap(), doc);
-        assert_eq!(
-            content_id(&bytes).unwrap(),
-            fnv1a(&bytes[20..bytes.len() - 8])
-        );
+        let (decoded, checksum) = decode(&bytes).unwrap();
+        assert_eq!(decoded, doc);
+        assert_eq!(checksum, fnv1a(&bytes[20..bytes.len() - 8]));
+        assert_eq!(content_id(&bytes), Ok(checksum));
     }
 
     #[test]

@@ -162,51 +162,51 @@ pub struct ConstraintStore {
 }
 
 impl ConstraintStore {
-    /// Builds a store from a decoded snapshot document.
-    pub fn from_doc(doc: &SnapshotDoc) -> Result<ConstraintStore, SnapshotError> {
+    /// Builds a store from a decoded snapshot document, moving its
+    /// columns and texts into the resident contexts. `content_id` is the
+    /// id the store reports until its first mutation.
+    fn from_doc(doc: SnapshotDoc, content_id: u64) -> Result<ConstraintStore, SnapshotError> {
         let corrupt = SnapshotError::Corrupt;
-        let mut labels = LabelInterner::with_labels(doc.labels.iter());
+        // Graph label ids index the document's string table; the store's
+        // interner starts as that table and may grow past it below.
+        let label_count = doc.labels.len() as u32;
+        let mut labels = LabelInterner::with_labels(&doc.labels);
         let mut contexts = BTreeMap::new();
-        for record in &doc.contexts {
-            if contexts.contains_key(&record.name) {
-                return Err(corrupt(format!("duplicate context `{}`", record.name)));
+        for ContextRecord {
+            name,
+            kind,
+            sigma,
+            graph,
+        } in doc.contexts
+        {
+            if contexts.contains_key(&name) {
+                return Err(corrupt(format!("duplicate context `{name}`")));
             }
-            let context = build_context(&record.kind, &mut labels)
-                .map_err(|e| corrupt(format!("context `{}`: {e}", record.name)))?;
-            let mut base_sigma = Vec::with_capacity(record.sigma.len());
-            for text in &record.sigma {
+            let context = build_context(&kind, &mut labels)
+                .map_err(|e| corrupt(format!("context `{name}`: {e}")))?;
+            let mut base_sigma = Vec::with_capacity(sigma.len());
+            for text in &sigma {
                 base_sigma.push(PathConstraint::parse(text, &mut labels).map_err(|e| {
-                    corrupt(format!(
-                        "context `{}`: bad constraint `{text}`: {e}",
-                        record.name
-                    ))
+                    corrupt(format!("context `{name}`: bad constraint `{text}`: {e}"))
                 })?);
             }
-            let columnar = match &record.graph {
+            let columnar = match graph {
                 None => None,
                 Some(g) => Some(
                     ColumnarGraph::from_columns(
                         g.node_count,
                         g.root,
-                        g.src.clone(),
-                        g.label.clone(),
-                        g.dst.clone(),
+                        label_count,
+                        g.src,
+                        g.label,
+                        g.dst,
                     )
-                    .map_err(|e| corrupt(format!("context `{}`: {e}", record.name)))?,
+                    .map_err(|e| corrupt(format!("context `{name}`: {e}")))?,
                 ),
             };
-            contexts.insert(
-                record.name.clone(),
-                ResidentContext::new(
-                    record.kind.clone(),
-                    context,
-                    base_sigma,
-                    record.sigma.clone(),
-                    columnar,
-                ),
-            );
+            let resident = ResidentContext::new(kind, context, base_sigma, sigma, columnar);
+            contexts.insert(name, resident);
         }
-        let content_id = snapshot::content_id(&snapshot::encode(doc))?;
         Ok(ConstraintStore {
             labels,
             contexts,
@@ -216,12 +216,11 @@ impl ConstraintStore {
     }
 
     /// Loads a store from snapshot bytes (the fast path at serve
-    /// startup): validate the frame, decode, build.
+    /// startup): one pass validates the frame and checksum and decodes,
+    /// and the verified checksum becomes the content id.
     pub fn from_bytes(bytes: &[u8]) -> Result<ConstraintStore, SnapshotError> {
-        let doc = snapshot::decode(bytes)?;
-        let mut store = Self::from_doc(&doc)?;
-        store.content_id = snapshot::content_id(bytes)?;
-        Ok(store)
+        let (doc, content_id) = snapshot::decode(bytes)?;
+        Self::from_doc(doc, content_id)
     }
 
     /// Builds a store from JSONL text (the cold path, and what
@@ -280,19 +279,19 @@ impl ConstraintStore {
             doc.contexts.push(record);
         }
         doc.labels = label_names(&doc_labels);
-        let mut store = Self::from_doc(&doc).map_err(|e| e.to_string())?;
+        let mut store = Self::from_doc(doc, 0).map_err(|e| e.to_string())?;
         // The store's own table may have grown past the document's
         // (schema contexts and sigma texts intern extra names), so the
         // id this store reports is the id of the snapshot it would
         // *write* — `to_bytes` is a fixpoint: loading those bytes back
         // re-interns the same names in the same order.
-        store.content_id = snapshot::content_id(&store.to_bytes()).map_err(|e| e.to_string())?;
+        store.refresh_content_id();
         Ok(store)
     }
 
-    /// Re-encodes the store as a snapshot document. `from_doc ∘ to_doc`
-    /// is the identity on content: encoding the result yields the same
-    /// bytes (and therefore the same content id).
+    /// Re-encodes the store as a snapshot document. Loading its
+    /// encoding is the identity on content: encoding the loaded store
+    /// yields the same bytes (and therefore the same content id).
     pub fn to_doc(&self) -> SnapshotDoc {
         let contexts = self
             .contexts
@@ -400,6 +399,7 @@ impl ConstraintStore {
         dst: u32,
     ) -> Result<u64, String> {
         let label_id = self.labels.intern(label).index() as u32;
+        let label_count = self.labels.len() as u32;
         let resident = self
             .contexts
             .get_mut(context_name)
@@ -422,7 +422,7 @@ impl ConstraintStore {
         dst_col.push(dst);
         let node_count = node_count.max(src + 1).max(dst + 1);
         resident.columnar = Some(
-            ColumnarGraph::from_columns(node_count, root, src_col, label_col, dst_col)
+            ColumnarGraph::from_columns(node_count, root, label_count, src_col, label_col, dst_col)
                 .map_err(|e| format!("context `{context_name}`: {e}"))?,
         );
         // The arena rehydration belongs to the old graph; rebuild lazily.
