@@ -61,5 +61,5 @@ pub use word::{word_implication_naive, NotAWordConstraint, WordEngine};
 
 mod word_evidence;
 pub use word_evidence::{
-    canonical_countermodel, derivation, derivation_guided, Derivation, DerivationStep,
+    derivation, derivation_guided, quotient_countermodel, Derivation, DerivationStep,
 };

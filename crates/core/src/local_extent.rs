@@ -63,22 +63,19 @@ pub struct LocalExtentAnswer {
 }
 
 impl LocalExtentAnswer {
-    /// For a refuted instance, attempts to materialize a verified
-    /// countermodel of the *original* bounded instance: a canonical-model
-    /// truncation refuting the stripped word instance, lifted through
-    /// Figure 3 and the `π`-prefix. Returns `None` for implied instances
-    /// or when the truncation bound was too coarse. Callers should
-    /// re-verify with the satisfaction checker (tests do).
+    /// For a refuted instance, materializes a verified countermodel of
+    /// the *original* bounded instance: the `post*` quotient refuting the
+    /// stripped word instance ([`WordEngine::try_countermodel`]), lifted
+    /// through Figure 3 and the `π`-prefix. Returns `None` for implied
+    /// instances, or when the quotient outgrew its node ceiling or the
+    /// stripped Σ collapses a word to `ε`. Callers should re-verify with
+    /// the satisfaction checker (tests do).
     pub fn materialize_countermodel(&self) -> Option<CounterModel> {
         if self.outcome.is_implied() {
             return None;
         }
-        let max_len = (self.word_phi.lhs().len().max(self.word_phi.rhs().len()) + 2).min(6);
-        let word_cm = crate::word_evidence::canonical_countermodel(
-            &self.word_sigma,
-            &self.word_phi,
-            max_len,
-        )?;
+        let engine = WordEngine::new(&self.word_sigma).ok()?;
+        let word_cm = engine.try_countermodel(&self.word_sigma, &self.word_phi)?;
         Some(lift_countermodel(&word_cm, &self.pi, self.k))
     }
 }
@@ -338,7 +335,7 @@ mod materialize_tests {
         assert!(answer.outcome.is_not_implied());
         let cm = answer
             .materialize_countermodel()
-            .expect("canonical truncation should succeed here");
+            .expect("the post* quotient refutes the stripped instance");
         assert!(all_hold(&cm.graph, &sigma));
         assert!(!holds(&cm.graph, &phi));
     }

@@ -298,9 +298,9 @@ pub enum CounterModelProvenance {
     MCompleteness,
     /// Lifted through the Theorem 5.1 reduction from a `P_w` countermodel.
     LocalExtentLift,
-    /// A verified truncation of the canonical model of a word-constraint
-    /// theory (see `word_evidence::canonical_countermodel`).
-    CanonicalTruncation,
+    /// The verified residual quotient of `post*(ε)` and `post*(α)` for a
+    /// word-constraint theory (see `word_evidence::quotient_countermodel`).
+    PostStarQuotient,
 }
 
 /// The specific resource cap a budgeted procedure ran into (the `phase`

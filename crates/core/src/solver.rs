@@ -16,7 +16,7 @@
 //! chase/search pair answers both soundly (chase proofs hold in all
 //! models, countermodels are finite).
 
-use crate::amortize::SharedContext;
+use crate::amortize::{SharedContext, SharedWord};
 use crate::chase::chase_implication_with;
 use crate::local_extent::{local_extent_implies, LocalExtentError};
 use crate::outcome::{
@@ -25,7 +25,10 @@ use crate::outcome::{
 use crate::search::{search_countermodel, search_typed_countermodel};
 use crate::typed_m::{m_implies, NotAnMSchema};
 use crate::word::WordEngine;
+use crate::word_evidence::quotient_countermodel;
+use pathcons_automata::Nfa;
 use pathcons_constraints::PathConstraint;
+use pathcons_graph::Label;
 use pathcons_telemetry::SpanGuard;
 use pathcons_types::{Model, Schema, TypeGraph};
 use std::fmt;
@@ -215,25 +218,20 @@ impl Solver {
         // Fragment dispatch: pure word constraints → PTIME decision.
         if phi.is_word() && sigma.iter().all(|c| c.is_word()) {
             // Warm path: a shared context built from exactly this Σ
-            // answers via the cached saturated post* automaton —
-            // `reaches(α, β)` is defined as `post*(α) ∋ β`, so this is
-            // the identical computation with the saturation amortized.
-            let shared = self.shared.as_deref().and_then(|s| s.word_for(sigma));
-            let (implied, collapse) = match shared {
-                Some(sw) => (
-                    sw.implies_word(phi.lhs(), phi.rhs()),
-                    sw.has_epsilon_collapse(),
-                ),
-                None => {
-                    let engine = WordEngine::new(sigma).expect("all word constraints");
-                    let implied = engine.implies(phi).expect("query is a word constraint");
-                    // The collapse predicate only matters for negative
-                    // answers; the cold path skips it otherwise (the
-                    // warm path precomputed it at build).
-                    (implied, !implied && engine.has_epsilon_collapse())
-                }
+            // answers via the cached saturated post* automaton; the
+            // cold path saturates here, once. Either way `post*(α)` is
+            // the decision (`reaches(α, β)` is `post*(α) ∋ β`) and is
+            // reused for the countermodel.
+            let saturation = match self.shared.as_deref().and_then(|s| s.word_for(sigma)) {
+                Some(sw) => Saturation::Shared(sw),
+                None => Saturation::Cold(WordEngine::new(sigma).expect("all word constraints")),
             };
-            if !implied && collapse {
+            let post = saturation.post_star(phi.lhs());
+            let implied = post.accepts(phi.rhs());
+            // The collapse predicate only matters for negative answers;
+            // the cold path skips it otherwise (the warm path
+            // precomputed it at build).
+            if !implied && saturation.has_epsilon_collapse() {
                 // The three-rule system is incomplete for ε-collapsing
                 // theories (see WordEngine::has_epsilon_collapse): a
                 // negative answer is unreliable here, so fall through to
@@ -244,18 +242,17 @@ impl Solver {
             let outcome = if implied {
                 Outcome::Implied(Evidence::WordDerivation)
             } else {
-                // The decision stands on the complete procedure; a
-                // verified countermodel is attached on a best-effort
-                // basis for auditability — and only when the canonical
-                // truncation is cheap (it costs one pre* per
-                // (word, label) pair in the universe).
-                let max_len = (phi.lhs().len().max(phi.rhs().len()) + 2).min(6);
-                match crate::word_evidence::canonical_countermodel(sigma, phi, max_len) {
+                // The decision stands on the complete procedure; the
+                // countermodel is read off the residuals of post*(ε) and
+                // post*(α), within a node ceiling and the deadline.
+                let empty = saturation.post_star(&[]);
+                let deadline = &self.budget.deadline;
+                match quotient_countermodel(sigma, phi, &empty, &post, deadline) {
                     Some(graph) => {
                         Outcome::NotImplied(Refutation::with_countermodel(CounterModel {
                             graph,
                             types: None,
-                            provenance: CounterModelProvenance::CanonicalTruncation,
+                            provenance: CounterModelProvenance::PostStarQuotient,
                         }))
                     }
                     None => Outcome::NotImplied(Refutation::by_decision_procedure()),
@@ -358,6 +355,29 @@ impl Solver {
         Answer {
             outcome: Outcome::Unknown(reason),
             method: Method::CounterModelSearch,
+        }
+    }
+}
+
+/// Where the word tier's `post*` automata come from: the shared
+/// context's cache, or a saturation of this query's own.
+enum Saturation<'a> {
+    Shared(&'a SharedWord),
+    Cold(WordEngine),
+}
+
+impl Saturation<'_> {
+    fn post_star(&self, alpha: &[Label]) -> Arc<Nfa> {
+        match self {
+            Saturation::Shared(sw) => sw.consequences(alpha),
+            Saturation::Cold(engine) => Arc::new(engine.system().post_star(alpha)),
+        }
+    }
+
+    fn has_epsilon_collapse(&self) -> bool {
+        match self {
+            Saturation::Shared(sw) => sw.has_epsilon_collapse(),
+            Saturation::Cold(engine) => engine.has_epsilon_collapse(),
         }
     }
 }
@@ -476,14 +496,15 @@ mod tests {
     }
 
     #[test]
-    fn word_refutations_attach_canonical_countermodels() {
+    fn word_refutations_attach_quotient_countermodels() {
         let mut labels = LabelInterner::new();
         let sigma = parse_constraints("a -> b", &mut labels).unwrap();
         let phi = PathConstraint::parse("b -> a", &mut labels).unwrap();
         let solver = Solver::new(DataContext::Semistructured);
         let answer = solver.implies(&sigma, &phi).unwrap();
         assert_eq!(answer.method, Method::WordAutomaton);
-        let cm = answer.outcome.countermodel().expect("canonical truncation");
+        let cm = answer.outcome.countermodel().expect("post* quotient");
+        assert_eq!(cm.provenance, CounterModelProvenance::PostStarQuotient);
         assert!(pathcons_constraints::all_hold(&cm.graph, &sigma));
         assert!(!pathcons_constraints::holds(&cm.graph, &phi));
     }

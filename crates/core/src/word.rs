@@ -139,15 +139,24 @@ impl WordEngine {
         crate::derivation(sigma, phi.lhs(), phi.rhs(), fuel)
     }
 
-    /// Best-effort construction of a verified countermodel for a refuted
-    /// word constraint (see [`crate::canonical_countermodel`]).
+    /// A verified countermodel for a refuted word constraint, read off
+    /// `post*(ε)` and `post*(α)` (see [`crate::quotient_countermodel`]);
+    /// `None` when `φ` is implied, Σ is not this engine's theory, or the
+    /// quotient outgrew its node ceiling.
     pub fn try_countermodel(
         &self,
         sigma: &[PathConstraint],
         phi: &PathConstraint,
-        max_len: usize,
     ) -> Option<pathcons_graph::Graph> {
-        crate::canonical_countermodel(sigma, phi, max_len)
+        if !phi.is_word() {
+            return None;
+        }
+        let post = self.consequences(phi.lhs());
+        if post.accepts(phi.rhs()) {
+            return None;
+        }
+        let empty = self.system.post_star(&[]);
+        crate::quotient_countermodel(sigma, phi, &empty, &post, &crate::Deadline::none())
     }
 }
 

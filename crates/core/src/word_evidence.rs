@@ -1,6 +1,6 @@
 //! Evidence extraction for the word-constraint engine: concrete rewrite
-//! derivations for positive answers and canonical countermodels for
-//! negative ones.
+//! derivations for positive answers and residual-quotient countermodels
+//! for negative ones.
 //!
 //! The `post*` decision procedure is complete but opaque; this module
 //! turns its verdicts into artifacts a skeptic can replay:
@@ -9,16 +9,19 @@
 //!   `β`, checkable by [`Derivation::check`] (found by `pre*`-guided BFS;
 //!   shortest derivations can be long, so extraction is fuel-bounded and
 //!   optional — the decision itself never is);
-//! - [`canonical_countermodel`] — a finite truncation of the canonical
-//!   model of Σ (one vertex per word `y`, edges `n_x --l--> n_y` iff
-//!   `y ⇒* x·l`, so `u` reaches exactly the `pre*(u)` vertices). The
+//! - [`quotient_countermodel`] — a finite model of `Σ ∧ ¬(α → β)` read
+//!   off the automata the decision already built: one node per distinct
+//!   residual of `post*(ε)` and of `post*(α)`, so a word reaches a node
+//!   exactly when the node's residual language contains it (the
+//!   word-constraint analogue of the paper's Lemma 4.5 quotient). The
 //!   candidate is *verified* against `Σ ∧ ¬φ` before being returned, so
-//!   a `Some` answer is self-certifying; `None` means the truncation was
-//!   too coarse, not that no countermodel exists.
+//!   a `Some` answer is self-certifying; `None` means the quotient hit
+//!   its node ceiling or the deadline, or Σ collapses a word to `ε`.
 
-use pathcons_automata::PrefixRewriteSystem;
+use crate::outcome::Deadline;
+use pathcons_automata::{Nfa, PrefixRewriteSystem, StateId};
 use pathcons_constraints::{all_hold, holds, Path, PathConstraint};
-use pathcons_graph::{Graph, Label, NodeId};
+use pathcons_graph::{Graph, Label};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One prefix-rewrite step: rule `index` applied to the current word's
@@ -258,114 +261,160 @@ pub fn derivation_guided(
     Some(Derivation { start, steps })
 }
 
-/// Attempts to build a finite countermodel of `Σ ∧ ¬φ` by truncating the
-/// canonical model of Σ.
+/// Ceiling on countermodel nodes, over both quotients together. A residual
+/// quotient determinizes the reversed automaton, so it can in principle
+/// be exponential in the automaton's states; past this many nodes the
+/// refutation stands on the decision procedure alone.
+const MAX_QUOTIENT_NODES: usize = 512;
+
+/// Builds a countermodel of `Σ ∧ ¬(α → β)` from the residuals of the
+/// decision procedure's own automata: `empty` must be `post*(ε)` and
+/// `post` must be `post*(α)` under Σ's rewrite rules, with `β ∉ post`.
 ///
-/// In the (generally infinite) canonical model, there is one vertex
-/// `n_y` per word `y`, the root is `n_ε`, and `n_x --l--> n_y` iff
-/// `y ⇒* x·l` under the rewrite rules read off Σ. A word `u` then
-/// reaches exactly `{n_y : y ⇒* u}`, so every rule `u → v` of Σ holds
-/// (`y ⇒* u` implies `y ⇒* v`), while a non-derivable `α → β` fails at
-/// the witness `n_α`. Truncating to words of length ≤ `max_len` only
-/// *removes* vertices and edges, which preserves `¬φ` but may break Σ —
-/// so the candidate is verified with the satisfaction checker before
-/// being returned, and a `None` means the truncation was too coarse, not
-/// that the implication holds.
-pub fn canonical_countermodel(
+/// For an automaton `N` and a word `z`, let `P(z)` be the set of states
+/// that accept `z`. The quotient of `N` has one node per distinct
+/// non-empty `P(z)`, found by a worklist from `P(ε)` (the backward
+/// ε-closure of the accepting states) through
+/// `P(l·z) = pre_l(P(z))`, and an edge `P(l·z) --l--> P(z)`. The graph
+/// is the quotient of `post*(ε)`, whose `P(ε)` node is the root, next
+/// to the quotient of `post*(α)`, plus a root edge `--l--> S` for every
+/// node `S` whose automaton's start state lies in `pre_l(S)`.
+///
+/// A non-empty word `w` then reaches exactly the nodes `P(z)` with
+/// `w·z` in their automaton's language (a path through the root is
+/// covered because `post*(ε) ∋ w` means `ε ⇒* w`, and both languages
+/// are closed under rewriting), and `ε` reaches only the root, whose
+/// language is `post*(ε)`. So every rule `u → v` with `v ≠ ε` holds —
+/// `ε`-lhs rules included — while `α` reaches the `P(ε)` node of
+/// `post*(α)` and `β` does not: the word-constraint analogue of the
+/// quotient structure of Lemma 4.5 (Figure 2).
+///
+/// The candidate is verified against `Σ ∧ ¬φ` before it is returned.
+/// `None` means the quotient outgrew its node ceiling, the deadline
+/// fired, or verification failed (Σ collapses a word to `ε`, a case the
+/// solver hands to the chase).
+pub fn quotient_countermodel(
     sigma: &[PathConstraint],
     phi: &PathConstraint,
-    max_len: usize,
+    empty: &Nfa,
+    post: &Nfa,
+    deadline: &Deadline,
 ) -> Option<Graph> {
-    let mut system = PrefixRewriteSystem::new();
-    for c in sigma {
-        if !c.is_word() {
-            return None;
-        }
-        system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
-    }
-    if !phi.is_word() {
+    if !phi.is_word() || !sigma.iter().all(PathConstraint::is_word) {
         return None;
     }
-
-    // Alphabet: labels mentioned anywhere.
     let mut alphabet: Vec<Label> = sigma
         .iter()
         .chain(std::iter::once(phi))
-        .flat_map(|c| {
-            c.lhs()
-                .labels()
-                .iter()
-                .chain(c.rhs().labels())
-                .copied()
-                .collect::<Vec<_>>()
-        })
+        .flat_map(|c| c.lhs().labels().iter().chain(c.rhs().labels()))
+        .copied()
         .collect();
     alphabet.sort_unstable();
     alphabet.dedup();
-    if alphabet.is_empty() {
-        return None;
-    }
-
-    // Grow the truncation length until a candidate verifies — smaller
-    // universes give smaller (more readable) countermodels.
-    (1..=max_len).find_map(|len| canonical_truncation(&system, sigma, phi, &alphabet, len))
-}
-
-/// One truncation attempt at a fixed word length.
-fn canonical_truncation(
-    system: &PrefixRewriteSystem,
-    sigma: &[PathConstraint],
-    phi: &PathConstraint,
-    alphabet: &[Label],
-    max_len: usize,
-) -> Option<Graph> {
-    // Keep the universe manageable: cap the word count.
-    const MAX_WORDS: usize = 240;
-    let mut words: Vec<Vec<Label>> = vec![Vec::new()];
-    let mut frontier: Vec<Vec<Label>> = vec![Vec::new()];
-    'grow: for _ in 0..max_len {
-        let mut next = Vec::new();
-        for w in &frontier {
-            for &l in alphabet {
-                let mut e = w.clone();
-                e.push(l);
-                words.push(e.clone());
-                next.push(e);
-                if words.len() >= MAX_WORDS {
-                    break 'grow;
-                }
-            }
-        }
-        frontier = next;
-    }
 
     let mut graph = Graph::new();
-    let nodes: Vec<NodeId> = std::iter::once(graph.root())
-        .chain((1..words.len()).map(|_| graph.add_node()))
-        .collect();
+    add_quotient(&mut graph, empty, &alphabet, true, deadline)?;
+    // For α = ε the root already is the witness `P(ε)` of `post*(α)`.
+    if !phi.lhs().is_empty() {
+        add_quotient(&mut graph, post, &alphabet, false, deadline)?;
+    }
+    (all_hold(&graph, sigma) && !holds(&graph, phi)).then_some(graph)
+}
 
-    // Edges: n_x --l--> n_y iff y ∈ pre*(x·l). One pre* automaton per
-    // (x, l); membership tested for every candidate y.
-    for (xi, x) in words.iter().enumerate() {
-        for &l in alphabet {
-            let mut xl = x.clone();
-            xl.push(l);
-            let pre = system.pre_star(&xl);
-            for (yi, y) in words.iter().enumerate() {
-                if pre.accepts(y) {
-                    graph.add_edge(nodes[xi], l, nodes[yi]);
-                }
-            }
+/// Adds the residual quotient of `nfa` over `alphabet` to `graph`: node
+/// `P(ε)` (the root when `at_root`, else a fresh node), one fresh node
+/// per further distinct non-empty `P(z)`, the edges `pre_l(S) --l--> S`,
+/// and a root edge `--l--> S` whenever the start state lies in
+/// `pre_l(S)`. `None` when the graph would pass [`MAX_QUOTIENT_NODES`]
+/// or the deadline fires.
+fn add_quotient(
+    graph: &mut Graph,
+    nfa: &Nfa,
+    alphabet: &[Label],
+    at_root: bool,
+    deadline: &Deadline,
+) -> Option<()> {
+    let n = nfa.state_count();
+    // Reversed transitions, per target state.
+    let mut eps_pred: Vec<Vec<StateId>> = vec![Vec::new(); n];
+    let mut pred: Vec<Vec<(Label, StateId)>> = vec![Vec::new(); n];
+    for q in (0..n).map(StateId::from_index) {
+        for t in nfa.epsilon_successors(q) {
+            eps_pred[t.index()].push(q);
+        }
+        for (l, t) in nfa.transitions(q) {
+            pred[t.index()].push((l, q));
         }
     }
+    let mut mark = vec![false; n];
+    // Backward ε-closure of `seed`, as a sorted state set.
+    let mut close = |mut seed: Vec<StateId>| {
+        for q in &seed {
+            mark[q.index()] = true;
+        }
+        let mut i = 0;
+        while i < seed.len() {
+            for &p in &eps_pred[seed[i].index()] {
+                if !mark[p.index()] {
+                    mark[p.index()] = true;
+                    seed.push(p);
+                }
+            }
+            i += 1;
+        }
+        for q in &seed {
+            mark[q.index()] = false;
+        }
+        seed.sort_unstable();
+        seed
+    };
+    // A fresh node, unless the graph is already at the node ceiling.
+    let fresh_node =
+        |graph: &mut Graph| (graph.node_count() < MAX_QUOTIENT_NODES).then(|| graph.add_node());
 
-    // The truncation may cut Σ-required edges to out-of-universe words;
-    // only a verified candidate is a countermodel.
-    if all_hold(&graph, sigma) && !holds(&graph, phi) {
-        Some(graph)
-    } else {
-        None
+    let root = graph.root();
+    let first = close(nfa.accepting_states().collect());
+    if first.is_empty() {
+        return None;
     }
+    let mut nodes = vec![if at_root { root } else { fresh_node(graph)? }];
+    let mut sets = vec![first.clone()];
+    let mut index: HashMap<Vec<StateId>, usize> = HashMap::from([(first, 0)]);
+    let mut j = 0;
+    while j < sets.len() {
+        if deadline.expired() {
+            return None;
+        }
+        for &l in alphabet {
+            let mut seed: Vec<StateId> = sets[j]
+                .iter()
+                .flat_map(|t| pred[t.index()].iter())
+                .filter(|&&(pl, _)| pl == l)
+                .map(|&(_, q)| q)
+                .collect();
+            seed.sort_unstable();
+            seed.dedup();
+            let pre = close(seed);
+            if pre.is_empty() {
+                continue;
+            }
+            if pre.binary_search(&nfa.start()).is_ok() {
+                graph.add_edge(root, l, nodes[j]);
+            }
+            let i = match index.get(&pre) {
+                Some(&i) => i,
+                None => {
+                    nodes.push(fresh_node(graph)?);
+                    sets.push(pre.clone());
+                    index.insert(pre, sets.len() - 1);
+                    sets.len() - 1
+                }
+            };
+            graph.add_edge(nodes[i], l, nodes[j]);
+        }
+        j += 1;
+    }
+    Some(())
 }
 
 #[cfg(test)]
@@ -476,35 +525,68 @@ mod tests {
         assert!(refl.steps.is_empty());
     }
 
+    /// Refutes `phi` through the quotient of a cold saturation.
+    fn quotient(sigma: &[PathConstraint], phi: &PathConstraint) -> Option<Graph> {
+        let engine = crate::WordEngine::new(sigma).unwrap();
+        let post = engine.consequences(phi.lhs());
+        assert!(!post.accepts(phi.rhs()), "{phi:?} is implied");
+        let empty = engine.consequences(&Path::empty());
+        quotient_countermodel(sigma, phi, &empty, &post, &Deadline::none())
+    }
+
     #[test]
-    fn canonical_countermodel_for_simple_case() {
+    fn quotient_countermodel_for_simple_case() {
         let mut labels = LabelInterner::new();
         let sigma = parse_constraints("a -> b", &mut labels).unwrap();
         let phi = PathConstraint::parse("b -> a", &mut labels).unwrap();
-        let g = canonical_countermodel(&sigma, &phi, 4).expect("countermodel");
+        let g = quotient(&sigma, &phi).expect("countermodel");
         assert!(all_hold(&g, &sigma));
         assert!(!holds(&g, &phi));
     }
 
     #[test]
-    fn canonical_countermodel_none_for_implied() {
+    fn quotient_countermodel_handles_growing_rules() {
         let mut labels = LabelInterner::new();
-        let sigma = parse_constraints("a -> b", &mut labels).unwrap();
-        let phi = PathConstraint::parse("a.c -> b.c", &mut labels).unwrap();
-        assert!(canonical_countermodel(&sigma, &phi, 4).is_none());
+        // a ⇒ b·a keeps post* infinite; its residuals stay finite.
+        let sigma = parse_constraints("a -> b.a", &mut labels).unwrap();
+        let phi = PathConstraint::parse("b.a -> a", &mut labels).unwrap();
+        let g = quotient(&sigma, &phi).expect("countermodel");
+        assert!(all_hold(&g, &sigma));
+        assert!(!holds(&g, &phi));
     }
 
     #[test]
-    fn canonical_countermodel_handles_growing_rules() {
+    fn quotient_countermodel_handles_empty_paths() {
         let mut labels = LabelInterner::new();
-        // a ⇒ b·a keeps post* sets distinct; refute b·a -> a.
-        let sigma = parse_constraints("a -> b.a", &mut labels).unwrap();
-        let phi = PathConstraint::parse("b.a -> a", &mut labels).unwrap();
-        if let Some(g) = canonical_countermodel(&sigma, &phi, 5) {
-            assert!(all_hold(&g, &sigma));
-            assert!(!holds(&g, &phi));
+        // ε on the left: the root's own language is post*(ε) = K*.
+        let sigma = parse_constraints("() -> K\nK.a -> K", &mut labels).unwrap();
+        for text in ["K -> a", "K -> ()", "() -> a", "a.b -> K"] {
+            let phi = PathConstraint::parse(text, &mut labels).unwrap();
+            let g = quotient(&sigma, &phi).unwrap_or_else(|| panic!("no model for {text}"));
+            assert!(all_hold(&g, &sigma), "{text}");
+            assert!(!holds(&g, &phi), "{text}");
         }
-        // (None is acceptable — the truncation may be too coarse — but a
-        // returned model must verify, which the asserts above cover.)
+    }
+
+    #[test]
+    fn quotient_countermodel_gives_up_on_deadline_and_ceiling() {
+        let mut labels = LabelInterner::new();
+        let sigma = parse_constraints("a -> b", &mut labels).unwrap();
+        let phi = PathConstraint::parse("b -> a", &mut labels).unwrap();
+        let engine = crate::WordEngine::new(&sigma).unwrap();
+        let post = engine.consequences(phi.lhs());
+        let empty = engine.consequences(&Path::empty());
+        let expired = Deadline::within(std::time::Duration::ZERO);
+        assert!(quotient_countermodel(&sigma, &phi, &empty, &post, &expired).is_none());
+        // `a^k` has k + 1 residuals (`ε`, `a`, …, `a^k`): a fresh
+        // graph holds them up to the node ceiling, counting its root.
+        let a = labels.get("a").unwrap();
+        let fits = Nfa::from_word(&vec![a; MAX_QUOTIENT_NODES - 2]);
+        let mut graph = Graph::new();
+        add_quotient(&mut graph, &fits, &[a], false, &Deadline::none()).unwrap();
+        assert_eq!(graph.node_count(), MAX_QUOTIENT_NODES);
+        let spills = Nfa::from_word(&vec![a; MAX_QUOTIENT_NODES - 1]);
+        let mut graph = Graph::new();
+        assert!(add_quotient(&mut graph, &spills, &[a], false, &Deadline::none()).is_none());
     }
 }
