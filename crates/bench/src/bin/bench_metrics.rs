@@ -1,9 +1,10 @@
 //! Metrics-plane overhead benchmark: sustained serve throughput at 64
 //! concurrent clients with the metrics plane in its cheapest
-//! configuration (the server's private registry, no engine
-//! instrumentation) versus fully live (registry shared with the engine,
-//! Prometheus listener bound, slow-query log armed). Results go to
-//! `BENCH_metrics.json`.
+//! configuration (the server's own registry only) versus fully live
+//! (Prometheus listener bound, slow-query log armed). The registry
+//! records every job in both: engine-side counts are read from the
+//! answer cache at scrape time, so there is no separate engine
+//! instrumentation to switch on. Results go to `BENCH_metrics.json`.
 //!
 //! Usage:
 //!
@@ -21,7 +22,7 @@
 
 use pathcons_bench::{bench_meta, time_ms};
 use pathcons_engine::{BatchEngine, EngineConfig, Json};
-use pathcons_metrics::{names, MetricsRegistry};
+use pathcons_metrics::names;
 use pathcons_store::{Client, ConstraintStore, Endpoint, Server, ServerHandle};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -50,28 +51,21 @@ fn socket_path(round: usize, live: bool) -> std::path::PathBuf {
     ))
 }
 
-/// A fresh server per measurement. `live` arms the whole plane: the
-/// registry shared into the engine (verdict counters, cache outcomes,
-/// solve-latency histogram on every job), the Prometheus listener, and
-/// a slow-query log whose threshold no benchmark job crosses — so the
-/// cost measured is the instrumentation itself, not log I/O.
+/// A fresh server per measurement. `live` arms the exporters: the
+/// Prometheus listener and a slow-query log whose threshold no
+/// benchmark job crosses — so the cost measured is the slow-log check
+/// on every job and the bound listener, not log I/O.
 fn spawn_server(round: usize, live: bool) -> ServerHandle {
-    let mut config = EngineConfig::default();
-    let registry = Arc::new(MetricsRegistry::new());
-    if live {
-        config.metrics = Some(registry.clone());
-    }
     let store = ConstraintStore::from_jsonl("").expect("empty store");
     let server = Server::bind(
         &Endpoint::Unix(socket_path(round, live)),
         Arc::new(store),
-        Arc::new(BatchEngine::new(config)),
+        Arc::new(BatchEngine::new(EngineConfig::default())),
         None,
     )
     .expect("bind unix socket");
     if live {
         server
-            .with_metrics(registry)
             .with_metrics_addr("127.0.0.1:0")
             .expect("bind metrics listener")
             .with_slow_log(3_600_000, None)

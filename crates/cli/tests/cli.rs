@@ -444,10 +444,11 @@ fn batch_trace_emits_validatable_jsonl_and_profile() {
         unknown_line.contains(r#""unknown_kind":""#),
         "{unknown_line}"
     );
-    // The stderr profile summarizes the trace.
+    // The stderr profile summarizes the trace; the cache counts are on
+    // the stats line above it.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("trace profile"), "{stderr}");
-    assert!(stderr.contains("cache:"), "{stderr}");
+    assert!(stderr.contains(" hits / "), "{stderr}");
     assert!(stderr.contains("budget attributions:"), "{stderr}");
 
     // The written trace passes its own validator.

@@ -14,7 +14,6 @@ use pathcons_core::{
     SolverError, UnknownReason,
 };
 use pathcons_graph::LabelInterner;
-use pathcons_metrics::{names, Counter, Histogram, MetricsRegistry};
 use pathcons_telemetry::{schema, SpanGuard};
 use pathcons_types::{example_bibliography_schema, example_bibliography_schema_m, TypeGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,6 +37,11 @@ pub enum VerifyMode {
 }
 
 /// Configuration of a [`BatchEngine`].
+///
+/// The engine records no metrics: its only counters are the answer
+/// cache's [`CacheStats`], read through [`BatchEngine::cache_snapshot`],
+/// and per-job counts belong to the caller (the serve loop's metrics
+/// plane, or [`BatchStats`]).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker threads for batches; 0 means one per available core.
@@ -58,11 +62,6 @@ pub struct EngineConfig {
     /// the production setting) injects nothing; the CLI installs a plan
     /// only under `--chaos seed=N`.
     pub chaos: Option<FaultPlan>,
-    /// Live metrics registry. `None` (the default) records nothing; the
-    /// resident service installs a shared registry so engine-side
-    /// verdict counts, cache outcomes, and solve latency land in the
-    /// same exposition as the serve-side counters.
-    pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl Default for EngineConfig {
@@ -75,93 +74,6 @@ impl Default for EngineConfig {
             retry: RetryPolicy::default(),
             shed: ShedPolicy::unlimited(),
             chaos: None,
-            metrics: None,
-        }
-    }
-}
-
-/// Pre-resolved metric handles for the engine's hot paths: recording a
-/// verdict or a cache outcome is a relaxed atomic increment, never a
-/// registry lookup. Rare events (unknown kinds, certificate checks,
-/// resilience tallies) go through the registry's get-or-insert path.
-struct EngineMetrics {
-    registry: Arc<MetricsRegistry>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    solve_micros: Arc<Histogram>,
-    verdict_implied: Arc<Counter>,
-    verdict_not_implied: Arc<Counter>,
-    verdict_unknown: Arc<Counter>,
-    verdict_error: Arc<Counter>,
-}
-
-impl EngineMetrics {
-    fn new(registry: Arc<MetricsRegistry>) -> EngineMetrics {
-        let verdict = |name: &str| {
-            registry.counter(
-                names::VERDICTS_TOTAL,
-                names::VERDICTS_TOTAL_HELP,
-                &[("verdict", name)],
-            )
-        };
-        EngineMetrics {
-            registry: Arc::clone(&registry),
-            cache_hits: registry.counter(
-                names::CACHE_LOOKUPS_TOTAL,
-                names::CACHE_LOOKUPS_TOTAL_HELP,
-                &[("outcome", "hit")],
-            ),
-            cache_misses: registry.counter(
-                names::CACHE_LOOKUPS_TOTAL,
-                names::CACHE_LOOKUPS_TOTAL_HELP,
-                &[("outcome", "miss")],
-            ),
-            solve_micros: registry.histogram(names::SOLVE_MICROS, names::SOLVE_MICROS_HELP, &[]),
-            verdict_implied: verdict(Verdict::Implied.as_str()),
-            verdict_not_implied: verdict(Verdict::NotImplied.as_str()),
-            verdict_unknown: verdict(Verdict::Unknown.as_str()),
-            verdict_error: verdict(Verdict::Error.as_str()),
-        }
-    }
-
-    fn verdict(&self, verdict: Verdict) -> &Counter {
-        match verdict {
-            Verdict::Implied => &self.verdict_implied,
-            Verdict::NotImplied => &self.verdict_not_implied,
-            Verdict::Unknown => &self.verdict_unknown,
-            Verdict::Error => &self.verdict_error,
-        }
-    }
-
-    fn unknown_kind(&self, kind: &str) {
-        self.registry
-            .counter(
-                names::UNKNOWN_TOTAL,
-                names::UNKNOWN_TOTAL_HELP,
-                &[("kind", kind)],
-            )
-            .add(1);
-    }
-
-    fn certcheck(&self, result: &str) {
-        self.registry
-            .counter(
-                names::CERTCHECK_TOTAL,
-                names::CERTCHECK_TOTAL_HELP,
-                &[("result", result)],
-            )
-            .add(1);
-    }
-
-    fn resilience(&self, event: &str, n: u64) {
-        if n > 0 {
-            self.registry
-                .counter(
-                    names::RESILIENCE_TOTAL,
-                    names::RESILIENCE_TOTAL_HELP,
-                    &[("event", event)],
-                )
-                .add(n);
         }
     }
 }
@@ -183,23 +95,13 @@ pub enum CacheOutcome {
 pub struct BatchEngine {
     config: EngineConfig,
     cache: Mutex<AnswerCache>,
-    /// Pre-resolved metric handles, present iff `config.metrics` is.
-    metrics: Option<EngineMetrics>,
 }
 
 impl BatchEngine {
     /// An engine with the given configuration.
     pub fn new(config: EngineConfig) -> BatchEngine {
         let cache = Mutex::new(AnswerCache::new(config.cache_capacity));
-        let metrics = config
-            .metrics
-            .as_ref()
-            .map(|r| EngineMetrics::new(Arc::clone(r)));
-        BatchEngine {
-            config,
-            cache,
-            metrics,
-        }
+        BatchEngine { config, cache }
     }
 
     /// The configuration.
@@ -226,35 +128,18 @@ impl BatchEngine {
         }
     }
 
-    /// Cache counters so far.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache_guard().stats()
-    }
-
-    /// Live cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache_guard().len()
-    }
-
-    /// Counters and live entry count read under a single lock
-    /// acquisition, so the two views are mutually consistent even while
-    /// other threads are solving.
+    /// The one read of cache state: counters and live entry count under
+    /// a single lock acquisition, so the two views are mutually
+    /// consistent even while other threads are solving. Every cache
+    /// count a renderer shows (batch stats, the serve `stats` op, the
+    /// metrics scrape) comes from here.
     pub fn cache_snapshot(&self) -> (CacheStats, usize) {
         let guard = self.cache_guard();
         (guard.stats(), guard.len())
     }
 
-    /// Solves `Σ ⊨ φ` through the cache with the engine's base budget.
-    pub fn solve(
-        &self,
-        context: &DataContext,
-        sigma: &[PathConstraint],
-        phi: &PathConstraint,
-    ) -> Result<(Answer, CacheOutcome), SolverError> {
-        self.solve_with_budget(context, sigma, phi, self.config.budget.clone())
-    }
-
-    /// Solves `Σ ⊨ φ` through the cache with an explicit budget.
+    /// Solves one prepared query through the cache: the engine's one
+    /// answer-level entry point.
     ///
     /// On a miss the *original* query is solved (so the first answer for
     /// any query is exactly `Solver::implies`) and stored under its
@@ -262,83 +147,52 @@ impl BatchEngine {
     /// query's label space (countermodel edges are renamed through the
     /// composed bijection). Deadline `Unknown`s are never cached — a
     /// job that ran out of time must not poison richer-budget retries.
-    pub fn solve_with_budget(
-        &self,
-        context: &DataContext,
-        sigma: &[PathConstraint],
-        phi: &PathConstraint,
-        budget: Budget,
-    ) -> Result<(Answer, CacheOutcome), SolverError> {
-        self.solve_full(context, sigma, phi, budget)
-            .map(|(answer, cache, _certificate)| (answer, cache))
-    }
-
-    /// [`BatchEngine::solve_with_budget`] plus the answer's certificate.
     ///
     /// The certificate (when present) lives in the *canonical* label
     /// space and is bound to the canonical key's snapshot id — see
-    /// [`crate::certify`]. On a hit it is the cached certificate; on a
+    /// [`mod@crate::certify`]. On a hit it is the cached certificate; on a
     /// miss it is freshly emitted (and stored alongside the entry). In
     /// [`VerifyMode::Check`] a hit's certificate is validated by the
     /// trusted checker before the entry is served; an invalid one
     /// evicts the entry and the query is re-solved fresh.
-    pub fn solve_full(
-        &self,
-        context: &DataContext,
-        sigma: &[PathConstraint],
-        phi: &PathConstraint,
-        budget: Budget,
-    ) -> Result<(Answer, CacheOutcome, Option<Certificate>), SolverError> {
-        self.solve_full_shared(context, sigma, phi, budget, None, 0)
-    }
-
-    /// [`BatchEngine::solve_full`] with per-context amortization state
-    /// and a cache-key revision — the path resident stores use.
     ///
-    /// `shared` (when given and Σ-compatible) lets the solver resume
+    /// `job.shared` (when given and Σ-compatible) lets the solver resume
     /// the context's chase prefix and answer word implications against
     /// cached saturated `post*` automata instead of solving cold; warm
     /// and cold answers are byte-identical (see
-    /// [`pathcons_core::SharedContext`]). `revision` scopes the cache
-    /// key: entries inserted under an earlier revision of a mutated
-    /// context miss instead of being served, without touching any other
-    /// context's entries. Certificates stay bound to the revisionless
-    /// snapshot id, so serve results audit offline like batch results.
-    pub fn solve_full_shared(
+    /// [`pathcons_core::SharedContext`]). `job.revision` scopes the
+    /// cache key: entries inserted under an earlier revision of a
+    /// mutated context miss instead of being served, without touching
+    /// any other context's entries. Certificates stay bound to the
+    /// revisionless snapshot id, so serve results audit offline like
+    /// batch results.
+    pub fn solve(
         &self,
-        context: &DataContext,
-        sigma: &[PathConstraint],
-        phi: &PathConstraint,
+        job: &PreparedJob,
         budget: Budget,
-        shared: Option<&Arc<SharedContext>>,
-        revision: u64,
     ) -> Result<(Answer, CacheOutcome, Option<Certificate>), SolverError> {
-        let telemetry = budget.telemetry.clone();
-        let rec = telemetry.active();
+        let PreparedJob {
+            context,
+            sigma,
+            phi,
+            shared,
+            revision,
+        } = job;
         let mut canon = canon::canonicalize(context, sigma, phi);
         // The revision scopes the cache entry; snapshot ids (and so
         // certificates) ignore it.
-        canon.key.revision = revision;
+        canon.key.revision = *revision;
         let cached = self.cache_guard().lookup(&canon.key);
         // Hit-validation: never serve a structurally implausible entry.
         // An incoherent entry is detected here, evicted, and the query
         // falls through to a fresh solve.
-        let mut cached = match cached {
-            Some(entry) => match resilience::validate_hit(&entry) {
-                Ok(()) => Some(entry),
-                Err(_why) => {
-                    self.cache_guard().evict_invalid(&canon.key);
-                    if let Some(rec) = rec {
-                        rec.counter("cache.validation_evict", 1);
-                    }
-                    if let Some(m) = &self.metrics {
-                        m.resilience("validation_evict", 1);
-                    }
-                    None
-                }
-            },
-            None => None,
-        };
+        let mut cached = cached.filter(|entry| {
+            let valid = resilience::validate_hit(entry).is_ok();
+            if !valid {
+                self.cache_guard().evict_invalid(&canon.key);
+            }
+            valid
+        });
         // Check mode: validate the stored certificate with the trusted
         // checker before serving. Orders of magnitude cheaper than a
         // re-solve (O(|certificate|) graph walks), and independent of
@@ -347,39 +201,20 @@ impl BatchEngine {
             if let Some(entry) = &cached {
                 match entry_certificate_status(entry, &canon) {
                     CertStatus::Absent => {}
-                    CertStatus::Valid => {
-                        self.cache_guard().note_certcheck(true);
-                        if let Some(rec) = rec {
-                            rec.counter("cache.cert_valid", 1);
-                        }
-                        if let Some(m) = &self.metrics {
-                            m.certcheck("valid");
-                        }
-                    }
+                    CertStatus::Valid => self.cache_guard().note_certcheck(true),
                     CertStatus::Invalid => {
                         // A corrupted certificate impeaches the whole
                         // entry: evict and re-solve, exactly like a
                         // failed structural validation.
-                        self.cache_guard().note_certcheck(false);
-                        self.cache_guard().evict_invalid(&canon.key);
-                        if let Some(rec) = rec {
-                            rec.counter("cache.cert_invalid", 1);
-                        }
-                        if let Some(m) = &self.metrics {
-                            m.certcheck("invalid");
-                        }
+                        let mut cache = self.cache_guard();
+                        cache.note_certcheck(false);
+                        cache.evict_invalid(&canon.key);
                         cached = None;
                     }
                 }
             }
         }
         if let Some(entry) = cached {
-            if let Some(rec) = rec {
-                rec.counter("cache.hit", 1);
-            }
-            if let Some(m) = &self.metrics {
-                m.cache_hits.add(1);
-            }
             let certificate = entry.certificate.clone();
             let answer = adapt_answer(entry, &canon);
             if self.config.verify == VerifyMode::Resolve {
@@ -391,12 +226,6 @@ impl BatchEngine {
                     .implies(sigma, phi)?;
                 let agreed = same_answer_shape(&answer, &fresh);
                 self.cache_guard().note_verification(agreed);
-                if let Some(rec) = rec {
-                    rec.counter("cache.verify", 1);
-                    if !agreed {
-                        rec.counter("cache.verify_mismatch", 1);
-                    }
-                }
                 if !agreed {
                     // Trust the fresh answer; the mismatch counter is
                     // the alarm bell. The cached certificate belongs to
@@ -407,12 +236,6 @@ impl BatchEngine {
             return Ok((answer, CacheOutcome::Hit, certificate));
         }
 
-        if let Some(rec) = rec {
-            rec.counter("cache.miss", 1);
-        }
-        if let Some(m) = &self.metrics {
-            m.cache_misses.add(1);
-        }
         let mut solver = Solver::new(context.clone()).with_budget(budget);
         if let Some(shared) = shared {
             solver = solver.with_shared(Arc::clone(shared));
@@ -422,11 +245,8 @@ impl BatchEngine {
         // and returns `None` rather than an invalid certificate. The
         // shared state is threaded through so word-derivation extraction
         // reuses the context's cached `post*` saturation.
-        let certificate = certify(&canon, sigma, phi, &answer, shared.map(Arc::as_ref));
+        let certificate = certify(&canon, sigma, phi, &answer, shared.as_deref());
         if cacheable(&answer) {
-            if let Some(rec) = rec {
-                rec.counter("cache.insert", 1);
-            }
             self.cache_guard().insert(
                 canon.key,
                 CachedEntry {
@@ -459,7 +279,7 @@ impl BatchEngine {
         // can expire while still queued (and are then answered without
         // occupying a worker slot — see `run_one`'s fast path).
         let admitted = wall_start;
-        let stats_before = self.cache_stats();
+        let (stats_before, _) = self.cache_snapshot();
 
         // Admission control: everything beyond the configured queue
         // depth is shed with an immediate `Unknown(Overloaded)` — a
@@ -551,7 +371,7 @@ impl BatchEngine {
 
         let stats = BatchStats::collect(
             &results,
-            self.cache_stats(),
+            self.cache_snapshot().0,
             stats_before,
             wall_start.elapsed(),
             ResilienceTallies {
@@ -562,13 +382,6 @@ impl BatchEngine {
                 queued_expired: queued_expired.load(Ordering::Relaxed),
             },
         );
-        if let Some(m) = &self.metrics {
-            m.resilience("respawn", exec.respawns);
-            m.resilience("retry", exec.retries);
-            m.resilience("abandoned", exec.abandoned);
-            m.resilience("shed", shed as u64);
-            m.resilience("queued_expired", queued_expired.load(Ordering::Relaxed));
-        }
         if let Some(rec) = rec {
             rec.event(
                 schema::EVENT_BATCH_DONE,
@@ -694,9 +507,6 @@ impl BatchEngine {
         if let Some(deadline) = deadline_at {
             if Instant::now() >= deadline {
                 queued_expired.fetch_add(1, Ordering::Relaxed);
-                if let Some(rec) = rec {
-                    rec.counter("batch.queued_expired", 1);
-                }
                 return deadline_result(job.id, start);
             }
         }
@@ -726,14 +536,14 @@ impl BatchEngine {
         self.solve_prepared(job.id, &prepared, deadline_at, start)
     }
 
-    /// Solves one prepared query and shapes the wire result — the
-    /// single job-answering path shared by the batch worker
-    /// ([`BatchEngine::run_one`] internals) and the resident serve loop
-    /// (`pathcons serve`), so both produce identical verdicts for
-    /// identical inputs. `deadline_at` is the job's absolute wall-clock
-    /// deadline (already armed by the caller); `start` is the instant
-    /// the job was accepted, so `micros` covers queueing and parsing the
-    /// caller already performed.
+    /// Solves one prepared query with [`BatchEngine::solve`] and shapes
+    /// the wire result — the single job-answering path shared by the
+    /// batch worker (`run_one`) and the resident serve loop (`pathcons
+    /// serve`), so both produce identical verdicts for identical
+    /// inputs. `deadline_at` is the job's
+    /// absolute wall-clock deadline (already armed by the caller);
+    /// `start` is the instant the job was accepted, so `micros` covers
+    /// queueing and parsing the caller already performed.
     pub fn solve_prepared(
         &self,
         id: String,
@@ -745,14 +555,7 @@ impl BatchEngine {
         if let Some(deadline) = deadline_at {
             budget = budget.with_deadline_at(Deadline::at(deadline));
         }
-        let result = match self.solve_full_shared(
-            &prepared.context,
-            &prepared.sigma,
-            &prepared.phi,
-            budget,
-            prepared.shared.as_ref(),
-            prepared.revision,
-        ) {
+        match self.solve(prepared, budget) {
             Err(e) => JobResult {
                 id,
                 verdict: Verdict::Error,
@@ -792,19 +595,7 @@ impl BatchEngine {
                     micros: start.elapsed().as_micros() as u64,
                 }
             }
-        };
-        // Per-verdict-class counts, unknown-by-kind breakdown, and the
-        // solve-latency histogram all land here, the single choke point
-        // every answered job (batch worker or resident serve loop)
-        // passes through.
-        if let Some(m) = &self.metrics {
-            m.verdict(result.verdict).add(1);
-            if let Some(kind) = &result.unknown_kind {
-                m.unknown_kind(kind);
-            }
-            m.solve_micros.record(result.micros);
         }
-        result
     }
 }
 
@@ -1112,23 +903,10 @@ impl Job {
     }
 
     /// Parses a whole JSONL document (blank lines and `#` comment lines
-    /// are skipped); errors carry the 1-based line number.
-    pub fn parse_jobs(text: &str) -> Result<Vec<Job>, String> {
-        let mut jobs = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            jobs.push(Job::from_json_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-        }
-        Ok(jobs)
-    }
-
-    /// Like [`Job::parse_jobs`], but a malformed line never aborts the
-    /// batch: parseable jobs are returned alongside `(1-based line
-    /// number, error)` records for the rest, so callers can emit a
-    /// per-line error result and keep going.
+    /// are skipped). A malformed line never aborts the batch: parseable
+    /// jobs are returned alongside `(1-based line number, error)`
+    /// records for the rest, so callers can emit a per-line error
+    /// result and keep going.
     pub fn parse_jobs_lossy(text: &str) -> (Vec<Job>, Vec<(usize, String)>) {
         let mut jobs = Vec::new();
         let mut bad = Vec::new();
@@ -1506,17 +1284,27 @@ mod tests {
     use super::*;
     use pathcons_constraints::parse_constraints;
 
+    /// An untyped query parsed into a fresh label space.
+    fn prepared(sigma_text: &str, phi_text: &str) -> PreparedJob {
+        let mut labels = LabelInterner::new();
+        PreparedJob {
+            context: DataContext::Semistructured,
+            sigma: parse_constraints(sigma_text, &mut labels).unwrap(),
+            phi: PathConstraint::parse(phi_text, &mut labels).unwrap(),
+            shared: None,
+            revision: 0,
+        }
+    }
+
     fn solve_text(
         engine: &BatchEngine,
         sigma_text: &str,
         phi_text: &str,
     ) -> (Answer, CacheOutcome) {
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints(sigma_text, &mut labels).unwrap();
-        let phi = PathConstraint::parse(phi_text, &mut labels).unwrap();
-        engine
-            .solve(&DataContext::Semistructured, &sigma, &phi)
-            .unwrap()
+        let (answer, cache, _) = engine
+            .solve(&prepared(sigma_text, phi_text), Budget::default())
+            .unwrap();
+        (answer, cache)
     }
 
     #[test]
@@ -1537,17 +1325,15 @@ mod tests {
         assert!(a1.outcome.is_not_implied());
 
         // Same query with different label names: x ↔ a, y ↔ b.
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints("x -> y", &mut labels).unwrap();
-        let phi = PathConstraint::parse("y -> x", &mut labels).unwrap();
-        let (a2, c2) = engine
-            .solve(&DataContext::Semistructured, &sigma, &phi)
-            .unwrap();
+        let job = prepared("x -> y", "y -> x");
+        let (a2, c2, _) = engine.solve(&job, Budget::default()).unwrap();
         assert_eq!(c2, CacheOutcome::Hit);
         // The adapted countermodel must refute *this* query, i.e. be in
         // this query's label space.
         let cm = a2.outcome.countermodel().expect("countermodel survives");
-        assert!(pathcons_core::is_countermodel(&cm.graph, &sigma, &phi));
+        assert!(pathcons_core::is_countermodel(
+            &cm.graph, &job.sigma, &job.phi
+        ));
     }
 
     #[test]
@@ -1559,7 +1345,7 @@ mod tests {
         solve_text(&engine, "a -> b", "a -> b");
         solve_text(&engine, "a -> b", "a -> b");
         solve_text(&engine, "c -> d", "c -> d"); // alpha-variant hit
-        let stats = engine.cache_stats();
+        let (stats, _) = engine.cache_snapshot();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.verifications, 2);
         assert_eq!(stats.verify_mismatches, 0);
@@ -1568,22 +1354,19 @@ mod tests {
     #[test]
     fn deadline_unknowns_are_not_cached() {
         let engine = BatchEngine::new(EngineConfig::default());
-        let mut labels = LabelInterner::new();
         // A general-P_c instance (growing forward constraint plus a
         // backward one, under a prefix): routed to the chase/search
         // semi-deciders, where an already-expired deadline yields
         // DeadlineExceeded immediately.
-        let sigma = parse_constraints("p: a -> a.b\np: b <- c", &mut labels).unwrap();
-        let phi = PathConstraint::parse("p: a -> c", &mut labels).unwrap();
+        let job = prepared("p: a -> a.b\np: b <- c", "p: a -> c");
         let budget = Budget::small().with_deadline(Duration::ZERO);
-        let (answer, _) = engine
-            .solve_with_budget(&DataContext::Semistructured, &sigma, &phi, budget)
-            .unwrap();
+        let (answer, _, _) = engine.solve(&job, budget).unwrap();
         assert!(matches!(
             answer.outcome,
             Outcome::Unknown(UnknownReason::DeadlineExceeded)
         ));
-        assert_eq!(engine.cache_len(), 0, "deadline Unknown must not be cached");
+        let (_, entries) = engine.cache_snapshot();
+        assert_eq!(entries, 0, "deadline Unknown must not be cached");
     }
 
     #[test]
@@ -1592,16 +1375,21 @@ mod tests {
             {"id":"j1","sigma":["a -> b"],"phi":"b -> a","deadline_ms":50}
             # a comment
             {"id":"j2","context":"m-bibliography","phi":"book -> book"}
+            {"id":"x"}
         "#;
-        let jobs = Job::parse_jobs(text).unwrap();
+        let (jobs, bad) = Job::parse_jobs_lossy(text);
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].deadline_ms, Some(50));
         assert_eq!(jobs[1].context, "m-bibliography");
+        // The line without `phi` is reported by its 1-based line
+        // number; its neighbours still parse.
+        assert_eq!(bad.len(), 1, "phi is required: {bad:?}");
+        assert_eq!(bad[0].0, 5);
+        assert!(bad[0].1.contains("phi"), "{bad:?}");
         for job in &jobs {
             let reparsed = Job::from_json_line(&job.to_json().to_string()).unwrap();
             assert_eq!(&reparsed, job);
         }
-        assert!(Job::parse_jobs(r#"{"id":"x"}"#).is_err(), "phi is required");
     }
 
     #[test]
@@ -1705,8 +1493,8 @@ mod tests {
     fn lock_poisoning_clears_cache_once_and_keeps_counters() {
         let engine = std::sync::Arc::new(BatchEngine::new(EngineConfig::default()));
         solve_text(&engine, "a -> b\nb -> c", "a -> c");
-        let before = engine.cache_stats();
-        assert_eq!(engine.cache_len(), 1);
+        let (before, entries) = engine.cache_snapshot();
+        assert_eq!(entries, 1);
 
         let poisoner = engine.clone();
         let _ = std::thread::spawn(move || {
@@ -1759,12 +1547,14 @@ mod tests {
         assert!(snap.spans_balanced(), "spans: {:?}", snap.spans);
         assert_eq!(snap.spans["batch"].enters, 1);
         assert_eq!(snap.spans["batch.job"].enters, 3);
-        assert_eq!(snap.counter("cache.hit"), report.stats.hits);
-        assert_eq!(snap.counter("cache.miss"), report.stats.misses);
         let done = snap.events_named(schema::EVENT_BATCH_DONE);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].field("jobs"), Some(3));
+        // The cache counts travel on `batch.done` only, read from the
+        // engine's one cache snapshot.
+        assert_eq!(report.stats.hits, 1);
         assert_eq!(done[0].field("hits"), Some(report.stats.hits));
+        assert_eq!(done[0].field("misses"), Some(report.stats.misses));
         assert_eq!(done[0].label(schema::LABEL_ENGINE), Some("batch"));
     }
 
@@ -1799,7 +1589,7 @@ mod tests {
         let (a2, c2) = solve_text(&engine, "a -> b\nb -> c", "a -> c");
         assert_eq!((c1, c2), (CacheOutcome::Miss, CacheOutcome::Hit));
         assert!(a1.outcome.is_implied() && a2.outcome.is_implied());
-        let stats = engine.cache_stats();
+        let (stats, _) = engine.cache_snapshot();
         assert_eq!(stats.checked_hits, 1, "the hit was certificate-checked");
         assert_eq!(stats.cert_invalid, 0);
         // No re-solves happened: the checker replaced the oracle.
@@ -1812,17 +1602,13 @@ mod tests {
             verify: VerifyMode::Check,
             ..EngineConfig::default()
         });
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints("a -> b\nb -> c", &mut labels).unwrap();
-        let phi = PathConstraint::parse("a -> c", &mut labels).unwrap();
-        let (_, c1) = engine
-            .solve(&DataContext::Semistructured, &sigma, &phi)
-            .unwrap();
+        let job = prepared("a -> b\nb -> c", "a -> c");
+        let (_, c1, _) = engine.solve(&job, Budget::default()).unwrap();
         assert_eq!(c1, CacheOutcome::Miss);
 
         // Corrupt the stored certificate in place: flip one bit of its
         // snapshot binding (the checker must reject any tampering).
-        let canon = canon::canonicalize(&DataContext::Semistructured, &sigma, &phi);
+        let canon = canon::canonicalize(&job.context, &job.sigma, &job.phi);
         {
             let mut guard = engine.cache_guard();
             let mut entry = guard.lookup(&canon.key).expect("entry cached");
@@ -1831,14 +1617,12 @@ mod tests {
             guard.insert(canon.key.clone(), entry);
         }
 
-        let (answer, c2) = engine
-            .solve(&DataContext::Semistructured, &sigma, &phi)
-            .unwrap();
+        let (answer, c2, _) = engine.solve(&job, Budget::default()).unwrap();
         // The corrupted entry was impeached and evicted; the job was
         // re-solved fresh and still got the right answer.
         assert_eq!(c2, CacheOutcome::Miss);
         assert!(answer.outcome.is_implied());
-        let stats = engine.cache_stats();
+        let (stats, _) = engine.cache_snapshot();
         assert_eq!(stats.cert_invalid, 1);
         assert_eq!(stats.checked_hits, 0);
     }
@@ -1904,20 +1688,12 @@ mod tests {
     #[test]
     fn revision_scopes_cache_entries_but_not_certificates() {
         let engine = BatchEngine::new(EngineConfig::default());
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints("a -> b\nb -> c", &mut labels).unwrap();
-        let phi = PathConstraint::parse("a -> c", &mut labels).unwrap();
         let solve = |revision: u64| {
-            engine
-                .solve_full_shared(
-                    &DataContext::Semistructured,
-                    &sigma,
-                    &phi,
-                    Budget::default(),
-                    None,
-                    revision,
-                )
-                .unwrap()
+            let job = PreparedJob {
+                revision,
+                ..prepared("a -> b\nb -> c", "a -> c")
+            };
+            engine.solve(&job, Budget::default()).unwrap()
         };
         let (_, c1, cert1) = solve(0);
         let (_, c2, _) = solve(0);
@@ -1952,26 +1728,22 @@ mod tests {
         assert!(shared.chase().steps() > 0, "prefix did real work");
         for phi_text in ["k -> k.m", "k.m.m -> k", "k -> m", "(): m <- k"] {
             let phi = PathConstraint::parse(phi_text, &mut labels).unwrap();
+            let cold_job = PreparedJob {
+                context: DataContext::Semistructured,
+                sigma: sigma.clone(),
+                phi,
+                shared: None,
+                revision: 0,
+            };
+            let warm_job = PreparedJob {
+                shared: Some(Arc::clone(&shared)),
+                revision: 1,
+                ..cold_job.clone()
+            };
             let warm_engine = BatchEngine::new(EngineConfig::default());
             let cold_engine = BatchEngine::new(EngineConfig::default());
-            let (warm, _, warm_cert) = warm_engine
-                .solve_full_shared(
-                    &DataContext::Semistructured,
-                    &sigma,
-                    &phi,
-                    Budget::default(),
-                    Some(&shared),
-                    1,
-                )
-                .unwrap();
-            let (cold, _, cold_cert) = cold_engine
-                .solve_full(
-                    &DataContext::Semistructured,
-                    &sigma,
-                    &phi,
-                    Budget::default(),
-                )
-                .unwrap();
+            let (warm, _, warm_cert) = warm_engine.solve(&warm_job, Budget::default()).unwrap();
+            let (cold, _, cold_cert) = cold_engine.solve(&cold_job, Budget::default()).unwrap();
             assert_eq!(
                 format!("{warm:?}"),
                 format!("{cold:?}"),

@@ -3,7 +3,7 @@
 //! A concurrent batch implication service on top of [`pathcons_core`]:
 //! many `Σ ⊨ φ` questions, answered once each.
 //!
-//! Three pieces compose:
+//! Four pieces compose:
 //!
 //! - **Canonicalizing answer cache** ([`canon`], [`cache`]): queries
 //!   are keyed by an alpha-renamed normal form of `(context, Σ, φ)` —
@@ -32,6 +32,15 @@
 //!   answers `Unknown(DeadlineExceeded)` without delaying its
 //!   neighbours. The undecidable cells of the paper's Table 1 make
 //!   this load-bearing: some jobs *cannot* terminate with a verdict.
+//!
+//! [`BatchEngine`] has three entry points: [`BatchEngine::solve`]
+//! answers one [`PreparedJob`] through the cache (the answer-level
+//! entry every caller builds a `PreparedJob` for),
+//! [`BatchEngine::solve_prepared`] wraps it into a wire [`JobResult`],
+//! and [`BatchEngine::run_batch`] drives the worker pool. The engine
+//! records no metrics: each cache event is counted once, in
+//! [`CacheStats`], and every renderer (batch stats, the serve `stats`
+//! op, the Prometheus scrape) reads [`BatchEngine::cache_snapshot`].
 //!
 //! The `pathcons batch` CLI subcommand is a thin front-end: JSONL jobs
 //! in, JSONL results plus a stats summary (hit rate, p50/p99 latency,

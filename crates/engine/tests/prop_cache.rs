@@ -5,7 +5,7 @@
 
 use pathcons_constraints::PathConstraint;
 use pathcons_core::{Budget, DataContext, Outcome, Solver};
-use pathcons_engine::{evidence_kind, BatchEngine, CacheOutcome, EngineConfig};
+use pathcons_engine::{evidence_kind, BatchEngine, CacheOutcome, EngineConfig, PreparedJob};
 use pathcons_graph::LabelInterner;
 use proptest::prelude::*;
 
@@ -35,11 +35,8 @@ fn constraint_text(rng_bits: u64, alphabet: &[&str]) -> String {
     }
 }
 
-fn parse_query(
-    sigma_texts: &[String],
-    phi_text: &str,
-    alphabet: &[&str],
-) -> (Vec<PathConstraint>, PathConstraint) {
+/// An untyped query ready for [`BatchEngine::solve`].
+fn parse_query(sigma_texts: &[String], phi_text: &str, alphabet: &[&str]) -> PreparedJob {
     // Intern the whole alphabet up front so renamed variants get
     // *different* label numberings from their original (the interner
     // numbers by first occurrence otherwise).
@@ -49,7 +46,13 @@ fn parse_query(
         .map(|t| PathConstraint::parse(t, &mut labels).expect("generated syntax is valid"))
         .collect();
     let phi = PathConstraint::parse(phi_text, &mut labels).expect("generated syntax is valid");
-    (sigma, phi)
+    PreparedJob {
+        context: DataContext::Semistructured,
+        sigma,
+        phi,
+        shared: None,
+        revision: 0,
+    }
 }
 
 fn assert_same_answer(cached: &pathcons_core::Answer, fresh: &pathcons_core::Answer, what: &str) {
@@ -81,7 +84,7 @@ proptest! {
         let sigma_texts: Vec<String> =
             seeds.iter().map(|s| constraint_text(*s, &alphabet)).collect();
         let phi_text = constraint_text(phi_seed, &alphabet);
-        let (sigma, phi) = parse_query(&sigma_texts, &phi_text, &alphabet);
+        let job = parse_query(&sigma_texts, &phi_text, &alphabet);
 
         let budget = Budget::small();
         let engine = BatchEngine::new(EngineConfig {
@@ -89,24 +92,21 @@ proptest! {
             threads: 1,
             ..EngineConfig::default()
         });
-        let context = DataContext::Semistructured;
-
-        let fresh = Solver::new(context.clone())
-            .with_budget(budget.clone())
-            .implies(&sigma, &phi)
-            .unwrap();
+        let fresh_solve = |job: &PreparedJob| {
+            Solver::new(job.context.clone())
+                .with_budget(budget.clone())
+                .implies(&job.sigma, &job.phi)
+                .unwrap()
+        };
+        let fresh = fresh_solve(&job);
 
         // First pass: a miss must reproduce the fresh answer exactly.
-        let (first, c1) = engine
-            .solve_with_budget(&context, &sigma, &phi, budget.clone())
-            .unwrap();
+        let (first, c1, _) = engine.solve(&job, budget.clone()).unwrap();
         prop_assert!(c1 == CacheOutcome::Miss);
         assert_same_answer(&first, &fresh, "miss");
 
         // Second pass: the hit must still agree with a fresh solve.
-        let (second, _) = engine
-            .solve_with_budget(&context, &sigma, &phi, budget.clone())
-            .unwrap();
+        let (second, _, _) = engine.solve(&job, budget.clone()).unwrap();
         assert_same_answer(&second, &fresh, "exact hit");
 
         // Alpha-renamed variant: relabel x↦y↦z, same shape. The served
@@ -116,17 +116,12 @@ proptest! {
         let renamed_sigma_texts: Vec<String> =
             seeds.iter().map(|s| constraint_text(*s, &renamed_alphabet)).collect();
         let renamed_phi_text = constraint_text(phi_seed, &renamed_alphabet);
-        let (rsigma, rphi) = parse_query(&renamed_sigma_texts, &renamed_phi_text, &alphabet);
-        let fresh_renamed = Solver::new(context.clone())
-            .with_budget(budget.clone())
-            .implies(&rsigma, &rphi)
-            .unwrap();
-        let (served, _) = engine
-            .solve_with_budget(&context, &rsigma, &rphi, budget)
-            .unwrap();
+        let renamed = parse_query(&renamed_sigma_texts, &renamed_phi_text, &alphabet);
+        let fresh_renamed = fresh_solve(&renamed);
+        let (served, _, _) = engine.solve(&renamed, budget.clone()).unwrap();
         assert_same_answer(&served, &fresh_renamed, "alpha variant");
         if let Some(cm) = served.outcome.countermodel() {
-            prop_assert!(pathcons_core::is_countermodel(&cm.graph, &rsigma, &rphi));
+            prop_assert!(pathcons_core::is_countermodel(&cm.graph, &renamed.sigma, &renamed.phi));
         }
     }
 }

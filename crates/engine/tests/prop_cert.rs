@@ -10,7 +10,7 @@ use pathcons_core::cert::{self, CertificateBody, ImpliedCert};
 use pathcons_core::{Budget, DataContext, Outcome};
 use pathcons_engine::{
     canonicalize, certificate_from_json, certificate_to_json, snapshot_id, BatchEngine,
-    EngineConfig, Json,
+    EngineConfig, Json, PreparedJob,
 };
 use pathcons_graph::{Graph, LabelInterner};
 use proptest::prelude::*;
@@ -62,15 +62,19 @@ proptest! {
         let phi = PathConstraint::parse(&constraint_text(phi_seed, &alphabet), &mut labels)
             .expect("generated syntax is valid");
 
-        let context = DataContext::Semistructured;
         let engine = BatchEngine::new(EngineConfig {
             budget: Budget::small(),
             threads: 1,
             ..EngineConfig::default()
         });
-        let (answer, _, certificate) = engine
-            .solve_full(&context, &sigma, &phi, Budget::small())
-            .unwrap();
+        let job = PreparedJob {
+            context: DataContext::Semistructured,
+            sigma,
+            phi,
+            shared: None,
+            revision: 0,
+        };
+        let (answer, _, certificate) = engine.solve(&job, Budget::small()).unwrap();
         let decided = matches!(
             answer.outcome,
             Outcome::Implied(_) | Outcome::NotImplied(_)
@@ -81,7 +85,7 @@ proptest! {
             return Ok(());
         };
 
-        let canon = canonicalize(&context, &sigma, &phi);
+        let canon = canonicalize(&job.context, &job.sigma, &job.phi);
         let check_context = cert::CheckContext {
             snapshot: snapshot_id(&canon.key),
             sigma: &canon.key.sigma,

@@ -1,10 +1,13 @@
 //! The live metrics plane behind `pathcons serve`.
 //!
-//! A [`MetricsPlane`] joins the shared [`MetricsRegistry`] (where the
-//! engine and the serve loop record counters and latency histograms)
-//! with the scrape-time state nobody records incrementally — serve
-//! counters, answer-cache totals, per-context amortization gauges — and
-//! renders the merged view two ways:
+//! A [`MetricsPlane`] owns the server's [`MetricsRegistry`], where the
+//! serve loop records what only it sees — per-op latency, throughput,
+//! the verdict of every job line answered and the solve latency of
+//! every job that reached the engine. Everything counted elsewhere is
+//! read at scrape time from the one place it is counted: serve
+//! counters, the engine's answer-cache counters (lookups, certificate
+//! checks, validation evictions, entries) and the store's per-context
+//! amortization state. The merged view renders two ways:
 //!
 //! - [`MetricsPlane::json`]: the `{"op": "metrics"}` response, a
 //!   structured snapshot with quantile estimates for every histogram;
@@ -18,16 +21,17 @@
 
 use crate::serve::ServeStats;
 use crate::store::ConstraintStore;
-use pathcons_engine::{BatchEngine, Json};
+use pathcons_engine::{BatchEngine, JobResult, Json, Verdict};
 use pathcons_metrics::{
-    names, Histogram, MetricKind, MetricsRegistry, MetricsSnapshot, SampleValue, WindowedRate,
+    names, Counter, Histogram, MetricKind, MetricsRegistry, MetricsSnapshot, SampleValue,
+    WindowedRate,
 };
 use std::sync::Arc;
 
-/// The serve-side metrics plane: the shared registry plus pre-resolved
-/// hot-path handles, and the exposition entry points.
+/// The serve-side metrics plane: the server's registry plus
+/// pre-resolved hot-path handles, and the exposition entry points.
 pub struct MetricsPlane {
-    registry: Arc<MetricsRegistry>,
+    registry: MetricsRegistry,
     store: Arc<ConstraintStore>,
     engine: Arc<BatchEngine>,
     stats: Arc<ServeStats>,
@@ -37,24 +41,42 @@ pub struct MetricsPlane {
     op_check: Arc<Histogram>,
     op_metrics: Arc<Histogram>,
     job_rate: Arc<WindowedRate>,
+    solve_micros: Arc<Histogram>,
+    /// `pathcons_verdicts_total`, indexed like [`verdict_index`].
+    verdicts: [Arc<Counter>; 4],
+}
+
+/// The slot of a verdict in [`MetricsPlane`]'s `verdicts` handles.
+fn verdict_index(verdict: Verdict) -> usize {
+    match verdict {
+        Verdict::Implied => 0,
+        Verdict::NotImplied => 1,
+        Verdict::Unknown => 2,
+        Verdict::Error => 3,
+    }
 }
 
 impl MetricsPlane {
-    /// A plane over the given registry. When the same registry is also
-    /// installed in the engine's [`pathcons_engine::EngineConfig`], the
-    /// exposition carries engine-side families (verdicts, cache
-    /// lookups, solve latency) alongside the serve-side ones.
+    /// A plane with a fresh registry over the server's store, engine
+    /// and serve counters.
     pub fn new(
-        registry: Arc<MetricsRegistry>,
         store: Arc<ConstraintStore>,
         engine: Arc<BatchEngine>,
         stats: Arc<ServeStats>,
     ) -> MetricsPlane {
+        let registry = MetricsRegistry::new();
         let op = |name: &str| {
             registry.histogram(
                 names::OP_LATENCY_MICROS,
                 names::OP_LATENCY_MICROS_HELP,
                 &[("op", name)],
+            )
+        };
+        let verdict = |verdict: Verdict| {
+            registry.counter(
+                names::VERDICTS_TOTAL,
+                names::VERDICTS_TOTAL_HELP,
+                &[("verdict", verdict.as_str())],
             )
         };
         MetricsPlane {
@@ -64,6 +86,14 @@ impl MetricsPlane {
             op_check: op("check"),
             op_metrics: op("metrics"),
             job_rate: registry.rate(names::JOB_RATE_PER_SEC, names::JOB_RATE_PER_SEC_HELP, &[]),
+            solve_micros: registry.histogram(names::SOLVE_MICROS, names::SOLVE_MICROS_HELP, &[]),
+            verdicts: [
+                Verdict::Implied,
+                Verdict::NotImplied,
+                Verdict::Unknown,
+                Verdict::Error,
+            ]
+            .map(verdict),
             registry,
             store,
             engine,
@@ -71,17 +101,27 @@ impl MetricsPlane {
         }
     }
 
-    /// The underlying registry (shared with the engine when the serve
-    /// front-end was configured that way).
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Records one answered job: latency into the per-op histogram and
-    /// one event into the throughput window.
-    pub(crate) fn record_job(&self, micros: u64) {
+    /// Records one answered job line — the single place job metrics
+    /// are counted: its service latency and throughput, its verdict
+    /// class, its `Unknown` kind, and (for jobs that reached the
+    /// engine, i.e. were neither shed nor rejected by the store) its
+    /// `micros` into the solve-latency histogram.
+    pub(crate) fn record_job(&self, result: &JobResult, reached_engine: bool, micros: u64) {
         self.op_job.record(micros);
         self.job_rate.record(1);
+        self.verdicts[verdict_index(result.verdict)].add(1);
+        if let Some(kind) = &result.unknown_kind {
+            self.registry
+                .counter(
+                    names::UNKNOWN_TOTAL,
+                    names::UNKNOWN_TOTAL_HELP,
+                    &[("kind", kind)],
+                )
+                .add(1);
+        }
+        if reached_engine {
+            self.solve_micros.record(result.micros);
+        }
     }
 
     /// Records one control op's service latency.
@@ -99,29 +139,6 @@ impl MetricsPlane {
                     &[("op", other)],
                 )
                 .record(micros),
-        }
-    }
-
-    /// Counts a verdict the serve loop produced *without* entering the
-    /// engine (shed answers, store-lookup errors) so
-    /// `pathcons_verdicts_total` covers every job line answered, not
-    /// just the solved ones.
-    pub(crate) fn count_wire_verdict(&self, verdict: &str, unknown_kind: Option<&str>) {
-        self.registry
-            .counter(
-                names::VERDICTS_TOTAL,
-                names::VERDICTS_TOTAL_HELP,
-                &[("verdict", verdict)],
-            )
-            .add(1);
-        if let Some(kind) = unknown_kind {
-            self.registry
-                .counter(
-                    names::UNKNOWN_TOTAL,
-                    names::UNKNOWN_TOTAL_HELP,
-                    &[("kind", kind)],
-                )
-                .add(1);
         }
     }
 
@@ -205,6 +222,48 @@ impl MetricsPlane {
             vec![],
             g(entries as f64),
         );
+        for (outcome, n) in [("hit", cache.hits), ("miss", cache.misses)] {
+            snap.set(
+                names::CACHE_LOOKUPS_TOTAL,
+                Counter,
+                names::CACHE_LOOKUPS_TOTAL_HELP,
+                vec![("outcome".to_owned(), outcome.to_owned())],
+                c(n),
+            );
+        }
+        // Rare events get a sample once non-zero, so a server that never
+        // checks certificates or evicts exposes no such family.
+        let rare = [
+            (
+                names::CERTCHECK_TOTAL,
+                names::CERTCHECK_TOTAL_HELP,
+                ("result", "valid"),
+                cache.checked_hits,
+            ),
+            (
+                names::CERTCHECK_TOTAL,
+                names::CERTCHECK_TOTAL_HELP,
+                ("result", "invalid"),
+                cache.cert_invalid,
+            ),
+            (
+                names::RESILIENCE_TOTAL,
+                names::RESILIENCE_TOTAL_HELP,
+                ("event", "validation_evict"),
+                cache.validation_evictions,
+            ),
+        ];
+        for (family, help, (key, value), n) in rare {
+            if n > 0 {
+                snap.set(
+                    family,
+                    Counter,
+                    help,
+                    vec![(key.to_owned(), value.to_owned())],
+                    c(n),
+                );
+            }
+        }
 
         for ctx in self.store.context_stats() {
             let labels = || vec![("context".to_owned(), ctx.name.clone())];

@@ -24,8 +24,9 @@
 //! The serve loop is also the observability plane's front door: every
 //! job gets a correlation id (the caller's `request_id`, or an assigned
 //! `r-<connection>-<line>`) echoed in its result record; per-op latency
-//! lands in the shared [`MetricsPlane`]; `{"op": "metrics"}` returns a
-//! structured snapshot; an optional `--metrics-addr` HTTP listener
+//! and per-job verdicts land in the server's [`MetricsPlane`], which
+//! reads every engine-side count at scrape time; `{"op": "metrics"}`
+//! returns a structured snapshot; an optional `--metrics-addr` HTTP listener
 //! serves the same snapshot as Prometheus text; and jobs slower than a
 //! configured threshold are written to a JSONL slow-query log keyed by
 //! that correlation id.
@@ -33,7 +34,6 @@
 use crate::metrics::MetricsPlane;
 use crate::store::ConstraintStore;
 use pathcons_engine::{canonicalize, snapshot_id, BatchEngine, Job, JobResult, Json, Verdict};
-use pathcons_metrics::MetricsRegistry;
 use pathcons_telemetry::schema;
 use std::fmt;
 use std::io::{self, Read as _, Write as _};
@@ -303,10 +303,8 @@ impl Server {
         }
         let stats = Arc::new(ServeStats::default());
         // Every server has a metrics plane (the `metrics` op always
-        // answers); sharing the registry with the engine so engine-side
-        // families appear too is the CLI's job via `with_metrics`.
+        // answers).
         let metrics = Arc::new(MetricsPlane::new(
-            Arc::new(MetricsRegistry::new()),
             store.clone(),
             engine.clone(),
             stats.clone(),
@@ -325,21 +323,6 @@ impl Server {
             http: Mutex::new(None),
             metrics_addr: None,
         })
-    }
-
-    /// Replaces the server's private metrics registry with a shared one
-    /// — typically the registry also installed in the engine's
-    /// [`pathcons_engine::EngineConfig`], so the exposition carries
-    /// engine-side families (verdicts, cache lookups, solve latency)
-    /// alongside the serve-side counters.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Server {
-        self.metrics = Arc::new(MetricsPlane::new(
-            registry,
-            self.store.clone(),
-            self.engine.clone(),
-            self.stats.clone(),
-        ));
-        self
     }
 
     /// Enables the slow-query log: jobs slower than `threshold_ms`
@@ -647,7 +630,7 @@ impl ConnectionWorker {
                 ("snapshot", Json::Str(self.store.content_id_hex())),
             ]),
             "stats" => {
-                let cache = self.engine.cache_stats();
+                let (cache, _) = self.engine.cache_snapshot();
                 let serve = self.stats.snapshot();
                 // Per-context amortization counters: how many jobs each
                 // resident context answered, its revision, and what its
@@ -779,19 +762,16 @@ impl ConnectionWorker {
         let depth = self.engine.config().shed.max_queue_depth;
         let (inflight, _guard) = InflightGuard::admit(&self.stats.inflight);
         let mut queue_micros = 0u64;
+        let mut reached_engine = false;
         let mut result = if depth > 0 && inflight as usize >= depth {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .count_wire_verdict("unknown", Some("overloaded"));
             overloaded_record(job.id.clone())
         } else {
             let deadline_at = job.deadline_ms.map(|ms| start + Duration::from_millis(ms));
             match self.store.prepare(&job) {
-                Err(detail) => {
-                    self.metrics.count_wire_verdict("error", None);
-                    error_result(job.id.clone(), detail)
-                }
+                Err(detail) => error_result(job.id.clone(), detail),
                 Ok(prepared) => {
+                    reached_engine = true;
                     // Queue time (admission + store resolution) vs. solve
                     // time: the slow-log split that tells an operator
                     // whether a slow job waited or worked.
@@ -848,7 +828,8 @@ impl ConnectionWorker {
             }
         };
         result.request_id = Some(request_id.clone());
-        self.metrics.record_job(start.elapsed().as_micros() as u64);
+        self.metrics
+            .record_job(&result, reached_engine, start.elapsed().as_micros() as u64);
         self.stats.jobs.fetch_add(1, Ordering::Relaxed);
         // The per-job telemetry event: when the engine runs traced
         // (`serve --trace`), the correlation id lands in the trace so a

@@ -1,11 +1,12 @@
 //! The serve metrics plane end to end: the `{"op": "metrics"}` snapshot
 //! and the Prometheus HTTP scrape agree with the traffic actually sent,
-//! idle scrapes are byte-identical, the inflight gauge survives a
-//! shed-and-malformed hammer, and a slow-query record's request id joins
-//! the wire result and the telemetry trace.
+//! job and cache counts match the `stats` op exactly, idle scrapes are
+//! byte-identical, the inflight gauge survives a shed-and-malformed
+//! hammer, and a slow-query record's request id joins the wire result
+//! and the telemetry trace.
 
 use pathcons_engine::{BatchEngine, EngineConfig, Json, ShedPolicy};
-use pathcons_metrics::{names, MetricsRegistry};
+use pathcons_metrics::names;
 use pathcons_store::{Client, ConstraintStore, Endpoint, Server, ServerHandle};
 use pathcons_telemetry::{schema, InMemoryRecorder, Telemetry};
 use std::io::{Read, Write};
@@ -26,23 +27,19 @@ fn temp_file(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pcm-{}-{tag}-{seq}.jsonl", std::process::id()))
 }
 
-/// A server whose engine shares its metrics registry, the way the CLI
-/// wires `pathcons serve`: one registry, both sides.
-fn shared_server(tag: &str, mut config: EngineConfig) -> (ServerHandle, Arc<MetricsRegistry>) {
-    let registry = Arc::new(MetricsRegistry::new());
-    config.metrics = Some(registry.clone());
+/// A server over an empty store with its Prometheus listener bound.
+fn server(tag: &str, config: EngineConfig) -> ServerHandle {
     let store = ConstraintStore::from_jsonl("").expect("empty store");
-    let server = Server::bind(
+    Server::bind(
         &Endpoint::Unix(socket_path(tag)),
         Arc::new(store),
         Arc::new(BatchEngine::new(config)),
         None,
     )
     .expect("bind unix socket")
-    .with_metrics(registry.clone())
     .with_metrics_addr("127.0.0.1:0")
-    .expect("bind metrics listener");
-    (server.spawn(), registry)
+    .expect("bind metrics listener")
+    .spawn()
 }
 
 /// One `GET` against the exposition listener; returns (status line, body).
@@ -58,25 +55,55 @@ fn scrape(addr: &str, path: &str) -> (String, String) {
     (status, body.to_owned())
 }
 
+/// The samples of one family in a `metrics` op response.
+fn samples<'a>(metrics: &'a Json, family: &str) -> &'a [Json] {
+    match metrics
+        .get("families")
+        .and_then(|f| f.get(family))
+        .and_then(|f| f.get("samples"))
+    {
+        Some(Json::Arr(items)) => items,
+        _ => &[],
+    }
+}
+
 /// The value of a zero-label sample in a `metrics` op response.
 fn family_value(metrics: &Json, family: &str) -> Option<f64> {
-    let samples = metrics.get("families")?.get(family)?.get("samples")?;
-    match samples {
-        Json::Arr(items) => items.iter().find_map(|s| {
-            let empty = matches!(s.get("labels"), Some(Json::Obj(members)) if members.is_empty());
-            if empty {
-                s.get("value").and_then(Json::as_f64)
-            } else {
-                None
-            }
-        }),
-        _ => None,
-    }
+    samples(metrics, family).iter().find_map(|s| {
+        let empty = matches!(s.get("labels"), Some(Json::Obj(members)) if members.is_empty());
+        if empty {
+            s.get("value").and_then(Json::as_f64)
+        } else {
+            None
+        }
+    })
+}
+
+/// The value of the sample labelled `key=value` in a `metrics` op
+/// response.
+fn labelled_value(metrics: &Json, family: &str, key: &str, value: &str) -> Option<f64> {
+    samples(metrics, family).iter().find_map(|s| {
+        let labels = s.get("labels")?;
+        if labels.get(key).and_then(Json::as_str) == Some(value) {
+            s.get("value").and_then(Json::as_f64)
+        } else {
+            None
+        }
+    })
+}
+
+fn metrics_op(client: &mut Client) -> Json {
+    Json::parse(
+        &client
+            .round_trip(r#"{"op": "metrics"}"#)
+            .expect("metrics op"),
+    )
+    .expect("metrics response parses")
 }
 
 #[test]
 fn metrics_op_and_scrape_agree_with_traffic() {
-    let (handle, _registry) = shared_server("agree", EngineConfig::default());
+    let handle = server("agree", EngineConfig::default());
     let mut client = Client::connect(handle.endpoint()).expect("connect");
 
     const JOBS: usize = 17;
@@ -87,23 +114,17 @@ fn metrics_op_and_scrape_agree_with_traffic() {
     }
 
     // The structured snapshot: jobs counted exactly, engine-side
-    // families present because the registry is shared.
-    let metrics = Json::parse(
-        &client
-            .round_trip(r#"{"op": "metrics"}"#)
-            .expect("metrics op"),
-    )
-    .expect("metrics response parses");
+    // families present.
+    let metrics = metrics_op(&mut client);
     assert_eq!(metrics.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(family_value(&metrics, names::JOBS_TOTAL), Some(JOBS as f64));
     assert_eq!(family_value(&metrics, names::INFLIGHT), Some(0.0));
     // All 17 jobs are one canonical query, so one resident entry.
     assert_eq!(family_value(&metrics, names::CACHE_ENTRIES), Some(1.0));
-    let verdicts = metrics
-        .get("families")
-        .and_then(|f| f.get(names::VERDICTS_TOTAL))
-        .expect("engine verdict family present in the shared registry");
-    assert!(verdicts.get("samples").is_some());
+    assert_eq!(
+        labelled_value(&metrics, names::VERDICTS_TOTAL, "verdict", "implied"),
+        Some(JOBS as f64)
+    );
 
     // The Prometheus scrape: valid exposition carrying the same count.
     let addr = handle.metrics_addr().expect("metrics listener bound");
@@ -143,7 +164,7 @@ fn metrics_op_and_scrape_agree_with_traffic() {
 
 #[test]
 fn idle_scrapes_are_byte_identical() {
-    let (handle, _registry) = shared_server("stable", EngineConfig::default());
+    let handle = server("stable", EngineConfig::default());
     let mut client = Client::connect(handle.endpoint()).expect("connect");
 
     // Real traffic first, so the stability claim covers populated
@@ -174,7 +195,7 @@ fn inflight_returns_to_zero_under_shed_and_malformed_hammer() {
         shed: ShedPolicy::queue_depth(1),
         ..EngineConfig::default()
     };
-    let (handle, _registry) = shared_server("hammer", config);
+    let handle = server("hammer", config);
 
     const CLIENTS: usize = 16;
     const ROUNDS: usize = 24;
@@ -213,16 +234,69 @@ fn inflight_returns_to_zero_under_shed_and_malformed_hammer() {
 
     // The scrape agrees with the raw counters.
     let mut client = Client::connect(handle.endpoint()).expect("connect");
-    let metrics = Json::parse(
-        &client
-            .round_trip(r#"{"op": "metrics"}"#)
-            .expect("metrics op"),
-    )
-    .expect("metrics parses");
+    let metrics = metrics_op(&mut client);
     assert_eq!(family_value(&metrics, names::INFLIGHT), Some(0.0));
     assert_eq!(
         family_value(&metrics, names::JOBS_TOTAL),
         Some(snap.jobs as f64)
+    );
+    handle.stop().expect("server stops");
+}
+
+#[test]
+fn job_metrics_match_the_stats_op_exactly() {
+    let handle = server("exact", EngineConfig::default());
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+
+    // A fixed mix: a miss, its repeat, an alpha-renamed variant (both
+    // hits), a NotImplied miss and its renamed hit, a job naming an
+    // unknown context (answered by the store, never reaching the
+    // engine), and a chase job whose deadline expires at admission.
+    let lines = [
+        r#"{"id": "m1", "sigma": ["a -> b", "b -> c"], "phi": "a -> c"}"#,
+        r#"{"id": "h1", "sigma": ["a -> b", "b -> c"], "phi": "a -> c"}"#,
+        r#"{"id": "h2", "sigma": ["x -> y", "y -> z"], "phi": "x -> z"}"#,
+        r#"{"id": "m2", "sigma": ["a -> b"], "phi": "b -> a"}"#,
+        r#"{"id": "h3", "sigma": ["q -> r"], "phi": "r -> q"}"#,
+        r#"{"id": "e1", "context": "no-such-context", "phi": "a -> a"}"#,
+        r#"{"id": "d1", "sigma": ["p: a -> a.b", "p: b <- c"], "phi": "p: a -> c", "deadline_ms": 0}"#,
+    ];
+    for line in lines {
+        client.round_trip(line).expect("job answered");
+    }
+    let reached_engine = lines.len() - 1;
+
+    let stats = Json::parse(&client.round_trip(r#"{"op": "stats"}"#).expect("stats op"))
+        .expect("stats parses");
+    let stat = |key: &str| stats.get(key).and_then(Json::as_f64).expect(key);
+    assert_eq!((stat("cache_hits"), stat("cache_misses")), (3.0, 3.0));
+
+    let metrics = metrics_op(&mut client);
+    let lookups =
+        |outcome| labelled_value(&metrics, names::CACHE_LOOKUPS_TOTAL, "outcome", outcome);
+    assert_eq!(lookups("hit"), Some(stat("cache_hits")));
+    assert_eq!(lookups("miss"), Some(stat("cache_misses")));
+
+    let verdicts: f64 = samples(&metrics, names::VERDICTS_TOTAL)
+        .iter()
+        .filter_map(|s| s.get("value").and_then(Json::as_f64))
+        .sum();
+    assert_eq!(Some(verdicts), family_value(&metrics, names::JOBS_TOTAL));
+    assert_eq!(verdicts, lines.len() as f64);
+    assert_eq!(
+        labelled_value(&metrics, names::VERDICTS_TOTAL, "verdict", "error"),
+        Some(1.0)
+    );
+    assert_eq!(
+        labelled_value(&metrics, names::UNKNOWN_TOTAL, "kind", "deadline"),
+        Some(1.0)
+    );
+
+    let solve = samples(&metrics, names::SOLVE_MICROS);
+    assert_eq!(solve.len(), 1, "one unlabelled solve-latency histogram");
+    assert_eq!(
+        solve[0].get("count").and_then(Json::as_f64),
+        Some(reached_engine as f64)
     );
     handle.stop().expect("server stops");
 }
@@ -233,8 +307,6 @@ fn slow_log_request_id_joins_result_and_trace() {
     let recorder = Arc::new(InMemoryRecorder::new());
     let mut config = EngineConfig::default();
     config.budget.telemetry = Telemetry::new(recorder.clone());
-    let registry = Arc::new(MetricsRegistry::new());
-    config.metrics = Some(registry.clone());
     let slow_path = temp_file("slowlog");
     let store = ConstraintStore::from_jsonl("").expect("empty store");
     let handle = Server::bind(
@@ -244,7 +316,6 @@ fn slow_log_request_id_joins_result_and_trace() {
         None,
     )
     .expect("bind unix socket")
-    .with_metrics(registry)
     .with_slow_log(0, slow_path.to_str())
     .expect("open slow log")
     .spawn();
