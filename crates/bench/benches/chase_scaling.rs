@@ -1,5 +1,5 @@
-//! Chase engine scaling: incremental (delta-driven violation detection,
-//! union-find merges) vs the full-rescan reference, on the growing-graph
+//! Chase engine scaling: incremental (dirty-constraint worklist, in-place
+//! merges) vs the full-rescan reference, on the growing-graph
 //! cascade workload of [`pathcons_bench::gen_chase_instance`].
 //!
 //! The grid varies the round budget (how far the graph grows) and the

@@ -79,8 +79,8 @@ pub struct ChaseInstance {
 /// nodes, forever. The goal `l0 → q` is never implied and the chase
 /// never reaches a fixpoint: a run under a round budget `R` performs
 /// `R · constraints` repairs on a graph growing to `Θ(R · constraints)`
-/// nodes — the workload on which full violation rescans cost `Θ(R³)`
-/// while delta-driven detection stays `Θ(R)` per round.
+/// nodes, and every round re-violates every rule, so both chase engines
+/// rescan every rule over the whole growing graph each round.
 pub fn gen_chase_instance(constraints: usize) -> ChaseInstance {
     assert!(constraints >= 1);
     let mut names: Vec<String> = (0..constraints).map(|i| format!("l{i}")).collect();

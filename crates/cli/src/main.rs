@@ -1142,11 +1142,8 @@ fn render_trace_profile(snap: &Snapshot, trace_path: &str) -> String {
     if rounds > 0 {
         let _ = writeln!(
             out,
-            "  chase: {rounds} rounds, {} dirty-constraint scans, frontier {} delta edges / {} new pairs / {} retired",
+            "  chase: {rounds} rounds, {} dirty-constraint scans",
             snap.counter("chase.scans"),
-            snap.counter("chase.frontier.delta_edges"),
-            snap.counter("chase.frontier.new_pairs"),
-            snap.counter("chase.frontier.retired"),
         );
     }
     let samples = snap.counter("search.samples") + snap.counter("search.typed.samples");
@@ -1170,11 +1167,7 @@ fn render_trace_profile(snap: &Snapshot, trace_path: &str) -> String {
     if !costly.is_empty() {
         let _ = writeln!(out, "  most violated constraints (by chase repairs):");
         for (index, violations) in costly.iter().take(5) {
-            let pairs = snap.counter(&format!("chase.constraint.{index}.pairs"));
-            let _ = writeln!(
-                out,
-                "    constraint #{index}: {violations} violations, {pairs} frontier pairs"
-            );
+            let _ = writeln!(out, "    constraint #{index}: {violations} violations");
         }
     }
 

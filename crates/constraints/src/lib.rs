@@ -5,7 +5,8 @@
 //! constraint fragment `P_w` of Abiteboul & Vianu, the `P_w(K)` / `P_w(π)`
 //! fragments of Sections 4.1 and 6, bounded families for local extent
 //! constraints (Definitions 2.3/2.4), a compact text syntax, first-order
-//! rendering, and satisfaction checking over `pathcons-graph` structures.
+//! rendering, and satisfaction checking over any `pathcons-graph`
+//! [`Adjacency`](pathcons_graph::Adjacency).
 //!
 //! ```
 //! use pathcons_constraints::{holds, PathConstraint};
@@ -27,7 +28,6 @@
 
 mod bounded;
 mod constraint;
-mod incremental;
 mod path;
 mod regular;
 mod sat;
@@ -36,7 +36,6 @@ pub use bounded::{BoundedFamily, BoundedFamilyError};
 pub use constraint::{
     parse_constraints, ConstraintDisplay, ConstraintParseError, Kind, PathConstraint,
 };
-pub use incremental::{ScanStats, ViolationIndex};
 pub use path::{Path, PathDisplay, PathParseError};
 pub use regular::{eval_regex, RegularConstraint, RegularConstraintDisplay};
-pub use sat::{all_hold, holds, holds_naive, violations};
+pub use sat::{all_hold, conclusion_holds, holds, holds_naive, violations};

@@ -1,55 +1,81 @@
 //! Constraint satisfaction: `G ⊨ φ`.
 //!
-//! Two implementations are provided: [`holds`] is the production checker
-//! (short-circuiting, membership-query based), and [`holds_naive`] is a
-//! direct transliteration of the first-order semantics used as the test
-//! oracle. Every countermodel produced anywhere in the workspace is
-//! re-validated through this module.
+//! The paper defines satisfaction pair by pair,
+//! `∀x (π(r,x) → ∀y (α(x,y) → β(x,y)))`. The production checker reads it
+//! a set at a time instead: for each prefix witness `x` it evaluates the
+//! hypothesis set `α(x)` forward once and the conclusion set once —
+//! `β(x)` forward, or `{y | β(y,x)}` backward along predecessors — and
+//! tests `α(x) ⊆ conclusion`. [`holds`] and [`violations`] share that one
+//! loop and run on any [`Adjacency`]: the arena [`Graph`] or the store's
+//! columnar graph. [`holds_naive`] is a direct transliteration of the
+//! first-order semantics, kept as the test oracle. Every countermodel
+//! produced anywhere in the workspace is re-validated through this module.
 
 use crate::constraint::{Kind, PathConstraint};
-use pathcons_graph::{eval_from_root, eval_word, word_holds, Graph, NodeId};
+use pathcons_graph::{
+    eval_from_root, eval_word, eval_word_back, word_holds, Adjacency, Graph, NodeId, NodeSet,
+};
+
+/// For each prefix witness `x`, in ascending order: `x`, the hypothesis
+/// set `α(x)`, and the conclusion set (`β(x)` forward, `{y | β(y,x)}`
+/// backward; empty when `α(x)` is, since nothing needs it then).
+fn witnesses<'a, G: Adjacency>(
+    graph: &'a G,
+    constraint: &'a PathConstraint,
+) -> impl Iterator<Item = (NodeId, NodeSet, NodeSet)> + 'a {
+    let xs: Vec<NodeId> = eval_from_root(graph, constraint.prefix()).iter().collect();
+    xs.into_iter().map(move |x| {
+        let ys = eval_word(graph, x, constraint.lhs());
+        let conclusion = if ys.is_empty() {
+            NodeSet::new()
+        } else {
+            match constraint.kind() {
+                Kind::Forward => eval_word(graph, x, constraint.rhs()),
+                Kind::Backward => eval_word_back(graph, x, constraint.rhs()),
+            }
+        };
+        (x, ys, conclusion)
+    })
+}
 
 /// Whether `graph ⊨ constraint`.
-pub fn holds(graph: &Graph, constraint: &PathConstraint) -> bool {
-    let xs = eval_from_root(graph, constraint.prefix());
-    for x in xs.iter() {
-        let ys = eval_word(graph, x, constraint.lhs());
-        for y in ys.iter() {
-            let ok = match constraint.kind() {
-                Kind::Forward => word_holds(graph, x, constraint.rhs(), y),
-                Kind::Backward => word_holds(graph, y, constraint.rhs(), x),
-            };
-            if !ok {
-                return false;
-            }
-        }
-    }
-    true
+pub fn holds<G: Adjacency>(graph: &G, constraint: &PathConstraint) -> bool {
+    witnesses(graph, constraint).all(|(_, ys, conclusion)| ys.is_subset(&conclusion))
 }
 
 /// Whether `graph ⊨ Σ` for a whole set.
-pub fn all_hold(graph: &Graph, constraints: &[PathConstraint]) -> bool {
+pub fn all_hold<G: Adjacency>(graph: &G, constraints: &[PathConstraint]) -> bool {
     constraints.iter().all(|c| holds(graph, c))
 }
 
 /// All violations of `constraint` in `graph`: pairs `(x, y)` where the
-/// hypothesis holds but the conclusion fails.
-pub fn violations(graph: &Graph, constraint: &PathConstraint) -> Vec<(NodeId, NodeId)> {
+/// hypothesis holds but the conclusion fails, in ascending `(x, y)`
+/// order (the chase repairs them in this order, so its traces depend on
+/// it).
+pub fn violations<G: Adjacency>(graph: &G, constraint: &PathConstraint) -> Vec<(NodeId, NodeId)> {
     let mut out = Vec::new();
-    let xs = eval_from_root(graph, constraint.prefix());
-    for x in xs.iter() {
-        let ys = eval_word(graph, x, constraint.lhs());
-        for y in ys.iter() {
-            let ok = match constraint.kind() {
-                Kind::Forward => word_holds(graph, x, constraint.rhs(), y),
-                Kind::Backward => word_holds(graph, y, constraint.rhs(), x),
-            };
-            if !ok {
-                out.push((x, y));
-            }
-        }
+    for (x, ys, conclusion) in witnesses(graph, constraint) {
+        out.extend(
+            ys.iter()
+                .filter(|&y| !conclusion.contains(y))
+                .map(|y| (x, y)),
+        );
     }
     out
+}
+
+/// Whether the conclusion holds of the hypothesis pair `(x, y)`:
+/// `β(x, y)` for a forward constraint, `β(y, x)` for a backward one.
+pub fn conclusion_holds<G: Adjacency>(
+    graph: &G,
+    constraint: &PathConstraint,
+    x: NodeId,
+    y: NodeId,
+) -> bool {
+    match constraint.kind() {
+        Kind::Forward => word_holds(graph, x, constraint.rhs(), y),
+        Kind::Backward => word_holds(graph, y, constraint.rhs(), x),
+    }
 }
 
 /// Reference checker: re-evaluates the first-order definition with no
@@ -62,10 +88,7 @@ pub fn holds_naive(graph: &Graph, constraint: &PathConstraint) -> bool {
         let prefix_holds = word_holds(graph, root, constraint.prefix(), x);
         for y in graph.nodes() {
             let lhs_holds = word_holds(graph, x, constraint.lhs(), y);
-            let rhs_holds = match constraint.kind() {
-                Kind::Forward => word_holds(graph, x, constraint.rhs(), y),
-                Kind::Backward => word_holds(graph, y, constraint.rhs(), x),
-            };
+            let rhs_holds = conclusion_holds(graph, constraint, x, y);
             // Material implication: (π(r,x) ∧ α(x,y)) → conclusion.
             if prefix_holds && lhs_holds && !rhs_holds {
                 return false;

@@ -19,28 +19,25 @@
 //!   honest third value for an undecidable problem.
 //!
 //! Two implementations are provided. [`chase_implication`] is the
-//! production engine: it is *incremental* — violations are detected from
-//! cached frontier sets re-extended only by the edges inserted since each
-//! constraint's last scan ([`ViolationIndex`]), node merges are union-find
-//! id unions plus local edge splicing instead of whole-graph rebuilds
-//! ([`Graph::merge_nodes`] + [`UnionFind`]), and a dirty-constraint
-//! worklist skips constraints whose hypothesis alphabet cannot intersect
-//! the labels of newly added edges. [`chase_implication_reference`] is the
-//! retained full-rescan oracle: every round recomputes every constraint's
-//! violations against the whole graph, and every merge rebuilds the graph
-//! with fresh ids. The two are compared on random instances by the
-//! `prop_chase_incremental` property suite; `DESIGN.md` ("Incremental
-//! chase") gives the soundness argument for the worklist.
+//! production engine: it is *incremental* — a dirty-constraint worklist
+//! re-scans only constraints whose hypothesis alphabet intersects the
+//! labels of newly added edges, and node merges splice edges locally
+//! instead of rebuilding the graph ([`Graph::merge_nodes`]). Each scan
+//! is the set-at-a-time [`violations`] check.
+//! [`chase_implication_reference`] is the retained full-rescan oracle: every round recomputes every
+//! constraint's violations against the whole graph, and every merge
+//! rebuilds the graph with fresh ids. The two are compared on random
+//! instances by the `prop_chase_incremental` property suite; `DESIGN.md`
+//! ("Incremental chase") gives the soundness argument for the worklist.
 
 use crate::outcome::{
     Budget, BudgetPhase, CounterModel, CounterModelProvenance, Evidence, Outcome, Refutation,
     UnknownReason,
 };
 use pathcons_cert::{ChaseStep, ChaseTrace};
-use pathcons_constraints::{holds, violations, Kind, PathConstraint, ViolationIndex};
-use pathcons_graph::{word_holds, Graph, Label, NodeId, UnionFind};
+use pathcons_constraints::{conclusion_holds, holds, violations, Kind, PathConstraint};
+use pathcons_graph::{Graph, Label, NodeId};
 use pathcons_telemetry::{schema, NoopRecorder, Recorder, SpanGuard};
-use std::collections::BTreeSet;
 
 /// Per-run chase accounting, kept as plain integers in the engines and
 /// rendered into the terminal `budget.attribution` event by
@@ -111,7 +108,7 @@ fn emit_chase_attribution<R: Recorder + ?Sized>(
 /// fixpoint countermodel is itself finite.
 ///
 /// When `budget.telemetry` is active the run reports per-round
-/// `chase.round` events, per-constraint frontier counters, and a terminal
+/// `chase.round` events, per-constraint violation counters, and a terminal
 /// `budget.attribution` event; otherwise the whole body monomorphizes
 /// over [`NoopRecorder`] and the instrumentation compiles away.
 pub fn chase_implication(
@@ -223,39 +220,24 @@ fn run_prefix<R: Recorder + ?Sized>(
         }
         let round = metrics.rounds_used;
         let _round_span = SpanGuard::enter(rec, "chase.round");
-        let round_revision = state.graph.revision();
-        let round_merges = state.merged;
-        let batch = state.scan_dirty(rec);
+        let before = (state.graph.revision(), state.merged);
+        let batch = state.scan_dirty(sigma, rec);
         if batch.is_empty() {
             return PrefixEnd::Fixpoint;
         }
         metrics.rounds_used += 1;
         let violations_found = batch.len();
         for (index, a, b) in batch {
-            let a = state.uf.find(a);
-            let b = state.uf.find(b);
-            if state.satisfied(&sigma[index], a, b) {
+            let Some(merged) = state.fire(sigma, index, a, b, metrics) else {
                 continue;
-            }
-            state.trace.push(ChaseStep {
-                constraint: index,
-                a: a.index(),
-                b: b.index(),
-            });
-            let merged = state.repair(&sigma[index], a, b);
-            if merged {
-                metrics.steps_merge += 1;
-            } else {
-                metrics.steps_path += 1;
-            }
+            };
             if state.live_node_count() > budget.chase_max_nodes {
                 // Stop the prefix *without* failing the query: the goal
                 // has not even been built yet, and a pattern-true φ must
                 // still answer Implied. Re-mark everything dirty so the
                 // reported-but-unrepaired remainder of this batch is
-                // re-reported by the next scan (pending pairs persist in
-                // the ViolationIndex until satisfied).
-                state.dirty.extend(0..state.indexes.len());
+                // re-reported by the next scan.
+                state.dirty.fill(true);
                 return PrefixEnd::NodeCap;
             }
             if armed && budget.deadline.expired() {
@@ -265,25 +247,7 @@ fn run_prefix<R: Recorder + ?Sized>(
                 break;
             }
         }
-        if rec.enabled() {
-            rec.histogram("chase.round.violations", violations_found as u64);
-            rec.event(
-                schema::EVENT_CHASE_ROUND,
-                &[
-                    ("round", round),
-                    ("violations", violations_found as u64),
-                    (
-                        "edges_added",
-                        state.graph.revision().saturating_sub(round_revision),
-                    ),
-                    ("merges", (state.merged - round_merges) as u64),
-                    ("requeued", state.dirty.len() as u64),
-                    ("live_nodes", state.live_node_count() as u64),
-                    ("revision", state.graph.revision()),
-                ],
-                &[(schema::LABEL_ENGINE, "chase")],
-            );
-        }
+        state.emit_round(rec, round, violations_found, before);
     }
 }
 
@@ -317,10 +281,8 @@ impl SharedChase {
         };
         // Scan tallies are per-run observability; resumed clones must
         // not re-flush the build's.
-        state.tallies = ScanTallies {
-            per_constraint: vec![(0, 0); sigma.len()],
-            ..ScanTallies::default()
-        };
+        state.scans = 0;
+        state.scan_violations = vec![0; sigma.len()];
         SharedChase {
             sigma: sigma.to_vec(),
             chase_rounds: budget.chase_rounds,
@@ -381,9 +343,8 @@ fn chase_pattern_loop<R: Recorder + ?Sized>(
         let round = metrics.rounds_used;
         metrics.rounds_used += 1;
         let _round_span = SpanGuard::enter(rec, "chase.round");
-        let round_revision = state.graph.revision();
-        let round_merges = state.merged;
-        let batch = state.scan_dirty(rec);
+        let before = (state.graph.revision(), state.merged);
+        let batch = state.scan_dirty(sigma, rec);
         if batch.is_empty() {
             // Fixpoint: every constraint's worklist entry has been scanned
             // clean, so the (compacted) chase graph models Σ; the goal
@@ -400,28 +361,9 @@ fn chase_pattern_loop<R: Recorder + ?Sized>(
         }
         let violations_found = batch.len();
         for (index, a, b) in batch {
-            // Canonicalize and re-check: an earlier repair in this round
-            // may have satisfied (or merged away) this instance.
-            let a = state.uf.find(a);
-            let b = state.uf.find(b);
-            if state.satisfied(&sigma[index], a, b) {
+            let Some(merged) = state.fire(sigma, index, a, b, metrics) else {
                 continue;
-            }
-            // Record the firing before the repair mutates the graph: the
-            // (post-find) witness ids plus the constraint index are all a
-            // replay needs, and replay re-verifies the hypothesis, so a
-            // recorded step never has to be trusted.
-            state.trace.push(ChaseStep {
-                constraint: index,
-                a: a.index(),
-                b: b.index(),
-            });
-            let merged = state.repair(&sigma[index], a, b);
-            if merged {
-                metrics.steps_merge += 1;
-            } else {
-                metrics.steps_path += 1;
-            }
+            };
             if state.live_node_count() > budget.chase_max_nodes {
                 return Outcome::Unknown(UnknownReason::StepBudgetExhausted {
                     phase: BudgetPhase::ChaseNodes,
@@ -435,31 +377,13 @@ fn chase_pattern_loop<R: Recorder + ?Sized>(
                 return Outcome::Unknown(UnknownReason::DeadlineExceeded);
             }
             if merged {
-                // Every cached id was re-canonicalized and every
-                // constraint marked dirty; start a fresh round rather
-                // than replaying a batch enumerated before the merge.
+                // Every constraint is marked dirty; start a fresh round
+                // rather than replaying a batch enumerated before the
+                // merge.
                 break;
             }
         }
-        if rec.enabled() {
-            rec.histogram("chase.round.violations", violations_found as u64);
-            rec.event(
-                schema::EVENT_CHASE_ROUND,
-                &[
-                    ("round", round),
-                    ("violations", violations_found as u64),
-                    (
-                        "edges_added",
-                        state.graph.revision().saturating_sub(round_revision),
-                    ),
-                    ("merges", (state.merged - round_merges) as u64),
-                    ("requeued", state.dirty.len() as u64),
-                    ("live_nodes", state.live_node_count() as u64),
-                    ("revision", state.graph.revision()),
-                ],
-                &[(schema::LABEL_ENGINE, "chase")],
-            );
-        }
+        state.emit_round(rec, round, violations_found, before);
     }
     if state.goal_holds(phi) {
         return Outcome::Implied(Evidence::ChaseForced {
@@ -472,59 +396,49 @@ fn chase_pattern_loop<R: Recorder + ?Sized>(
     })
 }
 
-/// Incremental chase state: the growing graph, the union-find mapping
-/// merged-away ids to their survivors, one [`ViolationIndex`] per
-/// constraint, and the dirty-constraint worklist.
+/// Incremental chase state: the growing graph, each constraint's
+/// hypothesis alphabet, and the dirty-constraint worklist.
 ///
 /// `Clone` so a [`SharedChase`] prefix snapshot can be resumed by many
-/// queries: every component (graph, union-find, violation indexes,
-/// worklist, trace) is a value type with no interior mutability.
+/// queries: every component (graph, worklist, trace) is a value type
+/// with no interior mutability.
 #[derive(Clone)]
 struct ChaseState {
     graph: Graph,
-    uf: UnionFind,
-    /// The ¬φ witnesses (kept canonical across merges).
+    /// The ¬φ witnesses (renamed to the survivor when merged away).
     x: NodeId,
     y: NodeId,
     /// Number of nodes merged away (arena husks), so the live node count
     /// is `graph.node_count() - merged`.
     merged: usize,
-    indexes: Vec<ViolationIndex>,
-    /// Constraints whose violations may have changed since their last
-    /// scan. Sorted, so rounds process constraints in Σ order like the
+    /// Per constraint, the sorted labels of `π · α`: only inserting an
+    /// edge with one of them can create a new hypothesis pair.
+    hypothesis_labels: Vec<Vec<Label>>,
+    /// Per constraint, whether its violations may have changed since its
+    /// last scan. Rounds scan dirty constraints in Σ order, like the
     /// reference implementation.
-    dirty: BTreeSet<usize>,
+    dirty: Vec<bool>,
     /// Labels of φ's conclusion: only edges with these labels (or a
     /// merge) can turn the goal true.
     goal_labels: Vec<Label>,
     goal_dirty: bool,
     goal_done: bool,
-    tallies: ScanTallies,
+    /// Scan telemetry, accumulated only while a recorder is enabled and
+    /// flushed as counters once per run: per-scan emission (a dyn call
+    /// plus a formatted key for every constraint every round) measurably
+    /// slows the chase, while plain integer adds do not.
+    scans: u64,
+    /// Violations reported so far, per constraint (telemetry, as `scans`).
+    scan_violations: Vec<u64>,
     /// Every applied repair, in order — the replayable certificate
-    /// behind an `Implied` answer. The recorded node ids are the
-    /// post-union-find representatives at firing time; because the
-    /// incremental engine's merges splice in place (ids are stable),
-    /// replaying the same repairs from the same pattern reproduces the
-    /// same ids.
+    /// behind an `Implied` answer. The recorded node ids are the live
+    /// ids at firing time; because the incremental engine's merges
+    /// splice in place (ids are stable), replaying the same repairs from
+    /// the same pattern reproduces the same ids.
     trace: Vec<ChaseStep>,
     /// How many leading trace entries were Σ-only prefix steps applied
     /// before the ¬φ pattern was grafted (see [`ChaseTrace::pattern_at`]).
     pattern_at: usize,
-}
-
-/// Frontier-scan telemetry accumulated while a recorder is enabled and
-/// flushed as counters once per run: per-scan emission (a dyn call plus
-/// a formatted key for every constraint every round) measurably slows
-/// the chase itself, while plain integer adds do not.
-#[derive(Clone, Debug, Default)]
-struct ScanTallies {
-    scans: u64,
-    delta_edges: u64,
-    new_witnesses: u64,
-    new_pairs: u64,
-    retired: u64,
-    /// `(new_pairs, violations)` per constraint index.
-    per_constraint: Vec<(u64, u64)>,
 }
 
 impl ChaseState {
@@ -536,19 +450,19 @@ impl ChaseState {
         let root = graph.root();
         ChaseState {
             graph,
-            uf: UnionFind::new(),
             x: root,
             y: root,
             merged: 0,
-            indexes: sigma.iter().map(ViolationIndex::new).collect(),
-            dirty: (0..sigma.len()).collect(),
+            hypothesis_labels: sigma
+                .iter()
+                .map(|c| sorted_labels(c.prefix().labels().iter().chain(c.lhs().labels())))
+                .collect(),
+            dirty: vec![true; sigma.len()],
             goal_labels: Vec::new(),
             goal_dirty: false,
             goal_done: false,
-            tallies: ScanTallies {
-                per_constraint: vec![(0, 0); sigma.len()],
-                ..ScanTallies::default()
-            },
+            scans: 0,
+            scan_violations: vec![0; sigma.len()],
             trace: Vec::new(),
             pattern_at: 0,
         }
@@ -562,27 +476,15 @@ impl ChaseState {
         self.pattern_at = self.trace.len();
         let x = self.graph.add_path(self.graph.root(), phi.prefix());
         let y = self.graph.add_path(x, phi.lhs());
-        self.uf.ensure(self.graph.node_count());
         self.x = x;
         self.y = y;
-        let mut goal_labels: Vec<Label> = phi.rhs().labels().to_vec();
-        goal_labels.sort_unstable();
-        goal_labels.dedup();
-        self.goal_labels = goal_labels;
+        self.goal_labels = sorted_labels(phi.rhs().labels().iter());
         self.goal_dirty = true;
         self.goal_done = false;
         // The pattern edges can create hypothesis pairs only for
         // constraints whose hypothesis mentions one of their labels
         // (empty-hypothesis constraints already fired in the prefix).
-        let mut pattern_labels: Vec<Label> = phi
-            .prefix()
-            .labels()
-            .iter()
-            .chain(phi.lhs().labels())
-            .copied()
-            .collect();
-        pattern_labels.sort_unstable();
-        pattern_labels.dedup();
+        let pattern_labels = sorted_labels(phi.prefix().labels().iter().chain(phi.lhs().labels()));
         self.mark_dirty_for(&pattern_labels);
     }
 
@@ -609,11 +511,7 @@ impl ChaseState {
             return false;
         }
         self.goal_dirty = false;
-        let (x, y) = (self.uf.find(self.x), self.uf.find(self.y));
-        let ok = match phi.kind() {
-            Kind::Forward => word_holds(&self.graph, x, phi.rhs(), y),
-            Kind::Backward => word_holds(&self.graph, y, phi.rhs(), x),
-        };
+        let ok = conclusion_holds(&self.graph, phi, self.x, self.y);
         self.goal_done = ok;
         ok
     }
@@ -623,30 +521,26 @@ impl ChaseState {
     /// the worklist are guaranteed violation-free — see the soundness
     /// argument in `DESIGN.md`.
     ///
-    /// Per-constraint frontier-extension statistics accumulate into
-    /// [`ScanTallies`] when the recorder is enabled (flushed once by
-    /// [`ChaseState::flush_scan_telemetry`]); for the monomorphized
-    /// [`NoopRecorder`] the `enabled()` check is a compile-time `false`
-    /// and the whole block disappears.
-    fn scan_dirty<R: Recorder + ?Sized>(&mut self, rec: &R) -> Vec<(usize, NodeId, NodeId)> {
-        let dirty: Vec<usize> = std::mem::take(&mut self.dirty).into_iter().collect();
+    /// Scan and violation counts accumulate when the recorder is
+    /// enabled (flushed once by [`ChaseState::flush_scan_telemetry`]);
+    /// for the monomorphized [`NoopRecorder`] the `enabled()` check is a
+    /// compile-time `false` and the whole block disappears.
+    fn scan_dirty<R: Recorder + ?Sized>(
+        &mut self,
+        sigma: &[PathConstraint],
+        rec: &R,
+    ) -> Vec<(usize, NodeId, NodeId)> {
         let mut batch = Vec::new();
-        for index in dirty {
-            let pairs = self.indexes[index].scan(&self.graph, &mut self.uf);
+        for (index, dirty) in self.dirty.iter_mut().enumerate() {
+            if !std::mem::take(dirty) {
+                continue;
+            }
+            let pairs = violations(&self.graph, &sigma[index]);
             if rec.enabled() {
-                let stats = self.indexes[index].last_scan_stats();
-                let t = &mut self.tallies;
-                t.scans += 1;
-                t.delta_edges += stats.delta_edges as u64;
-                t.new_witnesses += stats.new_witnesses as u64;
-                t.new_pairs += stats.new_pairs as u64;
-                t.retired += stats.retired as u64;
-                t.per_constraint[index].0 += stats.new_pairs as u64;
-                t.per_constraint[index].1 += pairs.len() as u64;
+                self.scans += 1;
+                self.scan_violations[index] += pairs.len() as u64;
             }
-            for (a, b) in pairs {
-                batch.push((index, a, b));
-            }
+            batch.extend(pairs.into_iter().map(|(a, b)| (index, a, b)));
         }
         batch
     }
@@ -657,27 +551,73 @@ impl ChaseState {
         if !rec.enabled() {
             return;
         }
-        let t = &self.tallies;
-        rec.counter("chase.scans", t.scans);
-        rec.counter("chase.frontier.delta_edges", t.delta_edges);
-        rec.counter("chase.frontier.new_witnesses", t.new_witnesses);
-        rec.counter("chase.frontier.new_pairs", t.new_pairs);
-        rec.counter("chase.frontier.retired", t.retired);
-        for (index, &(pairs, violations)) in t.per_constraint.iter().enumerate() {
-            if pairs > 0 {
-                rec.counter(&format!("chase.constraint.{index}.pairs"), pairs);
-            }
+        rec.counter("chase.scans", self.scans);
+        for (index, &violations) in self.scan_violations.iter().enumerate() {
             if violations > 0 {
                 rec.counter(&format!("chase.constraint.{index}.violations"), violations);
             }
         }
     }
 
-    fn satisfied(&self, c: &PathConstraint, a: NodeId, b: NodeId) -> bool {
-        match c.kind() {
-            Kind::Forward => word_holds(&self.graph, a, c.rhs(), b),
-            Kind::Backward => word_holds(&self.graph, b, c.rhs(), a),
+    /// Fires violation `(a, b)` of `sigma[index]` unless an earlier
+    /// repair in this round already satisfied it (a merge ends the
+    /// round, so every id in a batch is still live). Returns `None` when
+    /// skipped, else whether the repair merged.
+    fn fire(
+        &mut self,
+        sigma: &[PathConstraint],
+        index: usize,
+        a: NodeId,
+        b: NodeId,
+        metrics: &mut ChaseMetrics,
+    ) -> Option<bool> {
+        if conclusion_holds(&self.graph, &sigma[index], a, b) {
+            return None;
         }
+        // Record the firing before the repair mutates the graph: the
+        // witness ids plus the constraint index are all a replay needs,
+        // and replay re-verifies the hypothesis, so a recorded step never
+        // has to be trusted.
+        self.trace.push(ChaseStep {
+            constraint: index,
+            a: a.index(),
+            b: b.index(),
+        });
+        let merged = self.repair(&sigma[index], a, b);
+        if merged {
+            metrics.steps_merge += 1;
+        } else {
+            metrics.steps_path += 1;
+        }
+        Some(merged)
+    }
+
+    /// Emits the `chase.round` event; `before` is the graph revision and
+    /// merge count at the start of the round.
+    fn emit_round<R: Recorder + ?Sized>(
+        &self,
+        rec: &R,
+        round: u64,
+        violations: usize,
+        before: (u64, usize),
+    ) {
+        if !rec.enabled() {
+            return;
+        }
+        rec.histogram("chase.round.violations", violations as u64);
+        rec.event(
+            schema::EVENT_CHASE_ROUND,
+            &[
+                ("round", round),
+                ("violations", violations as u64),
+                ("edges_added", self.graph.revision() - before.0),
+                ("merges", (self.merged - before.1) as u64),
+                ("requeued", self.dirty.iter().filter(|&&d| d).count() as u64),
+                ("live_nodes", self.live_node_count() as u64),
+                ("revision", self.graph.revision()),
+            ],
+            &[(schema::LABEL_ENGINE, "chase")],
+        );
     }
 
     /// Re-enqueues every constraint whose hypothesis alphabet intersects
@@ -685,9 +625,9 @@ impl ChaseState {
     /// whose hypothesis cannot mention any of the new edge labels cannot
     /// gain a hypothesis pair, so skipping them is sound.
     fn mark_dirty_for(&mut self, labels: &[Label]) {
-        for (i, index) in self.indexes.iter().enumerate() {
-            if index.hypothesis_touches(labels) {
-                self.dirty.insert(i);
+        for (dirty, hypothesis) in self.dirty.iter_mut().zip(&self.hypothesis_labels) {
+            if !*dirty && labels.iter().any(|l| hypothesis.binary_search(l).is_ok()) {
+                *dirty = true;
             }
         }
         if labels
@@ -721,31 +661,36 @@ impl ChaseState {
     }
 
     /// Merges two nodes (required by an empty conclusion path `y = x`):
-    /// splices `drop`'s adjacency into `keep` and unions their ids, then
-    /// re-canonicalizes every cached id and marks everything dirty.
+    /// splices `drop`'s adjacency into `keep`, renames the witnesses, and
+    /// marks everything dirty.
     ///
-    /// Cost is the degree of the dropped node plus the size of the cached
-    /// frontier sets — not a whole-graph rebuild.
+    /// Cost is the degree of the dropped node — not a whole-graph
+    /// rebuild. `drop` stays in the arena as an unreachable husk, so no
+    /// later scan reports it.
     fn merge(&mut self, keep: NodeId, drop: NodeId) {
         if keep == drop {
             return;
         }
         self.graph.merge_nodes(keep, drop);
-        self.uf.ensure(self.graph.node_count());
-        self.uf.union_into(keep, drop);
         self.merged += 1;
-        self.x = self.uf.find(self.x);
-        self.y = self.uf.find(self.y);
-        for index in &mut self.indexes {
-            index.canonicalize(&mut self.uf);
+        for witness in [&mut self.x, &mut self.y] {
+            if *witness == drop {
+                *witness = keep;
+            }
         }
         // A merge can affect any constraint (two hypothesis witnesses may
-        // have been identified) and the goal; rescan everything. The
-        // spliced edges are in the delta log, so the rescans are still
-        // incremental.
-        self.dirty.extend(0..self.indexes.len());
+        // have been identified) and the goal; rescan everything.
+        self.dirty.fill(true);
         self.goal_dirty = true;
     }
+}
+
+/// The sorted, deduplicated labels of a label sequence.
+fn sorted_labels<'a>(labels: impl Iterator<Item = &'a Label>) -> Vec<Label> {
+    let mut sorted: Vec<Label> = labels.copied().collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted
 }
 
 /// Runs the *reference* chase: full violation rescans every round and
@@ -823,7 +768,7 @@ fn chase_reference_loop<R: Recorder + ?Sized>(
                 for (index, a, b) in batch {
                     // Re-check: an earlier repair in this round may have
                     // satisfied this instance.
-                    if state.satisfied(&sigma[index], a, b) {
+                    if conclusion_holds(&state.graph, &sigma[index], a, b) {
                         continue;
                     }
                     let merged = state.repair(&sigma[index], a, b);
@@ -893,11 +838,7 @@ impl ReferenceChaseState {
     }
 
     fn goal_holds(&self, phi: &PathConstraint) -> bool {
-        let (x, y) = (self.x, self.y);
-        match phi.kind() {
-            Kind::Forward => word_holds(&self.graph, x, phi.rhs(), y),
-            Kind::Backward => word_holds(&self.graph, y, phi.rhs(), x),
-        }
+        conclusion_holds(&self.graph, phi, self.x, self.y)
     }
 
     /// All current violations, as `(constraint index, x, y)` triples,
@@ -913,13 +854,6 @@ impl ReferenceChaseState {
             None
         } else {
             Some(batch)
-        }
-    }
-
-    fn satisfied(&self, c: &PathConstraint, a: NodeId, b: NodeId) -> bool {
-        match c.kind() {
-            Kind::Forward => word_holds(&self.graph, a, c.rhs(), b),
-            Kind::Backward => word_holds(&self.graph, b, c.rhs(), a),
         }
     }
 

@@ -1,9 +1,9 @@
 //! Property tests: the incremental chase engine agrees with the retained
 //! full-rescan reference implementation.
 //!
-//! The incremental engine ([`pathcons_core::chase_implication`]) detects
-//! violations from cached frontiers extended by the edge delta log and
-//! merges nodes through a union-find; the reference
+//! The incremental engine ([`pathcons_core::chase_implication`]) rescans
+//! only constraints a new edge label can affect and merges nodes by
+//! splicing edges in place; the reference
 //! ([`pathcons_core::chase_implication_reference`]) recomputes every
 //! violation from scratch each round and rebuilds the graph on merge.
 //! Node ids diverge after the first merge (splice-in-place vs rebuild

@@ -3,10 +3,12 @@
 //! A *path* `ρ(x, y)` is a first-order formula asserting that `y` is
 //! reachable from `x` by a given sequence of edge labels (paper, Section
 //! 2.1). At the graph level a path is just a label word `&[Label]`; this
-//! module evaluates such words over a [`Graph`], which is the semantic
+//! module evaluates such words a set at a time over any [`Adjacency`]
+//! (a [`Graph`](crate::Graph), or the store's columnar graph), forward
+//! along successors or backward along predecessors. It is the semantic
 //! core behind the constraint satisfaction checker.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Adjacency, NodeId};
 use crate::label::Label;
 
 /// A set of nodes represented as a sorted deduplicated vector.
@@ -88,27 +90,49 @@ impl FromIterator<NodeId> for NodeSet {
 
 /// Evaluates the word `word` starting from every node in `from`: the result
 /// is `{ y | ∃x ∈ from . word(x, y) }`.
-pub fn eval_word_set(graph: &Graph, from: &NodeSet, word: &[Label]) -> NodeSet {
-    let mut current = from.clone();
-    let mut scratch: Vec<NodeId> = Vec::new();
-    for &label in word {
-        // Collect the whole frontier first, then sort-dedup once: a
-        // shifting `insert` per successor is quadratic on wide frontiers.
-        scratch.clear();
-        for node in current.iter() {
-            scratch.extend(graph.successors(node, label));
-        }
-        current = NodeSet::from_nodes(scratch.iter().copied());
-        if current.is_empty() {
-            break;
-        }
-    }
-    current
+pub fn eval_word_set<G: Adjacency>(graph: &G, from: &NodeSet, word: &[Label]) -> NodeSet {
+    layers(from.clone(), word.iter(), |node, label| {
+        graph.successors(node, label)
+    })
 }
 
 /// Evaluates `word` from a single node: `{ y | word(from, y) }`.
-pub fn eval_word(graph: &Graph, from: NodeId, word: &[Label]) -> NodeSet {
+pub fn eval_word<G: Adjacency>(graph: &G, from: NodeId, word: &[Label]) -> NodeSet {
     eval_word_set(graph, &NodeSet::singleton(from), word)
+}
+
+/// Evaluates `word` backward into a single node: `{ y | word(y, to) }`,
+/// walking the word's labels last to first along predecessors.
+pub fn eval_word_back<G: Adjacency>(graph: &G, to: NodeId, word: &[Label]) -> NodeSet {
+    layers(NodeSet::singleton(to), word.iter().rev(), |node, label| {
+        graph.predecessors(node, label)
+    })
+}
+
+/// One frontier per label: each node of the current set is stepped
+/// along the label, and the whole frontier is sorted and deduplicated
+/// once (a shifting `insert` per node is quadratic on wide frontiers).
+fn layers<'w, I, F>(
+    mut current: NodeSet,
+    labels: impl Iterator<Item = &'w Label>,
+    step: F,
+) -> NodeSet
+where
+    I: Iterator<Item = NodeId>,
+    F: Fn(NodeId, Label) -> I,
+{
+    let mut scratch: Vec<NodeId> = Vec::new();
+    for &label in labels {
+        if current.is_empty() {
+            break;
+        }
+        scratch.clear();
+        for node in current.iter() {
+            scratch.extend(step(node, label));
+        }
+        current = NodeSet::from_nodes(scratch.iter().copied());
+    }
+    current
 }
 
 /// Whether `word(from, to)` holds in `graph`.
@@ -117,24 +141,25 @@ pub fn eval_word(graph: &Graph, from: NodeId, word: &[Label]) -> NodeSet {
 /// which is polynomial — `O(|word| · |E|)` — and recursion-free. A naive
 /// DFS here would be exponential on branching graphs and could overflow
 /// the stack on adversarially long words.
-pub fn word_holds(graph: &Graph, from: NodeId, word: &[Label], to: NodeId) -> bool {
+pub fn word_holds<G: Adjacency>(graph: &G, from: NodeId, word: &[Label], to: NodeId) -> bool {
     eval_word(graph, from, word).contains(to)
 }
 
 /// Evaluates `word` from the root: `{ y | word(r, y) }`.
-pub fn eval_from_root(graph: &Graph, word: &[Label]) -> NodeSet {
+pub fn eval_from_root<G: Adjacency>(graph: &G, word: &[Label]) -> NodeSet {
     eval_word(graph, graph.root(), word)
 }
 
 /// Whether `word` is realized anywhere in `graph` starting from the root,
 /// i.e. `G ⊨ ∃x . word(r, x)`.
-pub fn word_realized(graph: &Graph, word: &[Label]) -> bool {
+pub fn word_realized<G: Adjacency>(graph: &G, word: &[Label]) -> bool {
     !eval_from_root(graph, word).is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use crate::label::LabelInterner;
 
     fn sample() -> (Graph, Label, Label) {
@@ -186,6 +211,21 @@ mod tests {
                 word_holds(&g, g.root(), &[a, b], target),
                 eval_from_root(&g, &[a, b]).contains(target)
             );
+        }
+    }
+
+    #[test]
+    fn backward_evaluation_inverts_forward() {
+        let (g, a, b) = sample();
+        for word in [vec![], vec![a], vec![a, b], vec![b, a], vec![a, a, b]] {
+            for to in g.nodes() {
+                let back = eval_word_back(&g, to, &word);
+                let expect: NodeSet = g
+                    .nodes()
+                    .filter(|&y| word_holds(&g, y, &word, to))
+                    .collect();
+                assert_eq!(back, expect, "word {word:?} into {to:?}");
+            }
         }
     }
 

@@ -72,15 +72,8 @@ struct NodeData {
 pub struct Graph {
     root: NodeId,
     nodes: Vec<NodeData>,
-    /// Append-only delta log: every distinct edge insertion in insertion
-    /// order, plus a replay of the survivor's adjacency after each
-    /// [`Graph::merge_nodes`] (so entries may repeat). The log length is
-    /// the graph's *revision*; incremental consumers remember the revision
-    /// they last saw and catch up via [`Graph::edges_since`]. Entries
-    /// record the node ids as they were at insertion time — after
-    /// [`Graph::merge_nodes`] they may be stale and must be canonicalized
-    /// through the caller's [`UnionFind`](crate::UnionFind).
-    log: Vec<(NodeId, Label, NodeId)>,
+    /// Distinct edge insertions so far (the graph's *revision*).
+    insertions: u64,
 }
 
 impl Default for Graph {
@@ -95,7 +88,7 @@ impl Graph {
         Graph {
             root: NodeId(0),
             nodes: vec![NodeData::default()],
-            log: Vec::new(),
+            insertions: 0,
         }
     }
 
@@ -154,25 +147,17 @@ impl Graph {
             Err(pos) => {
                 edges.insert(pos, (label, to));
                 self.nodes[to.index()].preds.push(from);
-                self.log.push((from, label, to));
+                self.insertions += 1;
                 true
             }
         }
     }
 
     /// The current revision: the number of distinct edge insertions so
-    /// far. `edges_since(revision())` is always empty.
+    /// far, including the ones [`Graph::merge_nodes`] performs.
     #[inline]
     pub fn revision(&self) -> u64 {
-        self.log.len() as u64
-    }
-
-    /// The edges inserted since revision `rev`, oldest first.
-    ///
-    /// Node ids in the returned triples are as of insertion time; after
-    /// merges they must be canonicalized by the caller.
-    pub fn edges_since(&self, rev: u64) -> &[(NodeId, Label, NodeId)] {
-        &self.log[rev as usize..]
+        self.insertions
     }
 
     /// Merges `drop` into `keep` in place: `keep` absorbs all of `drop`'s
@@ -182,12 +167,7 @@ impl Graph {
     ///
     /// Cost is proportional to the degrees of `drop` and `keep` (plus
     /// logarithmic insertions), *not* to the size of the graph — this is
-    /// the edge-splicing half of the union-find merge used by the
-    /// incremental chase. The delta log receives the spliced edges that
-    /// are new from `keep`'s perspective *and* a replay of `keep`'s full
-    /// resulting adjacency: a consumer whose cached frontier contained
-    /// `drop` sees `keep` appear there by id canonicalization alone, so
-    /// the delta must revisit `keep`'s pre-existing out-edges too.
+    /// the in-place merge the chase and its certificate replay use.
     pub fn merge_nodes(&mut self, keep: NodeId, drop: NodeId) {
         assert!(keep.index() < self.nodes.len(), "merge_nodes: no such node");
         assert!(drop.index() < self.nodes.len(), "merge_nodes: no such node");
@@ -220,17 +200,6 @@ impl Graph {
             for label in moved {
                 self.add_edge(pred, label, keep);
             }
-        }
-        // Re-log the survivor's complete adjacency. A frontier set cached
-        // by an incremental consumer may have contained `drop` and gain
-        // `keep` through id canonicalization alone — without ever having
-        // explored the out-edges `keep` already had. Replaying the delta
-        // must therefore revisit all of them, not just the spliced ones.
-        let total = self.nodes[keep.index()].edges.len();
-        self.log.reserve(total);
-        for i in 0..total {
-            let (label, to) = self.nodes[keep.index()].edges[i];
-            self.log.push((keep, label, to));
         }
     }
 
@@ -380,6 +349,44 @@ impl Graph {
     }
 }
 
+/// The adjacency that path evaluation needs: a root, and the successors
+/// and predecessors of a node along one label.
+///
+/// [`Graph`] implements it, and so does the resident store's columnar
+/// graph, so path evaluation and constraint satisfaction run on either
+/// representation without a copy.
+pub trait Adjacency {
+    /// The root node `r_G`.
+    fn root(&self) -> NodeId;
+
+    /// The nodes `y` with an edge `label(node, y)`.
+    fn successors(&self, node: NodeId, label: Label) -> impl Iterator<Item = NodeId> + '_;
+
+    /// The nodes `x` with an edge `label(x, node)`: exactly those, though
+    /// an implementation may yield one more than once.
+    fn predecessors(&self, node: NodeId, label: Label) -> impl Iterator<Item = NodeId> + '_;
+}
+
+impl Adjacency for Graph {
+    fn root(&self) -> NodeId {
+        self.root
+    }
+
+    fn successors(&self, node: NodeId, label: Label) -> impl Iterator<Item = NodeId> + '_ {
+        Graph::successors(self, node, label)
+    }
+
+    /// The predecessor hints of `node`, filtered to the live
+    /// `label`-edges.
+    fn predecessors(&self, node: NodeId, label: Label) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes[node.index()]
+            .preds
+            .iter()
+            .copied()
+            .filter(move |&pred| self.has_edge(pred, label, node))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,12 +517,36 @@ mod tests {
         let n = g.add_node();
         assert_eq!(g.revision(), 0);
         g.add_edge(g.root(), a, n);
-        g.add_edge(g.root(), a, n); // duplicate: not logged
+        g.add_edge(g.root(), a, n); // duplicate: not counted
         g.add_edge(n, b, n);
         assert_eq!(g.revision(), 2);
-        assert_eq!(g.edges_since(0), &[(g.root(), a, n), (n, b, n)]);
-        assert_eq!(g.edges_since(1), &[(n, b, n)]);
-        assert!(g.edges_since(g.revision()).is_empty());
+    }
+
+    #[test]
+    fn predecessors_are_exact_after_merges() {
+        let (_, a, b, _) = abc();
+        let mut g = Graph::new();
+        let keep = g.add_node();
+        let drop = g.add_node();
+        let t = g.add_node();
+        let r = g.root();
+        g.add_edge(r, a, keep);
+        g.add_edge(r, b, drop);
+        g.add_edge(drop, a, t);
+        g.add_edge(r, a, t);
+        let preds = |g: &Graph, node, label| {
+            let mut v: Vec<NodeId> = Adjacency::predecessors(g, node, label).collect();
+            v.sort();
+            v.dedup();
+            v
+        };
+        assert_eq!(preds(&g, t, a), vec![r, drop]);
+        assert_eq!(preds(&g, t, b), vec![]);
+        g.merge_nodes(keep, drop);
+        // The stale hint `drop` is filtered out; `keep` took its edge.
+        assert_eq!(preds(&g, t, a), vec![r, keep]);
+        assert_eq!(preds(&g, keep, b), vec![r]);
+        assert_eq!(preds(&g, keep, a), vec![r]);
     }
 
     #[test]
@@ -536,11 +567,6 @@ mod tests {
         assert!(g.has_edge(keep, a, keep));
         assert_eq!(g.out_degree(drop), 0);
         assert!(!g.has_edge(r, b, drop));
-        // The spliced edges were logged as fresh insertions.
-        let since: Vec<_> = g.edges_since(4).to_vec();
-        assert!(since.contains(&(keep, c, other)));
-        assert!(since.contains(&(keep, a, keep)));
-        assert!(since.contains(&(r, b, keep)));
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //!
 //! - [`LabelInterner`] / [`Label`] — the edge alphabet `E`;
 //! - [`Graph`] / [`NodeId`] — arena-based σ-structures;
-//! - [`eval_word`]/[`word_holds`] — path-formula evaluation `ρ(x, y)`;
+//! - [`Adjacency`] — the successor/predecessor view path evaluation runs on;
+//! - [`eval_word`]/[`eval_word_back`]/[`word_holds`] — path-formula
+//!   evaluation `ρ(x, y)`, forward or backward;
 //! - [`parse_graph`]/[`render_graph`] — a line-oriented fixture format;
 //! - [`to_dot`] — GraphViz export;
 //! - [`random_graph`] — random instances (feature `gen`, on by default).
 //!
 //! Higher layers build on this: `pathcons-constraints` interprets `P_c`
-//! constraints over [`Graph`], `pathcons-types` layers the object-oriented
+//! constraints over any [`Adjacency`], `pathcons-types` layers the object-oriented
 //! models `M` and `M⁺` on top, and `pathcons-core` hosts the implication
 //! engines.
 
@@ -34,10 +36,12 @@ mod text;
 mod union_find;
 
 pub use dot::{to_dot, DotOptions};
-pub use eval::{eval_from_root, eval_word, eval_word_set, word_holds, word_realized, NodeSet};
+pub use eval::{
+    eval_from_root, eval_word, eval_word_back, eval_word_set, word_holds, word_realized, NodeSet,
+};
 #[cfg(feature = "gen")]
 pub use generate::{random_graph, random_node, random_word, RandomGraphConfig};
-pub use graph::{Graph, NodeId};
+pub use graph::{Adjacency, Graph, NodeId};
 pub use label::{Label, LabelInterner};
 pub use text::{parse_graph, render_graph, ParseGraphError};
 pub use union_find::UnionFind;

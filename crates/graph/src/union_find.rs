@@ -1,12 +1,12 @@
 //! A union-find (disjoint-set) structure over [`NodeId`]s.
 //!
-//! The incremental chase merges vertices (when a constraint's conclusion
-//! path is empty, `y = x` is forced) without rebuilding the graph: the
-//! graph splices the adjacency of the dropped node into the kept one
-//! ([`Graph::merge_nodes`](crate::Graph::merge_nodes)), and this structure
-//! maps *stale* node ids — held by cached frontier sets, pending violation
-//! pairs, and the chase witnesses — onto their surviving representative,
-//! lazily, in near-constant amortized time.
+//! The chase merges vertices (when a constraint's conclusion path is
+//! empty, `y = x` is forced) without rebuilding the graph: the graph
+//! splices the adjacency of the dropped node into the kept one
+//! ([`Graph::merge_nodes`](crate::Graph::merge_nodes)). A replay of a
+//! recorded chase trace uses this structure to map *stale* node ids onto
+//! their surviving representative, lazily, in near-constant amortized
+//! time.
 
 use crate::graph::NodeId;
 

@@ -9,8 +9,11 @@
 //!   binary search inside the node's own edge slice;
 //! - the **backward** index is a per-node offset table into a
 //!   permutation of edge positions sorted by `(dst, label, src)`, so
-//!   `predecessors(node)` costs one offset lookup — no scan over the
-//!   whole edge set, unlike [`Graph`]'s conservative predecessor hints.
+//!   `predecessors(node, label)` is one offset lookup plus a binary
+//!   search — exact, unlike [`Graph`]'s predecessor hints.
+//!
+//! Both indexes serve the [`Adjacency`] trait, so the satisfaction
+//! checker of `pathcons-constraints` runs on the columns directly.
 //!
 //! This layout is also the snapshot wire format (three raw little-endian
 //! `u32` arrays); the indexes are rebuilt at load time rather than
@@ -26,7 +29,7 @@
 //! budget ([`MAX_ISOLATED_NODES`]), label tables by the string table
 //! the label ids index.
 
-use pathcons_graph::{Graph, Label, NodeId};
+use pathcons_graph::{Adjacency, Graph, Label, NodeId};
 
 /// Isolated-node budget for [`ColumnarGraph::from_columns`]: the node
 /// count may exceed the `2 × edge_count` nodes the edges themselves can
@@ -197,73 +200,9 @@ impl ColumnarGraph {
         (&self.src, &self.label, &self.dst)
     }
 
-    /// Out-edges of `node` as `(label, target)` pairs, sorted by label.
-    pub fn out_edges(&self, node: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let (lo, hi) = self.fwd_range(node);
-        (lo..hi).map(move |i| (self.label[i], self.dst[i]))
-    }
-
-    /// Successors of `node` along `label`: binary search inside the
-    /// node's forward slice, then a scan over equal labels.
-    pub fn successors(&self, node: u32, label: u32) -> impl Iterator<Item = u32> + '_ {
-        let (lo, hi) = self.fwd_range(node);
-        let start = lo + self.label[lo..hi].partition_point(|&l| l < label);
-        self.label[start..hi]
-            .iter()
-            .take_while(move |&&l| l == label)
-            .enumerate()
-            .map(move |(k, _)| self.dst[start + k])
-    }
-
-    /// In-edges of `node` as `(source, label)` pairs, via the backward
-    /// index (exact, unlike [`Graph`]'s predecessor hints).
-    pub fn in_edges(&self, node: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let (lo, hi) = self.bwd_range(node);
-        self.bwd_pos[lo..hi].iter().map(move |&p| {
-            let p = p as usize;
-            (self.src[p], self.label[p])
-        })
-    }
-
-    /// Out-degree of `node`.
-    pub fn out_degree(&self, node: u32) -> usize {
-        let (lo, hi) = self.fwd_range(node);
-        hi - lo
-    }
-
-    /// In-degree of `node`.
-    pub fn in_degree(&self, node: u32) -> usize {
-        let (lo, hi) = self.bwd_range(node);
-        hi - lo
-    }
-
     /// All edges as `(src, label, dst)` triples in column order.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
         (0..self.src.len()).map(move |i| (self.src[i], self.label[i], self.dst[i]))
-    }
-
-    /// The largest label id used on any edge, if the graph has edges.
-    pub fn max_label(&self) -> Option<u32> {
-        self.label.iter().copied().max()
-    }
-
-    /// Rehydrates a mutable [`Graph`] (same node numbering, same root)
-    /// for code paths that need the arena representation, e.g. the
-    /// satisfaction checkers of `pathcons-constraints`.
-    pub fn to_graph(&self) -> Graph {
-        let mut graph = Graph::with_capacity(self.node_count());
-        for _ in 1..self.node_count {
-            graph.add_node();
-        }
-        for (s, l, d) in self.edges() {
-            graph.add_edge(
-                NodeId::from_index(s as usize),
-                Label::from_index(l as usize),
-                NodeId::from_index(d as usize),
-            );
-        }
-        graph.set_root(NodeId::from_index(self.root as usize));
-        graph
     }
 
     fn fwd_range(&self, node: u32) -> (usize, usize) {
@@ -278,6 +217,37 @@ impl ColumnarGraph {
             self.bwd[node as usize] as usize,
             self.bwd[node as usize + 1] as usize,
         )
+    }
+}
+
+impl Adjacency for ColumnarGraph {
+    fn root(&self) -> NodeId {
+        NodeId::from_index(self.root as usize)
+    }
+
+    /// A binary search for `label` inside the node's forward slice.
+    fn successors(&self, node: NodeId, label: Label) -> impl Iterator<Item = NodeId> + '_ {
+        let (lo, hi) = self.fwd_range(node.index() as u32);
+        let label = label.index() as u32;
+        let start = lo + self.label[lo..hi].partition_point(|&l| l < label);
+        self.label[start..hi]
+            .iter()
+            .zip(&self.dst[start..hi])
+            .take_while(move |&(&l, _)| l == label)
+            .map(|(_, &d)| NodeId::from_index(d as usize))
+    }
+
+    /// A binary search for `label` inside the node's backward slice,
+    /// which is ordered by `(label, src)`.
+    fn predecessors(&self, node: NodeId, label: Label) -> impl Iterator<Item = NodeId> + '_ {
+        let (lo, hi) = self.bwd_range(node.index() as u32);
+        let label = label.index() as u32;
+        let in_edges = &self.bwd_pos[lo..hi];
+        let start = in_edges.partition_point(|&p| self.label[p as usize] < label);
+        in_edges[start..]
+            .iter()
+            .take_while(move |&&p| self.label[p as usize] == label)
+            .map(|&p| NodeId::from_index(self.src[p as usize] as usize))
     }
 }
 
@@ -327,7 +297,8 @@ fn gather(order: &[u32], column: Vec<u32>) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcons_graph::LabelInterner;
+    use pathcons_constraints::{holds, holds_naive, violations, Kind, Path, PathConstraint};
+    use pathcons_graph::{eval_from_root, eval_word, word_holds, LabelInterner};
     use proptest::prelude::*;
 
     /// The comparison-sort builder the counting passes replaced, kept
@@ -380,52 +351,48 @@ mod tests {
         (g, labels)
     }
 
-    #[test]
-    fn round_trips_through_graph() {
-        let (g, _) = sample();
-        let col = ColumnarGraph::from_graph(&g);
-        assert_eq!(col.node_count(), g.node_count());
-        assert_eq!(col.edge_count(), g.edge_count());
-        let back = col.to_graph();
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.root(), g.root());
-        let expect: Vec<_> = g.edges().collect();
-        let got: Vec<_> = back.edges().collect();
-        assert_eq!(expect, got);
+    /// The arena form of a columnar graph: same node numbering, same
+    /// root.
+    fn graph_of(col: &ColumnarGraph) -> Graph {
+        let mut graph = Graph::new();
+        graph.add_nodes(col.node_count() - 1);
+        for (s, l, d) in col.edges() {
+            graph.add_edge(
+                NodeId::from_index(s as usize),
+                Label::from_index(l as usize),
+                NodeId::from_index(d as usize),
+            );
+        }
+        graph.set_root(Adjacency::root(col));
+        graph
     }
 
     #[test]
-    fn forward_index_matches_graph_successors() {
+    fn adjacency_matches_the_graph() {
         let (g, labels) = sample();
         let col = ColumnarGraph::from_graph(&g);
+        assert_eq!(col.node_count(), g.node_count());
+        let back = graph_of(&col);
+        assert_eq!(back.root(), g.root());
+        assert_eq!(
+            back.edges().collect::<Vec<_>>(),
+            g.edges().collect::<Vec<_>>()
+        );
+        let mut in_edges = 0;
         for node in g.nodes() {
             for label in labels.labels() {
-                let expect: Vec<u32> = g
-                    .successors(node, label)
-                    .map(|n| n.index() as u32)
-                    .collect();
-                let got: Vec<u32> = col
-                    .successors(node.index() as u32, label.index() as u32)
-                    .collect();
-                assert_eq!(expect, got, "node {node:?} label {label:?}");
+                let succ: Vec<NodeId> = Adjacency::successors(&col, node, label).collect();
+                assert_eq!(succ, g.successors(node, label).collect::<Vec<_>>());
+                let preds: Vec<NodeId> = Adjacency::predecessors(&col, node, label).collect();
+                let mut expect: Vec<NodeId> = Adjacency::predecessors(&g, node, label).collect();
+                expect.sort();
+                expect.dedup();
+                assert_eq!(preds, expect);
+                assert!(preds.iter().all(|&p| g.has_edge(p, label, node)));
+                in_edges += preds.len();
             }
-            assert_eq!(col.out_degree(node.index() as u32), g.out_degree(node));
         }
-    }
-
-    #[test]
-    fn backward_index_inverts_every_edge() {
-        let (g, _) = sample();
-        let col = ColumnarGraph::from_graph(&g);
-        let mut total = 0usize;
-        for node in 0..col.node_count() as u32 {
-            for (s, l) in col.in_edges(node) {
-                assert!(col.successors(s, l).any(|d| d == node));
-                total += 1;
-            }
-            assert_eq!(col.in_degree(node), col.in_edges(node).count());
-        }
-        assert_eq!(total, col.edge_count(), "every edge has one in-entry");
+        assert_eq!(in_edges, col.edge_count(), "every edge has one in-entry");
     }
 
     #[test]
@@ -477,7 +444,7 @@ mod tests {
     fn the_empty_graph_matches_the_oracle() {
         let col = ColumnarGraph::from_columns(1, 0, 0, vec![], vec![], vec![]).unwrap();
         assert_eq!(col, reference_build(1, 0, vec![], vec![], vec![]));
-        assert_eq!(ColumnarGraph::from_graph(&col.to_graph()), col);
+        assert_eq!(ColumnarGraph::from_graph(&Graph::new()), col);
     }
 
     proptest! {
@@ -520,18 +487,66 @@ mod tests {
             let got = ColumnarGraph::from_columns(node_count, root, label_count, src, label, dst)
                 .expect("in-range columns build");
             prop_assert_eq!(&got, &want, "columns {:?}", triples);
-            prop_assert_eq!(ColumnarGraph::from_graph(&got.to_graph()), got, "columns {:?}", triples);
+            prop_assert_eq!(ColumnarGraph::from_graph(&graph_of(&got)), got, "columns {:?}", triples);
+        }
+
+        #[test]
+        fn satisfaction_on_the_columns_matches_the_definition(
+            node_count in 1usize..7,
+            edges in prop::collection::vec((0usize..7, 0usize..3, 0usize..7), 0..16),
+            words in (
+                prop::collection::vec(0usize..3, 0..3),
+                prop::collection::vec(0usize..3, 0..3),
+                prop::collection::vec(0usize..3, 0..3),
+            ),
+            backward in prop::bool::ANY,
+        ) {
+            let mut g = Graph::new();
+            g.add_nodes(node_count - 1);
+            for &(s, l, d) in &edges {
+                g.add_edge(
+                    NodeId::from_index(s % node_count),
+                    Label::from_index(l),
+                    NodeId::from_index(d % node_count),
+                );
+            }
+            let path = |w: &[usize]| Path::from_labels(w.iter().map(|&l| Label::from_index(l)));
+            let (prefix, lhs, rhs) = (path(&words.0), path(&words.1), path(&words.2));
+            let c = if backward {
+                PathConstraint::backward(prefix, lhs, rhs)
+            } else {
+                PathConstraint::forward(prefix, lhs, rhs)
+            };
+            // The pairwise definition, on the arena graph.
+            let mut expect = Vec::new();
+            for x in eval_from_root(&g, c.prefix()).iter() {
+                for y in eval_word(&g, x, c.lhs()).iter() {
+                    let ok = match c.kind() {
+                        Kind::Forward => word_holds(&g, x, c.rhs(), y),
+                        Kind::Backward => word_holds(&g, y, c.rhs(), x),
+                    };
+                    if !ok {
+                        expect.push((x, y));
+                    }
+                }
+            }
+            let col = ColumnarGraph::from_graph(&g);
+            prop_assert_eq!(holds(&col, &c), holds_naive(&g, &c), "edges {:?}", edges);
+            prop_assert_eq!(holds(&g, &c), holds_naive(&g, &c), "edges {:?}", edges);
+            prop_assert_eq!(violations(&col, &c), expect.clone(), "edges {:?}", edges);
+            prop_assert_eq!(violations(&g, &c), expect, "edges {:?}", edges);
         }
     }
 
     #[test]
     fn isolated_nodes_survive() {
         let mut g = Graph::new();
-        let _orphan = g.add_node();
+        let orphan = g.add_node();
         let col = ColumnarGraph::from_graph(&g);
         assert_eq!(col.node_count(), 2);
         assert_eq!(col.edge_count(), 0);
-        assert_eq!(col.out_degree(1), 0);
-        assert_eq!(col.in_degree(1), 0);
+        let label = Label::from_index(0);
+        assert_eq!(Adjacency::successors(&col, orphan, label).count(), 0);
+        assert_eq!(Adjacency::predecessors(&col, orphan, label).count(), 0);
     }
 }

@@ -21,14 +21,15 @@ use crate::snapshot::{self, ContextRecord, GraphColumns, SnapshotDoc, SnapshotEr
 use pathcons_constraints::PathConstraint;
 use pathcons_core::{Budget, DataContext, SharedContext, SharedStats};
 use pathcons_engine::{build_context, prepare_job, Job, Json, PreparedJob};
-use pathcons_graph::{Graph, LabelInterner};
+use pathcons_graph::LabelInterner;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// One context resident in the store: prebuilt solver context, parsed
-/// base Σ, and (optionally) a columnar data graph.
+/// base Σ, and (optionally) a columnar data graph, which the `check` op
+/// reads directly through its forward and backward indexes.
 #[derive(Debug)]
 pub struct ResidentContext {
     kind: String,
@@ -36,9 +37,6 @@ pub struct ResidentContext {
     base_sigma: Vec<PathConstraint>,
     sigma_texts: Vec<String>,
     columnar: Option<ColumnarGraph>,
-    /// Arena-form rehydration of `columnar`, built on first use by the
-    /// satisfaction checkers (`graph()`); job solving never needs it.
-    graph: OnceLock<Graph>,
     /// Monotonic revision, bumped by every constraint or edge mutation.
     /// Scopes the engine's cache keys and the shared state below: a
     /// mutation invalidates exactly this context's reuse, nothing else.
@@ -65,7 +63,6 @@ impl ResidentContext {
             base_sigma,
             sigma_texts,
             columnar,
-            graph: OnceLock::new(),
             revision: 0,
             shared: Mutex::new(None),
             jobs: AtomicU64::new(0),
@@ -85,13 +82,6 @@ impl ResidentContext {
     /// The columnar data graph, if the context carries one.
     pub fn columnar(&self) -> Option<&ColumnarGraph> {
         self.columnar.as_ref()
-    }
-
-    /// The data graph in arena form, rehydrated lazily from the columns
-    /// (and cached) for checkers that need [`Graph`].
-    pub fn graph(&self) -> Option<&Graph> {
-        let columnar = self.columnar.as_ref()?;
-        Some(self.graph.get_or_init(|| columnar.to_graph()))
     }
 
     /// The context's current revision (0 until the first mutation).
@@ -371,14 +361,19 @@ impl ConstraintStore {
     /// Appends a constraint to a resident context's base Σ, bumping its
     /// revision. Returns the new revision. The engine cache keys and
     /// shared state of *other* contexts are untouched — invalidation is
-    /// per context, never the world.
+    /// per context, never the world. A failed mutation changes nothing,
+    /// not even the label table.
     pub fn add_constraint(&mut self, context_name: &str, text: &str) -> Result<u64, String> {
-        let constraint = PathConstraint::parse(text, &mut self.labels)
-            .map_err(|e| format!("bad constraint `{text}`: {e}"))?;
         let resident = self
             .contexts
             .get_mut(context_name)
             .ok_or_else(|| format!("unknown context `{context_name}`"))?;
+        // Parse against a copy: a rejected text must not leave its
+        // labels behind in the table the snapshot encodes.
+        let mut labels = self.labels.clone();
+        let constraint = PathConstraint::parse(text, &mut labels)
+            .map_err(|e| format!("bad constraint `{text}`: {e}"))?;
+        self.labels = labels;
         resident.base_sigma.push(constraint);
         resident.sigma_texts.push(text.to_owned());
         resident.revision += 1;
@@ -390,7 +385,8 @@ impl ConstraintStore {
     /// Adds an edge to a resident context's data graph (creating a
     /// graph when the context has none), bumping its revision. Node ids
     /// beyond the current node count grow the graph. Returns the new
-    /// revision.
+    /// revision. A failed mutation changes nothing, not even the label
+    /// table.
     pub fn add_edge(
         &mut self,
         context_name: &str,
@@ -398,12 +394,16 @@ impl ConstraintStore {
         label: &str,
         dst: u32,
     ) -> Result<u64, String> {
-        let label_id = self.labels.intern(label).index() as u32;
-        let label_count = self.labels.len() as u32;
         let resident = self
             .contexts
             .get_mut(context_name)
             .ok_or_else(|| format!("unknown context `{context_name}`"))?;
+        // A new label takes the next id; it is interned only once the
+        // graph has been rebuilt with it.
+        let (label_id, label_count) = match self.labels.get(label) {
+            Some(known) => (known.index() as u32, self.labels.len() as u32),
+            None => (self.labels.len() as u32, self.labels.len() as u32 + 1),
+        };
         let (node_count, root, mut src_col, mut label_col, mut dst_col) = match &resident.columnar {
             Some(col) => {
                 let (s, l, d) = col.columns();
@@ -417,16 +417,20 @@ impl ConstraintStore {
             }
             None => (1, 0, Vec::new(), Vec::new(), Vec::new()),
         };
+        let Some(node_count) = src.max(dst).checked_add(1).map(|n| n.max(node_count)) else {
+            return Err(format!(
+                "context `{context_name}`: node id {} out of range",
+                src.max(dst)
+            ));
+        };
         src_col.push(src);
         label_col.push(label_id);
         dst_col.push(dst);
-        let node_count = node_count.max(src + 1).max(dst + 1);
         resident.columnar = Some(
             ColumnarGraph::from_columns(node_count, root, label_count, src_col, label_col, dst_col)
                 .map_err(|e| format!("context `{context_name}`: {e}"))?,
         );
-        // The arena rehydration belongs to the old graph; rebuild lazily.
-        resident.graph = OnceLock::new();
+        self.labels.intern(label);
         resident.revision += 1;
         let revision = resident.revision;
         self.refresh_content_id();
@@ -541,7 +545,8 @@ impl ConstraintStore {
             .get(context_name)
             .ok_or_else(|| format!("unknown context `{context_name}`"))?;
         let graph = resident
-            .graph()
+            .columnar
+            .as_ref()
             .ok_or_else(|| format!("context `{context_name}` has no data graph"))?;
         let mut labels = self.labels.clone();
         let mut verdicts = Vec::with_capacity(texts.len());

@@ -4,7 +4,7 @@
 //! byte-identical verdicts to cold solving.
 
 use pathcons_engine::{BatchEngine, EngineConfig, Job};
-use pathcons_store::ConstraintStore;
+use pathcons_store::{snapshot, ConstraintStore};
 use std::time::Instant;
 
 const TWO_CONTEXTS: &str = concat!(
@@ -119,12 +119,25 @@ fn mutations_bump_revision_and_invalidate_only_that_context() {
         1
     );
 
-    // Mutators reject unknown contexts and bad constraint syntax.
-    assert!(store.add_constraint("nope", "a -> b").is_err());
+    // Mutators reject unknown contexts, bad constraint syntax and
+    // out-of-range node ids, and a rejected mutation changes nothing:
+    // not the snapshot bytes, and not the content id they hash to.
+    let (bytes, id) = (store.to_bytes(), store.content_id());
+    assert!(store.add_constraint("nope", "fresh_a -> fresh_b").is_err());
+    assert!(store.add_constraint("wordy", "fresh_c -> ->").is_err());
+    assert!(store.add_edge("nope", 0, "fresh_d", 1).is_err());
+    assert!(store.add_edge("graphy", u32::MAX, "fresh_e", 0).is_err());
+    assert!(store.add_edge("graphy", 0, "fresh_f", u32::MAX).is_err());
     assert!(store
-        .add_constraint("wordy", "not a constraint ->")
+        .add_edge("graphy", u32::MAX - 1, "fresh_g", 0)
         .is_err());
-    assert!(store.add_edge("nope", 0, "a", 1).is_err());
+    assert_eq!(
+        store.to_bytes(),
+        bytes,
+        "a failed mutation changed the snapshot"
+    );
+    assert_eq!(store.content_id(), id);
+    assert_eq!(store.content_id(), snapshot::content_id(&bytes).unwrap());
 }
 
 #[test]

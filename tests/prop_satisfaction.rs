@@ -2,7 +2,7 @@
 //! naive first-order transliteration on random graphs and constraints.
 
 use pathcons::constraints::{holds, holds_naive, Kind, Path, PathConstraint};
-use pathcons::graph::{random_graph, Graph, Label, LabelInterner, RandomGraphConfig};
+use pathcons::graph::{random_graph, word_holds, Graph, Label, LabelInterner, RandomGraphConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,17 +68,26 @@ proptest! {
         let g = graph_from_seed(seed, nodes, 3);
         let violations = pathcons::constraints::violations(&g, &constraint);
         prop_assert_eq!(violations.is_empty(), holds(&g, &constraint));
-        // Each reported violation is a genuine hypothesis match whose
-        // conclusion fails.
-        for (x, y) in violations {
-            prop_assert!(pathcons::graph::word_holds(&g, g.root(), constraint.prefix(), x));
-            prop_assert!(pathcons::graph::word_holds(&g, x, constraint.lhs(), y));
-            let concl = match constraint.kind() {
-                Kind::Forward => pathcons::graph::word_holds(&g, x, constraint.rhs(), y),
-                Kind::Backward => pathcons::graph::word_holds(&g, y, constraint.rhs(), x),
-            };
-            prop_assert!(!concl);
+        // Exactly the failing pairs of the first-order definition, in
+        // ascending order: every reported pair is a hypothesis match
+        // whose conclusion fails, and every such pair is reported.
+        let mut failures = Vec::new();
+        for x in g.nodes() {
+            if !word_holds(&g, g.root(), constraint.prefix(), x) {
+                continue;
+            }
+            for y in g.nodes() {
+                let concl = match constraint.kind() {
+                    Kind::Forward => word_holds(&g, x, constraint.rhs(), y),
+                    Kind::Backward => word_holds(&g, y, constraint.rhs(), x),
+                };
+                if word_holds(&g, x, constraint.lhs(), y) && !concl {
+                    failures.push((x, y));
+                }
+            }
         }
+        prop_assert!(violations.windows(2).all(|w| w[0] < w[1]), "not ascending: {:?}", violations);
+        prop_assert_eq!(violations, failures);
     }
 
     #[test]
