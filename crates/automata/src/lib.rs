@@ -10,8 +10,8 @@
 //!   language of a schema (the type graph);
 //! - [`determinize`] — subset construction;
 //! - [`PrefixRewriteSystem`] — prefix rewriting, `post*`/`pre*` saturation,
-//!   and a naive bounded-BFS reference used as a test oracle and as the
-//!   ablation baseline.
+//!   and the round-based and naive bounded-BFS references used as test
+//!   oracles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

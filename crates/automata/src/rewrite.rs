@@ -102,16 +102,15 @@ impl PrefixRewriteSystem {
     /// This is the incremental (worklist) implementation: per-rule reading
     /// layers are maintained under transition insertion instead of being
     /// recomputed from scratch each round (see
-    /// [`Self::post_star_rounds`] for the naive-saturation baseline the
-    /// ablation benchmark compares against).
+    /// [`Self::post_star_rounds`] for the naive saturation the tests
+    /// check it against).
     pub fn post_star(&self, initial: &[Label]) -> Nfa {
         Saturation::run(self, initial)
     }
 
     /// The round-based reference implementation of [`Self::post_star`]:
     /// recomputes every rule's reading set from scratch each round until
-    /// nothing changes. Kept as the ablation baseline and as a test
-    /// oracle for the worklist version.
+    /// nothing changes. Kept as a test oracle for the worklist version.
     pub fn post_star_rounds(&self, initial: &[Label]) -> Nfa {
         let mut nfa = Nfa::from_word(initial);
         let start = nfa.start();
@@ -164,7 +163,7 @@ impl PrefixRewriteSystem {
     ///
     /// This under-approximates `post*` (derivations may need to pass
     /// through longer intermediate words); it exists as a test oracle for
-    /// the saturation algorithm and as the "naive BFS" ablation baseline.
+    /// the saturation algorithm.
     pub fn bounded_post(
         &self,
         initial: &[Label],

@@ -1,11 +1,19 @@
 //! Reproduces every table and figure of Buneman/Fan/Weinstein PODS'99.
 //!
-//! Run with `cargo run -p pathcons-bench --release --bin repro`.
-//! The output of this binary is recorded in `EXPERIMENTS.md`.
+//! Usage:
+//!
+//! ```text
+//! repro [--out PATH]
+//! ```
+//!
+//! The report goes to stdout and is recorded in `EXPERIMENTS.md`. With
+//! `--out`, the timed series (Table 1's decidable cells and Figure 1
+//! checking cost, each with its log–log slope) and the undecidable
+//! cells' counts are also written as JSON (`BENCH_table1.json`).
 
 use pathcons_bench::{
-    gen_local_extent_instance, gen_m_instance, gen_word_instance, log_log_slope, median_time_ms,
-    monoid_corpus,
+    gen_bibliography, gen_local_extent_instance, gen_m_instance, gen_word_instance, median_time_ms,
+    monoid_corpus, table1_document, Series, UndecidableCell,
 };
 use pathcons_constraints::{all_hold, holds, parse_constraints};
 use pathcons_core::reductions::typed::TypedEncoding;
@@ -18,23 +26,35 @@ use pathcons_monoid::{
     decide_finite_word_problem, decide_word_problem, find_separating_witness, Presentation,
     WordProblemAnswer, WordProblemBudget,
 };
-use pathcons_types::TypedGraph;
 use pathcons_xml::{load_document, FIGURE1_XML};
 
+const WORKLOAD: &str = "Table 1 decidable cells, median ms over 5 runs of 5 seeded instances per size: word (|Σ| rules over 4 labels, length <= 6), local extent (|Σ_K| = |Σ_r| over 4 labels, length <= 6), typed-M (|Σ| equations over a 6-class M schema, length <= 5); Figure 1 checking (all_hold) on generated bibliographies; undecidable cells against the monoid corpus oracle";
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1).cloned());
+
     println!("# PODS'99 'Interaction between Path and Type Constraints' — reproduction report\n");
-    figure1();
+    let checking = figure1();
     figure2();
     figure3();
     figure4();
-    table1_decidable_cells();
-    table1_undecidable_cells();
+    let mut series = table1_decidable_cells();
+    series.push(checking);
+    let cells = table1_undecidable_cells();
+    if let Some(out) = out {
+        std::fs::write(&out, table1_document(WORKLOAD, &series, &cells)).expect("write results");
+        println!("\nwrote {out}");
+    }
     println!("\nAll checks passed.");
 }
 
 // ---------------------------------------------------------------- Figure 1
 
-fn figure1() {
+fn figure1() -> Series {
     println!("## Figure 1 — the bibliography document as a σ-structure\n");
     let mut labels = LabelInterner::new();
     let doc = load_document(FIGURE1_XML, &mut labels).expect("Figure 1 XML parses");
@@ -60,6 +80,34 @@ fn figure1() {
         "all {} Section 1 constraints (extent + inverse) hold on the document ✓\n",
         constraints.len()
     );
+
+    println!(
+        "checking cost at scale (generated bibliographies, constraints hold by construction):\n"
+    );
+    println!("| books | edges | median ms |");
+    println!("|---|---|---|");
+    let mut series = Series {
+        name: "figure1_check",
+        size: "books",
+        points: Vec::new(),
+    };
+    for &books in &[10usize, 100, 1_000, 10_000] {
+        let bib = gen_bibliography(books, books / 2 + 1, 42);
+        assert!(
+            all_hold(&bib.graph, &bib.constraints),
+            "generated bibliography violates a Section 1 constraint"
+        );
+        let ms = median_time_ms(5, || {
+            std::hint::black_box(all_hold(&bib.graph, &bib.constraints))
+        });
+        println!("| {books} | {} | {ms:.4} |", bib.graph.edge_count());
+        series.points.push((books, ms));
+    }
+    println!(
+        "\nempirical growth degree in document size: {:.2}\n",
+        series.slope()
+    );
+    series
 }
 
 // ---------------------------------------------------------------- Figure 2
@@ -170,14 +218,18 @@ fn figure4() {
 
 // ------------------------------------------------------ Table 1, decidable
 
-fn table1_decidable_cells() {
+fn table1_decidable_cells() -> Vec<Series> {
     println!("## Table 1 — decidable cells\n");
 
     // --- P_w over semistructured data: PTIME ([4]; baseline). ----------
     println!("### (finite) implication for P_w, semistructured — decidable, PTIME\n");
     println!("| constraints | total size | median ms | ");
     println!("|---|---|---|");
-    let mut series = Vec::new();
+    let mut word = Series {
+        name: "word",
+        size: "constraints |Σ|",
+        points: Vec::new(),
+    };
     for &n in &[10usize, 20, 40, 80, 160, 320] {
         let instances: Vec<_> = (0..5)
             .map(|s| gen_word_instance(n, 4, 6, 1000 + s))
@@ -194,16 +246,20 @@ fn table1_decidable_cells() {
             .map(|c| c.lhs().len() + c.rhs().len())
             .sum();
         println!("| {n} | {size} | {ms:.3} |");
-        series.push((n as f64, ms));
+        word.points.push((n, ms));
     }
-    let slope = log_log_slope(&series);
+    let slope = word.slope();
     println!("\nempirical growth degree: {slope:.2} (paper: polynomial) ✓\n");
 
     // --- Local extent over semistructured data: PTIME (Theorem 5.1). ---
     println!("### (finite) implication for local extent constraints, semistructured — decidable, PTIME (Thm 5.1)\n");
     println!("| bounded | others | median ms |");
     println!("|---|---|---|");
-    let mut series = Vec::new();
+    let mut local_extent = Series {
+        name: "local_extent",
+        size: "bounded constraints |Σ_K|",
+        points: Vec::new(),
+    };
     for &n in &[10usize, 20, 40, 80, 160] {
         let instances: Vec<_> = (0..5)
             .map(|s| gen_local_extent_instance(n, n, 4, 6, 2000 + s))
@@ -214,9 +270,9 @@ fn table1_decidable_cells() {
             }
         });
         println!("| {n} | {n} | {ms:.3} |");
-        series.push((n as f64, ms));
+        local_extent.points.push((n, ms));
     }
-    let slope = log_log_slope(&series);
+    let slope = local_extent.slope();
     println!("\nempirical growth degree: {slope:.2} (paper: polynomial) ✓");
     println!("Σ_r is discarded by the reduction: doubling `others` does not change answers (Lemma 5.3) ✓\n");
 
@@ -224,7 +280,11 @@ fn table1_decidable_cells() {
     println!("### (finite) implication for P_c, model M — decidable, cubic (Thm 4.2), finitely axiomatizable (Thm 4.9)\n");
     println!("| classes | constraints | median ms | proofs checked |");
     println!("|---|---|---|---|");
-    let mut series = Vec::new();
+    let mut typed_m = Series {
+        name: "typed_m",
+        size: "constraints |Σ|",
+        points: Vec::new(),
+    };
     for &n in &[8usize, 16, 32, 64, 128] {
         let instances: Vec<_> = (0..5).map(|s| gen_m_instance(6, n, 5, 3000 + s)).collect();
         let mut proofs = 0usize;
@@ -242,17 +302,18 @@ fn table1_decidable_cells() {
             }
         }
         println!("| 6 | {n} | {ms:.3} | {proofs} |");
-        series.push((n as f64, ms));
+        typed_m.points.push((n, ms));
     }
-    let slope = log_log_slope(&series);
+    let slope = typed_m.slope();
     println!("\nempirical growth degree in |Σ|: {slope:.2} (paper bound: cubic, i.e. ≤ 3) ");
     assert!(slope < 3.3, "scaling exceeds the cubic bound: {slope}");
     println!("every positive answer came with a machine-checked I_r derivation ✓\n");
+    vec![word, local_extent, typed_m]
 }
 
 // ---------------------------------------------------- Table 1, undecidable
 
-fn table1_undecidable_cells() {
+fn table1_undecidable_cells() -> Vec<UndecidableCell> {
     println!("## Table 1 — undecidable cells (reduction faithfulness)\n");
     println!("The undecidable cells cannot be decided; what the paper proves — and");
     println!("what we machine-check — is the *reduction* from the word problem for");
@@ -265,12 +326,14 @@ fn table1_undecidable_cells() {
     println!("| presentation | case | monoid oracle | encoded implication | agree |");
     println!("|---|---|---|---|---|");
     let budget = WordProblemBudget::default();
-    let mut agreements = 0;
-    let mut total = 0;
+    let mut pw_k = UndecidableCell {
+        name: "pw_k_semistructured",
+        ..UndecidableCell::default()
+    };
     for case in monoid_corpus() {
         let enc = UntypedEncoding::new(&case.presentation);
         for tc in &case.cases {
-            total += 1;
+            pw_k.total += 1;
             let oracle = match decide_word_problem(&case.presentation, &tc.alpha, &tc.beta, &budget)
             {
                 WordProblemAnswer::Equal(_) => "equal",
@@ -300,7 +363,10 @@ fn table1_undecidable_cells() {
             };
             let agree = (implied && tc.equal) || (refuted && !tc.finitely_equal);
             if agree {
-                agreements += 1;
+                pw_k.conclusive += 1;
+            }
+            if (implied && !tc.equal) || (refuted && tc.finitely_equal) {
+                pw_k.disagreements += 1;
             }
             assert!(
                 (!implied || tc.equal) && (!refuted || !tc.finitely_equal),
@@ -318,7 +384,10 @@ fn table1_undecidable_cells() {
             );
         }
     }
-    println!("\n{agreements}/{total} conclusive agreements, zero disagreements ✓");
+    println!(
+        "\n{}/{} conclusive agreements, zero disagreements ✓",
+        pw_k.conclusive, pw_k.total
+    );
     println!("(the bicyclic qp ≟ ε row stays `unknown`: Δ ⊭ (qp,ε) but Δ ⊨_f (qp,ε),");
     println!(" so no finite countermodel exists — the semi-deciders are rightly silent)\n");
 
@@ -326,7 +395,10 @@ fn table1_undecidable_cells() {
     println!("### local extent constraints, M⁺ — undecidable (Thm 5.2, via §5.2)\n");
     println!("| presentation | case | finite-monoid oracle | Figure 4 behaviour | agree |");
     println!("|---|---|---|---|---|");
-    let mut checked = 0;
+    let mut m_plus = UndecidableCell {
+        name: "local_extent_m_plus",
+        ..UndecidableCell::default()
+    };
     for case in monoid_corpus() {
         // The typed encoding forbids generator names colliding with
         // reduction labels; rename.
@@ -343,6 +415,11 @@ fn table1_undecidable_cells() {
             // refutes φ; the Figure 4 structures are those members.
             let behaviour = match find_separating_witness(&renamed, &tc.alpha, &tc.beta, 3) {
                 Some(w) => {
+                    if tc.finitely_equal {
+                        m_plus.disagreements += 1;
+                    } else {
+                        m_plus.conclusive += 1;
+                    }
                     let fig = enc.figure4_structure(&w.hom);
                     assert_eq!(fig.typed.violations(&enc.type_graph), vec![]);
                     assert!(all_hold(&fig.typed.graph, &enc.sigma));
@@ -376,14 +453,17 @@ fn table1_undecidable_cells() {
                     "no finite separation; sampled models track h(α)=h(β)"
                 }
             };
-            checked += 1;
+            m_plus.total += 1;
             println!(
                 "| {} | {:?}≟{:?} | {} | {} | ✓ |",
                 case.name, tc.alpha, tc.beta, oracle, behaviour
             );
         }
     }
-    println!("\n{checked} cases checked against Lemma 5.4, zero disagreements ✓");
+    println!(
+        "\n{} cases checked against Lemma 5.4 ({} refuted by a finite model), zero disagreements ✓",
+        m_plus.total, m_plus.conclusive
+    );
 
     // --- The decidability contrast (Thm 5.1 vs 5.2) on one instance. ----
     println!("\n### the Thm 5.1 / Thm 5.2 contrast on one instance\n");
@@ -409,6 +489,7 @@ fn table1_undecidable_cells() {
     let fig = enc.figure4_structure(&hom);
     assert!(holds(&fig.typed.graph, &phi));
     println!("typed (σ₁): the same φ holds on every Figure 4 model — the answer flips ✓");
+    vec![pw_k, m_plus]
 }
 
 fn rename_generators(p: &Presentation) -> Presentation {
@@ -421,10 +502,4 @@ fn rename_generators(p: &Presentation) -> Presentation {
         renamed.add_equation(eq.lhs.clone(), eq.rhs.clone());
     }
     renamed
-}
-
-// Silence the unused import if TypedGraph is only used in asserts above.
-#[allow(unused)]
-fn _type_check(t: TypedGraph) -> TypedGraph {
-    t
 }

@@ -1,12 +1,14 @@
-//! Workload generators and measurement helpers shared by the Criterion
-//! benches and the `repro` binary that regenerates the paper's Table 1
-//! and Figures 1–4 (see `DESIGN.md` and `EXPERIMENTS.md` at the workspace
-//! root).
+//! Workload generators and measurement helpers shared by the benchmark
+//! runners: `repro` regenerates the paper's Table 1 and Figures 1–4 and,
+//! with `--out`, writes the Table 1 slopes to `BENCH_table1.json`; the
+//! `bench_*` binaries write the other `BENCH_*.json` files (see
+//! `DESIGN.md` and `EXPERIMENTS.md` at the workspace root).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pathcons_constraints::{Path, PathConstraint};
+use pathcons_core::telemetry::json_escape;
 use pathcons_graph::{Label, LabelInterner};
 use pathcons_monoid::Presentation;
 use pathcons_types::{Schema, SchemaBuilder, TypeExpr, TypeGraph, TypeNodeId};
@@ -475,25 +477,6 @@ pub fn bench_meta(workload: &str) -> String {
     )
 }
 
-/// Minimal JSON string escaping for the metadata header (the inputs are
-/// version strings and our own workload descriptions, so quotes and
-/// backslashes are the realistic hazards; control characters are
-/// escaped for completeness).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Milliseconds elapsed running `f` once.
 pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -521,6 +504,86 @@ pub fn log_log_slope(points: &[(f64, f64)]) -> f64 {
         sxy += lx * ly;
     }
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
+}
+
+/// One timed scaling series of `BENCH_table1.json`: the median wall time
+/// at each instance size, fitted to a log–log slope.
+#[derive(Clone, Debug)]
+pub struct Series {
+    /// Series key (`word`, `local_extent`, …).
+    pub name: &'static str,
+    /// What the size axis counts.
+    pub size: &'static str,
+    /// `(size, median_ms)` points, in sweep order.
+    pub points: Vec<(usize, f64)>,
+}
+
+impl Series {
+    /// The empirical polynomial degree of the series in its size.
+    pub fn slope(&self) -> f64 {
+        let points: Vec<(f64, f64)> = self.points.iter().map(|&(n, ms)| (n as f64, ms)).collect();
+        log_log_slope(&points)
+    }
+}
+
+/// What the semi-deciders settled on one undecidable Table 1 cell's
+/// monoid corpus, checked against the oracle's ground truth.
+#[derive(Clone, Debug, Default)]
+pub struct UndecidableCell {
+    /// Cell key.
+    pub name: &'static str,
+    /// Cases the encoded instance settled, agreeing with the oracle.
+    pub conclusive: usize,
+    /// Cases run.
+    pub total: usize,
+    /// Cases the encoded instance settled against the oracle.
+    pub disagreements: usize,
+}
+
+/// Renders `BENCH_table1.json`: the shared meta header, each series'
+/// points and slope (`null` when the fit is not finite), and the
+/// undecidable cells' counts.
+pub fn table1_document(workload: &str, series: &[Series], cells: &[UndecidableCell]) -> String {
+    let series: Vec<String> = series
+        .iter()
+        .map(|s| {
+            let points: Vec<String> = s
+                .points
+                .iter()
+                .map(|&(n, ms)| format!(r#"{{"size": {n}, "median_ms": {ms:.4}}}"#))
+                .collect();
+            let slope = s.slope();
+            let slope = if slope.is_finite() {
+                format!("{slope:.3}")
+            } else {
+                "null".to_owned()
+            };
+            format!(
+                r#"{{"name": "{}", "size": "{}", "points": [{}], "slope": {slope}}}"#,
+                json_escape(s.name),
+                json_escape(s.size),
+                points.join(", ")
+            )
+        })
+        .collect();
+    let cells: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                r#"{{"name": "{}", "conclusive": {}, "total": {}, "disagreements": {}}}"#,
+                json_escape(c.name),
+                c.conclusive,
+                c.total,
+                c.disagreements
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"meta\": {},\n  \"series\": [\n    {}\n  ],\n  \"undecidable\": [\n    {}\n  ]\n}}\n",
+        bench_meta(workload),
+        series.join(",\n    "),
+        cells.join(",\n    ")
+    )
 }
 
 #[cfg(test)]
@@ -660,6 +723,42 @@ mod tests {
             .get("rustc")
             .and_then(pathcons_engine::Json::as_str)
             .is_some());
+    }
+
+    #[test]
+    fn table1_document_parses_with_meta_and_slope() {
+        use pathcons_engine::Json;
+        let cubic = Series {
+            name: "cubic",
+            size: "n",
+            points: (1..=6).map(|n| (n, (n as f64).powi(3))).collect(),
+        };
+        let cell = UndecidableCell {
+            name: "cell",
+            conclusive: 2,
+            total: 3,
+            disagreements: 0,
+        };
+        let doc = table1_document("synthetic", &[cubic], &[cell]);
+        let parsed = Json::parse(&doc).expect("Table 1 document parses as JSON");
+        assert_eq!(
+            parsed
+                .get("meta")
+                .and_then(|m| m.get("schema"))
+                .and_then(Json::as_u64),
+            Some(BENCH_SCHEMA_VERSION as u64)
+        );
+        let series = parsed.get("series").and_then(Json::as_array).unwrap();
+        assert_eq!(
+            series[0]
+                .get("points")
+                .and_then(Json::as_array)
+                .unwrap()
+                .len(),
+            6
+        );
+        let slope = series[0].get("slope").and_then(Json::as_f64).unwrap();
+        assert!((slope - 3.0).abs() < 1e-3, "cubic slope read {slope}");
     }
 
     #[test]

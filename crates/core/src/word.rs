@@ -160,10 +160,12 @@ impl WordEngine {
     }
 }
 
-/// Ablation baseline: decides the same implication by naive BFS over
-/// rewritten words, bounded by `max_len`/`max_words`. Returns `None` when
-/// the bound was insufficient to find `rhs` (inconclusive), `Some(true)`
-/// when found.
+/// Semi-decides the same implication by naive BFS over rewritten words,
+/// bounded by `max_len`/`max_words`: an independent check of the
+/// saturation engine, used by the unit tests and by servebench to confirm
+/// its by-construction Implied verdicts on small theories. Returns `None`
+/// when the bound was insufficient to find `rhs` (inconclusive),
+/// `Some(true)` when found.
 pub fn word_implication_naive(
     sigma: &[PathConstraint],
     phi: &PathConstraint,
