@@ -55,7 +55,7 @@ use pathcons_engine::{
     FaultPlan, Job, JobResult, Json, RetryPolicy, ShedPolicy, Verdict, VerifyMode,
 };
 use pathcons_graph::{parse_graph, to_dot, DotOptions, Graph, LabelInterner};
-use pathcons_store::{ConstraintStore, Endpoint, Server};
+use pathcons_store::{ConstraintStore, Endpoint, Server, SnapshotError};
 use pathcons_types::{infer_typing, parse_schema, Model, Schema, TypeGraph};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -981,11 +981,15 @@ fn cmd_snapshot_build(args: &Args) -> Result<String, CliError> {
 fn cmd_snapshot_info(args: &Args) -> Result<String, CliError> {
     let path = args.required("snapshot")?;
     args.finish(&["snapshot"])?;
-    let bytes =
-        std::fs::read(&path).map_err(|e| CliError::Failed(format!("cannot read `{path}`: {e}")))?;
-    let store = ConstraintStore::from_bytes(&bytes)
-        .map_err(|e| CliError::Failed(format!("`{path}`: {e}")))?;
-    Ok(store.describe())
+    Ok(open_snapshot(&path)?.describe())
+}
+
+/// Loads a snapshot file, streaming it into the store.
+fn open_snapshot(path: &str) -> Result<ConstraintStore, CliError> {
+    ConstraintStore::open(path).map_err(|e| match e {
+        SnapshotError::Io(why) => CliError::Failed(format!("cannot read `{path}`: {why}")),
+        e => CliError::Failed(format!("`{path}`: {e}")),
+    })
 }
 
 /// `pathcons serve`: load the store once, answer JSONL jobs over a
@@ -1030,12 +1034,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
                 "pass one of --snapshot or --contexts, not both".into(),
             ))
         }
-        (Some(path), None) => {
-            let bytes = std::fs::read(path)
-                .map_err(|e| CliError::Failed(format!("cannot read `{path}`: {e}")))?;
-            ConstraintStore::from_bytes(&bytes)
-                .map_err(|e| CliError::Failed(format!("`{path}`: {e}")))?
-        }
+        (Some(path), None) => open_snapshot(path)?,
         (None, Some(path)) => {
             ConstraintStore::from_jsonl(&read_input(path)?).map_err(CliError::Failed)?
         }

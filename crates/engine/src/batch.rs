@@ -1522,8 +1522,9 @@ mod tests {
         use std::sync::Arc;
 
         let rec = Arc::new(InMemoryRecorder::new());
+        // One worker, so the alpha-variant runs after its twin is cached.
         let engine = BatchEngine::new(EngineConfig {
-            threads: 2,
+            threads: 1,
             budget: Budget::default().with_telemetry(Telemetry::new(rec.clone())),
             ..EngineConfig::default()
         });

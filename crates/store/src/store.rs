@@ -24,6 +24,9 @@ use pathcons_engine::{build_context, prepare_job, Job, Json, PreparedJob};
 use pathcons_graph::LabelInterner;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::BufReader;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -205,11 +208,22 @@ impl ConstraintStore {
         })
     }
 
-    /// Loads a store from snapshot bytes (the fast path at serve
-    /// startup): one pass validates the frame and checksum and decodes,
-    /// and the verified checksum becomes the content id.
+    /// Loads a store from snapshot bytes: one pass validates the frame
+    /// and checksum and decodes, and the verified checksum becomes the
+    /// content id.
     pub fn from_bytes(bytes: &[u8]) -> Result<ConstraintStore, SnapshotError> {
-        let (doc, content_id) = snapshot::decode(bytes)?;
+        let (doc, content_id) = snapshot::decode(bytes, bytes.len() as u64)?;
+        Self::from_doc(doc, content_id)
+    }
+
+    /// Loads a store from a snapshot file (the fast path at serve
+    /// startup), streaming it through the decoder so the file's bytes
+    /// are never held beside the columns decoded from them.
+    pub fn open(path: impl AsRef<Path>) -> Result<ConstraintStore, SnapshotError> {
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        let file = File::open(path).map_err(io)?;
+        let length = file.metadata().map_err(io)?.len();
+        let (doc, content_id) = snapshot::decode(BufReader::new(file), length)?;
         Self::from_doc(doc, content_id)
     }
 
@@ -440,9 +454,7 @@ impl ConstraintStore {
     /// Re-derives the content id after a mutation, so `ping`/`stats`
     /// advertise the id of the snapshot the mutated store would write.
     fn refresh_content_id(&mut self) {
-        if let Ok(id) = snapshot::content_id(&self.to_bytes()) {
-            self.content_id = id;
-        }
+        self.content_id = snapshot::content_id(&self.to_doc());
     }
 
     /// Per-context counters for the serve `stats` op, in name order.

@@ -137,7 +137,10 @@ fn mutations_bump_revision_and_invalidate_only_that_context() {
         "a failed mutation changed the snapshot"
     );
     assert_eq!(store.content_id(), id);
-    assert_eq!(store.content_id(), snapshot::content_id(&bytes).unwrap());
+    assert_eq!(
+        store.content_id(),
+        snapshot::decode(&bytes[..], bytes.len() as u64).unwrap().1
+    );
 }
 
 #[test]

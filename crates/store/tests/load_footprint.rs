@@ -5,13 +5,15 @@
 //! columns are shuffled out of order (so the CSR build does real work),
 //! then bounds the peak heap while `ConstraintStore::from_bytes` loads
 //! it: the snapshot buffer plus everything the load allocates must stay
-//! within 3× the snapshot's byte length. The hostile-input test checks
+//! within 3× the snapshot's byte length. Loaded from a file with
+//! `ConstraintStore::open`, which streams it and holds no snapshot
+//! buffer, the load must stay within 2×. The hostile-input test checks
 //! that out-of-table label ids are rejected before any allocation sized
-//! by the id. The two tests take one lock, so neither's allocations land
-//! in the other's count.
+//! by the id. The tests take one lock, so no test's allocations land in
+//! another's count.
 
 use pathcons_store::snapshot::{self, ContextRecord, GraphColumns, SnapshotDoc};
-use pathcons_store::{ColumnarGraph, ConstraintStore};
+use pathcons_store::{ColumnarGraph, ConstraintStore, SnapshotError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Mutex;
@@ -79,6 +81,9 @@ fn reset_peak() -> isize {
 
 /// The bound: snapshot buffer plus load allocations, per snapshot byte.
 const MAX_PEAK_PER_SNAPSHOT_BYTE: usize = 3;
+/// The bound for a load streamed from a file, which holds no snapshot
+/// buffer: load allocations per snapshot byte.
+const MAX_FILE_PEAK_PER_SNAPSHOT_BYTE: usize = 2;
 
 const LABELS: [&str; 7] = ["book", "person", "author", "wrote", "ref", "title", "name"];
 const SIGMA: [&str; 5] = [
@@ -152,13 +157,30 @@ fn snapshot_doc(graph: GraphColumns) -> SnapshotDoc {
     }
 }
 
-#[test]
-fn snapshot_load_peak_heap_is_bounded_by_the_snapshot_size() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+/// The shuffled ~100k-edge bibliography snapshot both load paths read,
+/// and its edge count.
+fn fixture() -> (Vec<u8>, usize) {
     let graph = bibliography(14_000);
     let edges = graph.src.len();
     assert!(edges > 90_000, "about 100k edges, got {edges}");
-    let bytes = snapshot::encode(&snapshot_doc(graph));
+    (snapshot::encode(&snapshot_doc(graph)), edges)
+}
+
+/// Checks a loaded fixture store: the content id, and deduplicated
+/// edges in `(src, label, dst)` order.
+fn check_loaded(store: &ConstraintStore, bytes: &[u8], edges: usize) {
+    let (_, id) = snapshot::decode(bytes, bytes.len() as u64).expect("fixture decodes");
+    assert_eq!(store.content_id(), id);
+    let archive = store.context("archive").expect("archive resident");
+    let graph = archive.columnar().expect("archive graph resident");
+    assert!(graph.edge_count() <= edges);
+    assert!(graph.edges().zip(graph.edges().skip(1)).all(|(a, b)| a < b));
+}
+
+#[test]
+fn snapshot_load_peak_heap_is_bounded_by_the_snapshot_size() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (bytes, edges) = fixture();
 
     let before = reset_peak();
     let store = ConstraintStore::from_bytes(&bytes).expect("snapshot loads");
@@ -174,12 +196,36 @@ fn snapshot_load_peak_heap_is_bounded_by_the_snapshot_size() {
          (bound {MAX_PEAK_PER_SNAPSHOT_BYTE}x)",
         bytes.len()
     );
+    check_loaded(&store, &bytes, edges);
+}
 
-    assert_eq!(store.content_id(), snapshot::content_id(&bytes).unwrap());
-    let archive = store.context("archive").expect("archive resident");
-    let graph = archive.columnar().expect("archive graph resident");
-    assert!(graph.edge_count() <= edges);
-    assert!(graph.edges().zip(graph.edges().skip(1)).all(|(a, b)| a < b));
+#[test]
+fn streamed_file_load_peak_heap_is_bounded_by_the_snapshot_size() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (bytes, edges) = fixture();
+    let path = std::env::temp_dir().join(format!(
+        "pathcons-load-footprint-{}.pcs",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).expect("write the fixture snapshot");
+
+    let before = reset_peak();
+    let loaded = ConstraintStore::open(&path);
+    let peak = (PEAK.load(Ordering::Relaxed) - before) as usize;
+    std::fs::remove_file(&path).expect("remove the fixture snapshot");
+    let store = loaded.expect("snapshot file loads");
+    let ratio = peak as f64 / bytes.len() as f64;
+    eprintln!(
+        "open peak {peak} bytes for a {} byte snapshot ({ratio:.2}x)",
+        bytes.len()
+    );
+    assert!(
+        peak <= MAX_FILE_PEAK_PER_SNAPSHOT_BYTE * bytes.len(),
+        "peak heap {peak} bytes is {ratio:.2}x the {} byte snapshot \
+         (bound {MAX_FILE_PEAK_PER_SNAPSHOT_BYTE}x)",
+        bytes.len()
+    );
+    check_loaded(&store, &bytes, edges);
 }
 
 #[test]
@@ -198,9 +244,14 @@ fn hostile_label_ids_are_rejected_without_id_sized_allocations() {
     graph.label[0] = LABELS.len() as u32;
     graph.label[1] = u32::MAX;
     let bytes = snapshot::encode(&snapshot_doc(graph));
-    assert!(snapshot::content_id(&bytes).is_ok(), "checksum is valid");
     let before = reset_peak();
-    assert!(snapshot::decode(&bytes).is_err());
+    assert!(
+        matches!(
+            snapshot::decode(&bytes[..], bytes.len() as u64),
+            Err(SnapshotError::Corrupt(_))
+        ),
+        "the checksum is valid, the label ids are not"
+    );
     assert!(ConstraintStore::from_bytes(&bytes).is_err());
     assert!(PEAK.load(Ordering::Relaxed) - before < MAX_GROWTH);
 }
