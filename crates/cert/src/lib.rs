@@ -2,7 +2,7 @@
 //!
 //! Certificates for implication answers, and the small trusted checker
 //! that validates them — the "untrusted engine computes, small trusted
-//! checker verifies" split of ROADMAP item 2.
+//! checker verifies" split of ROADMAP item 3.
 //!
 //! Every verdict class has a certificate:
 //!

@@ -6,16 +6,24 @@
 //! carries the whole canonical Σ, so its storage sets the cache's
 //! footprint.
 //!
-//! Entries store the answer *in the label space of the query that
-//! inserted it*, together with that query's renaming into the canonical
-//! space. A later alpha-variant hit composes the two renamings to map
+//! Entries are stored packed (see `PackedEntry`): the answer *in the
+//! label space of the query that inserted it*, that query's renaming
+//! into the canonical space as a sorted slice, and the certificate as
+//! one LEB128 buffer. A refutation's countermodel is kept once, in the
+//! certificate's canonical space; the answer's copy is rebuilt from it
+//! on a hit. [`AnswerCache::lookup`] unpacks a fresh [`CachedEntry`],
+//! and a later alpha-variant hit composes the two renamings to map
 //! evidence (countermodel graphs) into its own label space — see
 //! [`crate::BatchEngine`] for the adaptation step.
 
-use crate::canon::{ContextKey, QueryKey, Renaming};
-use pathcons_cert::Certificate;
-use pathcons_constraints::{Kind, Path, PathConstraint};
-use pathcons_core::Answer;
+use crate::canon::{self, ContextKey, QueryKey, Renaming};
+use pathcons_cert::{
+    BudgetCert, Certificate, CertificateBody, ChaseStep, ChaseTrace, CounterModelCert, ImpliedCert,
+    RewriteStep,
+};
+use pathcons_constraints::{Kind, PathConstraint};
+use pathcons_core::{Answer, CounterModel, CounterModelProvenance, Outcome};
+use pathcons_graph::{Graph, Label, NodeId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -102,13 +110,14 @@ fn encode_constraint(c: &PathConstraint, out: &mut Vec<u8>) {
         Kind::Backward => 1,
     });
     for path in [c.prefix(), c.lhs(), c.rhs()] {
-        encode_path(path, out);
+        encode_word(path.labels(), out);
     }
 }
 
-fn encode_path(path: &Path, out: &mut Vec<u8>) {
-    leb128(out, path.len() as u64);
-    for label in path.labels() {
+/// A word as its length and its label ids.
+fn encode_word(word: &[Label], out: &mut Vec<u8>) {
+    leb128(out, word.len() as u64);
+    for label in word {
         leb128(out, label.index() as u64);
     }
 }
@@ -123,9 +132,294 @@ fn leb128(out: &mut Vec<u8>, mut n: u64) {
     out.push(n as u8);
 }
 
+/// A [`CachedEntry`] as a slot stores it.
+///
+/// An untyped refutation whose certificate graph renames back, through
+/// the inverse of `renaming`, to exactly the answer's countermodel
+/// (same node count, root and edges) stores that countermodel once: the
+/// answer keeps `countermodel: None` and `folded` holds the provenance.
+/// Every other answer is stored whole.
+struct PackedEntry {
+    answer: Answer,
+    folded: Option<CounterModelProvenance>,
+    /// The inserting query's renaming, sorted by source label.
+    renaming: Box<[(Label, Label)]>,
+    /// The certificate's snapshot id and its [`pack_body`] bytes.
+    certificate: Option<(u64, Box<[u8]>)>,
+}
+
+impl PackedEntry {
+    fn pack(entry: CachedEntry) -> PackedEntry {
+        let CachedEntry {
+            mut answer,
+            renaming,
+            certificate,
+        } = entry;
+        let mut folded = None;
+        if let (Outcome::NotImplied(refutation), Some(canonical)) =
+            (&mut answer.outcome, countermodel_graph(&certificate))
+        {
+            let rebuilds = refutation.countermodel.as_ref().is_some_and(|cm| {
+                cm.types.is_none()
+                    && canon::rename_graph(canonical, &canon::invert(&renaming))
+                        .is_some_and(|rebuilt| same_graph(&rebuilt, &cm.graph))
+            });
+            if rebuilds {
+                folded = refutation.countermodel.take().map(|cm| cm.provenance);
+            }
+        }
+        PackedEntry {
+            answer,
+            folded,
+            renaming: renaming.into_iter().collect(),
+            certificate: certificate.map(|c| (c.snapshot, pack_body(&c.body))),
+        }
+    }
+
+    /// Rebuilds the entry `pack` stored; `None` when the certificate
+    /// bytes do not decode or a folded countermodel cannot be rebuilt.
+    fn unpack(&self) -> Option<CachedEntry> {
+        let renaming: Renaming = self.renaming.iter().copied().collect();
+        let certificate = match &self.certificate {
+            None => None,
+            Some((snapshot, bytes)) => Some(Certificate {
+                snapshot: *snapshot,
+                body: unpack_body(bytes)?,
+            }),
+        };
+        let mut answer = self.answer.clone();
+        if let Some(provenance) = self.folded {
+            let canonical = countermodel_graph(&certificate)?;
+            let Outcome::NotImplied(refutation) = &mut answer.outcome else {
+                return None;
+            };
+            refutation.countermodel = Some(CounterModel {
+                graph: canon::rename_graph(canonical, &canon::invert(&renaming))?,
+                types: None,
+                provenance,
+            });
+        }
+        Some(CachedEntry {
+            answer,
+            renaming,
+            certificate,
+        })
+    }
+}
+
+fn countermodel_graph(certificate: &Option<Certificate>) -> Option<&Graph> {
+    match certificate {
+        Some(Certificate {
+            body: CertificateBody::NotImplied(cm),
+            ..
+        }) => Some(&cm.graph),
+        _ => None,
+    }
+}
+
+fn same_graph(a: &Graph, b: &Graph) -> bool {
+    a.node_count() == b.node_count() && a.root() == b.root() && a.edges().eq(b.edges())
+}
+
+/// Tag bytes of the packed certificate bodies, one per variant.
+const CHASE_TRACE: u8 = 0;
+const WORD_REWRITE: u8 = 1;
+const COUNTERMODEL: u8 = 2;
+const BUDGET: u8 = 3;
+
+/// Packs a certificate body into one buffer: its tag byte, then LEB128
+/// integers and length-prefixed words and strings.
+///
+/// - chase trace: `pattern_at`, the step count, then each step's
+///   constraint, `a` and `b`;
+/// - word rewrite: the start word, the step count, then each step's
+///   rule and result word;
+/// - countermodel: the node count, the root, then for each node its
+///   out-degree and its `(label, target)` edges in stored order;
+/// - budget: the reason, then `0`, or `1` and the phase.
+fn pack_body(body: &CertificateBody) -> Box<[u8]> {
+    let mut out = Vec::new();
+    match body {
+        CertificateBody::Implied(ImpliedCert::ChaseReplay(trace)) => {
+            out.push(CHASE_TRACE);
+            leb128(&mut out, trace.pattern_at as u64);
+            leb128(&mut out, trace.steps.len() as u64);
+            for step in &trace.steps {
+                for n in [step.constraint, step.a, step.b] {
+                    leb128(&mut out, n as u64);
+                }
+            }
+        }
+        CertificateBody::Implied(ImpliedCert::WordRewrite { start, steps }) => {
+            out.push(WORD_REWRITE);
+            encode_word(start, &mut out);
+            leb128(&mut out, steps.len() as u64);
+            for step in steps {
+                leb128(&mut out, step.rule as u64);
+                encode_word(&step.result, &mut out);
+            }
+        }
+        CertificateBody::NotImplied(cm) => {
+            out.push(COUNTERMODEL);
+            let graph = &cm.graph;
+            leb128(&mut out, graph.node_count() as u64);
+            leb128(&mut out, graph.root().index() as u64);
+            for node in graph.nodes() {
+                leb128(&mut out, graph.out_degree(node) as u64);
+                for (label, to) in graph.out_edges(node) {
+                    leb128(&mut out, label.index() as u64);
+                    leb128(&mut out, to.index() as u64);
+                }
+            }
+        }
+        CertificateBody::Unknown(budget) => {
+            out.push(BUDGET);
+            pack_bytes(budget.reason.as_bytes(), &mut out);
+            match &budget.phase {
+                None => out.push(0),
+                Some(phase) => {
+                    out.push(1);
+                    pack_bytes(phase.as_bytes(), &mut out);
+                }
+            }
+        }
+    }
+    out.into_boxed_slice()
+}
+
+fn pack_bytes(bytes: &[u8], out: &mut Vec<u8>) {
+    leb128(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Reads back what [`pack_body`] wrote; `None` on malformed or
+/// trailing bytes. Never panics, and every count is bounded by the
+/// bytes left (each counted item takes at least one), so a corrupt
+/// buffer cannot request a huge allocation.
+fn unpack_body(bytes: &[u8]) -> Option<CertificateBody> {
+    let mut r = Unpacker(bytes);
+    let body = match r.byte()? {
+        CHASE_TRACE => {
+            let pattern_at = r.index()?;
+            let steps = (0..r.count()?)
+                .map(|_| {
+                    Some(ChaseStep {
+                        constraint: r.index()?,
+                        a: r.index()?,
+                        b: r.index()?,
+                    })
+                })
+                .collect::<Option<Vec<_>>>()?;
+            if pattern_at > steps.len() {
+                return None;
+            }
+            CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace { steps, pattern_at }))
+        }
+        WORD_REWRITE => {
+            let start = r.word()?;
+            let steps = (0..r.count()?)
+                .map(|_| {
+                    Some(RewriteStep {
+                        rule: r.index()?,
+                        result: r.word()?,
+                    })
+                })
+                .collect::<Option<Vec<_>>>()?;
+            CertificateBody::Implied(ImpliedCert::WordRewrite { start, steps })
+        }
+        COUNTERMODEL => {
+            let nodes = r.count()?;
+            let root = r.index()?;
+            if root >= nodes {
+                return None;
+            }
+            let mut graph = Graph::with_capacity(nodes);
+            for _ in 1..nodes {
+                graph.add_node();
+            }
+            graph.set_root(NodeId::from_index(root));
+            for from in 0..nodes {
+                for _ in 0..r.count()? {
+                    let label = r.label()?;
+                    let to = r.index()?;
+                    if to >= nodes {
+                        return None;
+                    }
+                    graph.add_edge(NodeId::from_index(from), label, NodeId::from_index(to));
+                }
+            }
+            CertificateBody::NotImplied(CounterModelCert { graph })
+        }
+        BUDGET => {
+            let reason = r.string()?;
+            let phase = match r.byte()? {
+                0 => None,
+                1 => Some(r.string()?),
+                _ => return None,
+            };
+            CertificateBody::Unknown(BudgetCert { reason, phase })
+        }
+        _ => return None,
+    };
+    r.0.is_empty().then_some(body)
+}
+
+/// A cursor over a packed certificate body.
+struct Unpacker<'a>(&'a [u8]);
+
+impl Unpacker<'_> {
+    fn byte(&mut self) -> Option<u8> {
+        let (&b, rest) = self.0.split_first()?;
+        self.0 = rest;
+        Some(b)
+    }
+
+    /// An unsigned LEB128 integer; `None` if it is cut off or overflows.
+    fn int(&mut self) -> Option<u64> {
+        let mut n = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            let part = u64::from(b & 0x7f);
+            if shift == 63 && part > 1 {
+                return None;
+            }
+            n |= part << shift;
+            if b & 0x80 == 0 {
+                return Some(n);
+            }
+        }
+        None
+    }
+
+    fn index(&mut self) -> Option<usize> {
+        usize::try_from(self.int()?).ok()
+    }
+
+    /// The length of a sequence whose items take a byte or more each.
+    fn count(&mut self) -> Option<usize> {
+        self.index().filter(|&n| n <= self.0.len())
+    }
+
+    fn label(&mut self) -> Option<Label> {
+        let n = u32::try_from(self.int()?).ok()?;
+        Some(Label::from_index(n as usize))
+    }
+
+    fn word(&mut self) -> Option<Vec<Label>> {
+        (0..self.count()?).map(|_| self.label()).collect()
+    }
+
+    fn string(&mut self) -> Option<String> {
+        let n = self.count()?;
+        let (text, rest) = self.0.split_at(n);
+        self.0 = rest;
+        String::from_utf8(text.to_vec()).ok()
+    }
+}
+
 struct Slot {
     key: StoredKey,
-    entry: CachedEntry,
+    entry: PackedEntry,
     prev: usize,
     next: usize,
 }
@@ -178,39 +472,42 @@ impl AnswerCache {
     }
 
     /// Looks up a canonical key, counting a hit or miss and refreshing
-    /// recency on hit. Returns a clone (entries stay owned by the cache).
+    /// recency on hit. Returns the entry unpacked from its slot (entries
+    /// stay owned by the cache).
     ///
     /// Defensive against torn state: a mapped index whose slot is dead,
-    /// or whose slot stores a *different* key than the map said (the
-    /// canonical-key half of the hit-validator), is treated as a miss —
-    /// the mapping is dropped and a
+    /// whose slot stores a *different* key than the map said (the
+    /// canonical-key half of the hit-validator), or whose packed entry
+    /// does not unpack, is treated as a miss — the mapping and any slot
+    /// behind it are dropped and a
     /// [`CacheStats::validation_evictions`] is counted — rather than
     /// served or panicked on.
     pub fn lookup(&mut self, key: &QueryKey) -> Option<CachedEntry> {
         encode_key(key, &mut self.scratch);
-        match self.map.get(&self.scratch[..]).copied() {
-            Some(idx) => match self.slots.get(idx).and_then(Option::as_ref) {
-                Some(slot) if slot.key[..] == self.scratch[..] => {
-                    self.stats.hits += 1;
-                    self.unlink(idx);
-                    self.push_front(idx);
-                    Some(
-                        self.slots[idx]
-                            .as_ref()
-                            .expect("slot checked live above")
-                            .entry
-                            .clone(),
-                    )
-                }
-                _ => {
-                    // Torn map entry: never serve it.
-                    self.map.remove(&self.scratch[..]);
-                    self.stats.validation_evictions += 1;
-                    self.stats.misses += 1;
-                    None
-                }
-            },
+        let idx = match self.map.get(&self.scratch[..]) {
+            Some(&idx) => idx,
             None => {
+                self.stats.misses += 1;
+                return None;
+            }
+        };
+        let unpacked = self
+            .slots
+            .get(idx)
+            .and_then(Option::as_ref)
+            .filter(|slot| slot.key[..] == self.scratch[..])
+            .and_then(|slot| slot.entry.unpack());
+        match unpacked {
+            Some(entry) => {
+                self.stats.hits += 1;
+                self.unlink(idx);
+                self.push_front(idx);
+                Some(entry)
+            }
+            None => {
+                // Torn map entry or undecodable slot: never serve it.
+                self.remove_mapped(idx);
+                self.stats.validation_evictions += 1;
                 self.stats.misses += 1;
                 None
             }
@@ -222,14 +519,10 @@ impl AnswerCache {
     /// was present.
     pub fn evict_invalid(&mut self, key: &QueryKey) -> bool {
         encode_key(key, &mut self.scratch);
-        let removed = match self.map.remove(&self.scratch[..]) {
+        let removed = match self.map.get(&self.scratch[..]) {
             None => false,
-            Some(idx) => {
-                if self.slots.get(idx).and_then(Option::as_ref).is_some() {
-                    self.unlink(idx);
-                    self.slots[idx] = None;
-                    self.free.push(idx);
-                }
+            Some(&idx) => {
+                self.remove_mapped(idx);
                 true
             }
         };
@@ -237,6 +530,22 @@ impl AnswerCache {
             self.stats.validation_evictions += 1;
         }
         removed
+    }
+
+    /// Drops the mapping of the key in `scratch`, which points at
+    /// `idx`, and frees that slot if it is live and stores this key.
+    fn remove_mapped(&mut self, idx: usize) {
+        self.map.remove(&self.scratch[..]);
+        let owned = self
+            .slots
+            .get(idx)
+            .and_then(Option::as_ref)
+            .is_some_and(|slot| slot.key[..] == self.scratch[..]);
+        if owned {
+            self.unlink(idx);
+            self.slots[idx] = None;
+            self.free.push(idx);
+        }
     }
 
     /// Stores an entry, evicting the least-recently-used one if full.
@@ -249,7 +558,7 @@ impl AnswerCache {
         if let Some(idx) = self.map.get(&self.scratch[..]).copied() {
             // Overwrite in place (a concurrent miss may have re-solved).
             let slot = self.slots[idx].as_mut().expect("mapped slot is live");
-            slot.entry = entry;
+            slot.entry = PackedEntry::pack(entry);
             self.unlink(idx);
             self.push_front(idx);
             return;
@@ -273,7 +582,7 @@ impl AnswerCache {
         let key: StoredKey = Arc::from(&self.scratch[..]);
         self.slots[idx] = Some(Slot {
             key: Arc::clone(&key),
-            entry,
+            entry: PackedEntry::pack(entry),
             prev: NIL,
             next: NIL,
         });
@@ -359,8 +668,9 @@ impl AnswerCache {
 mod tests {
     use super::*;
     use crate::canon::ContextKey;
+    use crate::certwire::certificate_to_json;
     use pathcons_constraints::{Path, PathConstraint};
-    use pathcons_core::{Answer, Evidence, Method, Outcome};
+    use pathcons_core::{Answer, Evidence, Method, Outcome, Refutation};
     use pathcons_graph::Label;
 
     fn key(n: usize) -> QueryKey {
@@ -534,6 +844,208 @@ mod tests {
                 assert_ne!(stored(a), stored(b), "{a:?} vs {b:?}");
             }
         }
+    }
+
+    fn labels(ids: &[usize]) -> Vec<Label> {
+        ids.iter().map(|&i| Label::from_index(i)).collect()
+    }
+
+    /// A graph over labels `base..base + 3` with a non-zero root and
+    /// multi-byte label ids when `base` is large.
+    fn graph(base: usize) -> Graph {
+        let mut g = Graph::new();
+        let a = g.add_node();
+        let b = g.add_node();
+        g.set_root(a);
+        g.add_edge(a, Label::from_index(base + 2), b);
+        g.add_edge(a, Label::from_index(base), NodeId::from_index(0));
+        g.add_edge(b, Label::from_index(base + 1), a);
+        g.add_edge(b, Label::from_index(base + 1), b);
+        g
+    }
+
+    fn bodies() -> Vec<CertificateBody> {
+        let step = |constraint, a, b| ChaseStep { constraint, a, b };
+        vec![
+            CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace::default())),
+            CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace {
+                steps: vec![step(0, 1, 2), step(129, 300, 70_000), step(3, 0, 128)],
+                pattern_at: 2,
+            })),
+            CertificateBody::Implied(ImpliedCert::WordRewrite {
+                start: labels(&[0, 1]),
+                steps: vec![
+                    RewriteStep {
+                        rule: 0,
+                        result: labels(&[2]),
+                    },
+                    RewriteStep {
+                        rule: 200,
+                        result: labels(&[128, 16_384, 0]),
+                    },
+                    RewriteStep {
+                        rule: 1,
+                        result: vec![],
+                    },
+                ],
+            }),
+            CertificateBody::NotImplied(CounterModelCert {
+                graph: Graph::new(),
+            }),
+            CertificateBody::NotImplied(CounterModelCert { graph: graph(0) }),
+            CertificateBody::NotImplied(CounterModelCert { graph: graph(127) }),
+            CertificateBody::Unknown(BudgetCert {
+                reason: "step-budget".to_owned(),
+                phase: Some("chase-rounds".to_owned()),
+            }),
+            CertificateBody::Unknown(BudgetCert {
+                reason: "chase-budget".to_owned(),
+                phase: None,
+            }),
+        ]
+    }
+
+    #[test]
+    fn packed_bodies_unpack_to_the_same_wire_text() {
+        for body in bodies() {
+            let certificate = Certificate {
+                snapshot: 0xfeed_f00d,
+                body,
+            };
+            let packed = pack_body(&certificate.body);
+            let unpacked = Certificate {
+                snapshot: certificate.snapshot,
+                body: unpack_body(&packed).expect("a packed body unpacks"),
+            };
+            assert_eq!(
+                certificate_to_json(&unpacked).to_string(),
+                certificate_to_json(&certificate).to_string()
+            );
+        }
+    }
+
+    #[test]
+    fn cut_or_padded_bodies_do_not_unpack() {
+        for body in bodies() {
+            let packed = pack_body(&body);
+            for len in 0..packed.len() {
+                assert!(
+                    unpack_body(&packed[..len]).is_none(),
+                    "{body:?} cut at {len}"
+                );
+            }
+            let mut padded = packed.to_vec();
+            padded.push(0);
+            assert!(
+                unpack_body(&padded).is_none(),
+                "{body:?} with a trailing byte"
+            );
+        }
+        assert!(unpack_body(&[9]).is_none(), "unknown tag");
+        // A count larger than the buffer is rejected before allocating.
+        assert!(unpack_body(&[COUNTERMODEL, 0xff, 0xff, 0xff, 0xff, 0x0f, 0]).is_none());
+    }
+
+    /// Swaps labels 0 and 1 and fixes 2 (its own inverse).
+    fn swap() -> Renaming {
+        [(0, 1), (1, 0), (2, 2)]
+            .into_iter()
+            .map(|(a, b)| (Label::from_index(a), Label::from_index(b)))
+            .collect()
+    }
+
+    /// A refuted entry whose answer holds `answer_graph` (typed when
+    /// `typed`) and whose certificate holds `cert_graph`, under
+    /// [`swap`].
+    fn refuted(answer_graph: Graph, cert_graph: Graph, typed: bool) -> CachedEntry {
+        let types = typed
+            .then(|| vec![pathcons_types::TypeNodeId::from_index(0); answer_graph.node_count()]);
+        CachedEntry {
+            answer: Answer {
+                outcome: Outcome::NotImplied(Refutation::with_countermodel(CounterModel {
+                    graph: answer_graph,
+                    types,
+                    provenance: CounterModelProvenance::PostStarQuotient,
+                })),
+                method: Method::WordAutomaton,
+            },
+            renaming: swap(),
+            certificate: Some(Certificate {
+                snapshot: 7,
+                body: CertificateBody::NotImplied(CounterModelCert { graph: cert_graph }),
+            }),
+        }
+    }
+
+    fn stored_countermodel(cache: &AnswerCache, key: &QueryKey) -> bool {
+        let idx = cache.map[&stored(key)];
+        let entry = &cache.slots[idx].as_ref().unwrap().entry;
+        entry.answer.outcome.countermodel().is_some()
+    }
+
+    #[test]
+    fn countermodels_are_stored_once_only_when_the_certificate_rebuilds_them() {
+        let canonical = graph(0);
+        let own = canon::rename_graph(&canonical, &swap()).unwrap();
+        let mut cache = AnswerCache::new(4);
+        cache.insert(key(0), refuted(own.clone(), canonical.clone(), false));
+        cache.insert(key(1), refuted(own.clone(), canonical.clone(), true));
+        // Mismatched: the certificate graph is the answer's unrenamed.
+        cache.insert(key(2), refuted(own.clone(), own.clone(), false));
+        assert!(
+            !stored_countermodel(&cache, &key(0)),
+            "folded into the certificate"
+        );
+        assert!(
+            stored_countermodel(&cache, &key(1)),
+            "typed keeps its graph"
+        );
+        assert!(
+            stored_countermodel(&cache, &key(2)),
+            "mismatched keeps its graph"
+        );
+        for (k, typed) in [(key(0), false), (key(1), true), (key(2), false)] {
+            let entry = cache.lookup(&k).expect("hit");
+            let cm = entry
+                .answer
+                .outcome
+                .countermodel()
+                .expect("countermodel served");
+            assert!(same_graph(&cm.graph, &own), "{k:?}");
+            assert_eq!(cm.types.is_some(), typed);
+            assert_eq!(cm.provenance, CounterModelProvenance::PostStarQuotient);
+        }
+        assert_eq!(cache.stats().validation_evictions, 0);
+    }
+
+    #[test]
+    fn truncated_packed_entries_miss_instead_of_panicking() {
+        let canonical = graph(0);
+        let own = canon::rename_graph(&canonical, &swap()).unwrap();
+        let mut cache = AnswerCache::new(4);
+        cache.insert(key(0), refuted(own, canonical, false));
+        assert!(!stored_countermodel(&cache, &key(0)), "folded");
+        cache.insert(key(1), entry());
+        // Tear the slot: cut its packed certificate short (as a panic
+        // mid-write could).
+        let idx0 = cache.map[&stored(&key(0))];
+        let slot = cache.slots[idx0].as_mut().unwrap();
+        let (_, bytes) = slot.entry.certificate.as_mut().unwrap();
+        *bytes = bytes[..bytes.len() / 2].into();
+        assert!(
+            cache.lookup(&key(0)).is_none(),
+            "undecodable entry is a miss"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
+        assert_eq!(stats.validation_evictions, 1);
+        assert_eq!(cache.len(), 1, "the torn entry is evicted");
+        assert!(cache.lookup(&key(0)).is_none());
+        assert_eq!(cache.stats().validation_evictions, 1, "a plain miss now");
+        // The freed slot is reusable and the other entry untouched.
+        assert!(cache.lookup(&key(1)).is_some());
+        cache.insert(key(2), entry());
+        assert!(cache.lookup(&key(2)).is_some());
     }
 
     #[test]

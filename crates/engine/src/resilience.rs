@@ -280,7 +280,7 @@ impl std::fmt::Display for HitInvalid {
 ///
 /// This is the cheap, deterministic checker of the "untrusted engine
 /// computes, small trusted checker verifies" architecture (ROADMAP item
-/// 2) applied to the cache: every invariant the insert path establishes
+/// 3) applied to the cache: every invariant the insert path establishes
 /// is re-checked at serve time, so a torn write — however it happened —
 /// is detected and evicted instead of propagated. Cost is O(renaming +
 /// countermodel edges); no solving, no hashing of the whole answer.

@@ -1,12 +1,14 @@
 //! Memory regression test for cached word-tier refutations.
 //!
-//! A refuted entry holds its countermodel twice: in the answer and,
-//! renamed, in the certificate. A counting global allocator tracks live
-//! heap bytes while a capacity-512 `AnswerCache` fills with refuted
-//! entries of fresh 32-rule theories over four labels — one cold word
-//! job each, as a cold-theory workload sends them — and the live-heap
-//! growth per entry is bounded. Keeping this binary to a single
-//! `#[test]` keeps other tests' allocations out of the count.
+//! A refuted entry holds its countermodel once: the certificate keeps
+//! it, renamed into canonical labels and packed into one LEB128 buffer,
+//! and a hit rebuilds the answer's copy from it. A counting global
+//! allocator tracks live heap bytes while a capacity-512 `AnswerCache`
+//! fills with refuted entries of fresh 32-rule theories over four
+//! labels — one cold word job each, as a cold-theory workload sends
+//! them — and the live-heap growth per entry is bounded. Keeping this
+//! binary to a single `#[test]` keeps other tests' allocations out of
+//! the count.
 
 use pathcons_constraints::{Path, PathConstraint};
 use pathcons_core::{DataContext, Outcome, Solver};
@@ -62,10 +64,11 @@ static GLOBAL: Counting = Counting;
 const CAPACITY: usize = 512;
 const RULES: usize = 32;
 const LABELS: u64 = 4;
-/// The bound: at most 12 KiB of live heap per cached refutation, key
-/// included. With residual-quotient countermodels an entry takes about
-/// 8.7 KB; with canonical-model truncations it took about 34.7 KB.
-const MAX_BYTES_PER_ENTRY: isize = 12 * 1024;
+/// The bound: at most 2 KiB of live heap per cached refutation, key
+/// included. With the countermodel stored once, packed, an entry takes
+/// about 760 bytes; holding it twice as `Graph`s took about 5.5 KB, and
+/// canonical-model truncations about 34.7 KB.
+const MAX_BYTES_PER_ENTRY: isize = 2 * 1024;
 
 fn path(labels: &[u64]) -> Path {
     Path::from_labels(labels.iter().map(|&l| Label::from_index(l as usize)))
@@ -92,7 +95,7 @@ fn jobs() -> impl Iterator<Item = (Vec<PathConstraint>, PathConstraint)> {
 }
 
 #[test]
-fn cached_refutations_stay_under_twelve_kib_each() {
+fn cached_refutations_stay_under_two_kib_each() {
     let context = DataContext::Semistructured;
     let solver = Solver::new(context.clone());
     let mut cache = AnswerCache::new(CAPACITY);

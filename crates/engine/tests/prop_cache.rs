@@ -1,11 +1,16 @@
 //! Satellite property: for random `(Σ, φ)`, the answer served through
 //! the cache is identical to a fresh `Solver::implies` — same verdict
 //! and, for positive answers, the same evidence kind. Exercised both
-//! for exact repeats and for alpha-renamed variants.
+//! for exact repeats and for alpha-renamed variants. A hit also serves
+//! the miss's certificate, byte for byte on the wire, and an exact hit
+//! the miss's countermodel edges.
 
+use pathcons_cert::Certificate;
 use pathcons_constraints::PathConstraint;
 use pathcons_core::{Budget, DataContext, Outcome, Solver};
-use pathcons_engine::{evidence_kind, BatchEngine, CacheOutcome, EngineConfig, PreparedJob};
+use pathcons_engine::{
+    certificate_to_json, evidence_kind, BatchEngine, CacheOutcome, EngineConfig, PreparedJob,
+};
 use pathcons_graph::LabelInterner;
 use proptest::prelude::*;
 
@@ -72,6 +77,12 @@ fn assert_same_answer(cached: &pathcons_core::Answer, fresh: &pathcons_core::Ans
     }
 }
 
+fn wire(certificate: &Option<Certificate>) -> Option<String> {
+    certificate
+        .as_ref()
+        .map(|c| certificate_to_json(c).to_string())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -101,13 +112,23 @@ proptest! {
         let fresh = fresh_solve(&job);
 
         // First pass: a miss must reproduce the fresh answer exactly.
-        let (first, c1, _) = engine.solve(&job, budget.clone()).unwrap();
+        let (first, c1, first_cert) = engine.solve(&job, budget.clone()).unwrap();
         prop_assert!(c1 == CacheOutcome::Miss);
         assert_same_answer(&first, &fresh, "miss");
 
-        // Second pass: the hit must still agree with a fresh solve.
-        let (second, _, _) = engine.solve(&job, budget.clone()).unwrap();
+        // Second pass: the hit must still agree with a fresh solve, and
+        // serve the miss's certificate and countermodel unchanged.
+        let (second, c2, second_cert) = engine.solve(&job, budget.clone()).unwrap();
         assert_same_answer(&second, &fresh, "exact hit");
+        prop_assert!(c2 == CacheOutcome::Hit);
+        prop_assert_eq!(wire(&second_cert), wire(&first_cert), "exact hit certificate");
+        let edges = |answer: &pathcons_core::Answer| {
+            answer
+                .outcome
+                .countermodel()
+                .map(|cm| cm.graph.edges().collect::<Vec<_>>())
+        };
+        prop_assert_eq!(edges(&second), edges(&first), "exact hit countermodel");
 
         // Alpha-renamed variant: relabel x↦y↦z, same shape. The served
         // answer must match a fresh solve *of the renamed query*, and
@@ -118,8 +139,10 @@ proptest! {
         let renamed_phi_text = constraint_text(phi_seed, &renamed_alphabet);
         let renamed = parse_query(&renamed_sigma_texts, &renamed_phi_text, &alphabet);
         let fresh_renamed = fresh_solve(&renamed);
-        let (served, _, _) = engine.solve(&renamed, budget.clone()).unwrap();
+        let (served, c3, served_cert) = engine.solve(&renamed, budget.clone()).unwrap();
         assert_same_answer(&served, &fresh_renamed, "alpha variant");
+        prop_assert!(c3 == CacheOutcome::Hit);
+        prop_assert_eq!(wire(&served_cert), wire(&first_cert), "alpha variant certificate");
         if let Some(cm) = served.outcome.countermodel() {
             prop_assert!(pathcons_core::is_countermodel(&cm.graph, &renamed.sigma, &renamed.phi));
         }
