@@ -19,7 +19,7 @@
 
 use pathcons_bench::{bench_meta, gen_word_instance, median_time_ms};
 use pathcons_constraints::{Path, PathConstraint};
-use pathcons_core::{SharedWord, WordEngine};
+use pathcons_core::WordEngine;
 use pathcons_graph::Label;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,7 +32,7 @@ struct Cell {
     distinct_lhs: usize,
     /// All queries, re-saturating `post*` for every one (the cold path).
     cold_ms: f64,
-    /// All queries through a fresh shared cache: one saturation per
+    /// All queries through a fresh memoizing engine: one saturation per
     /// distinct lhs, membership for the rest.
     warm_ms: f64,
     /// One `post*` saturation.
@@ -71,31 +71,30 @@ fn measure_cell(
 
     // Both paths must agree on every verdict before timing means anything.
     let engine = WordEngine::new(&inst.sigma).expect("generated sigma is word constraints");
-    let shared = SharedWord::build(&inst.sigma).expect("generated sigma is word constraints");
+    let cold = |q: &PathConstraint| engine.system().post_star(q.lhs()).accepts(q.rhs());
     for q in &qs {
         assert_eq!(
+            cold(q),
             engine.implies_word(q.lhs(), q.rhs()),
-            shared.implies_word(q.lhs(), q.rhs()),
-            "cached membership diverged from cold reaches on {q:?}"
+            "memoized membership diverged from a fresh saturation on {q:?}"
         );
     }
 
     let cold_ms = median_time_ms(reps, || {
         for q in &qs {
-            std::hint::black_box(engine.implies_word(q.lhs(), q.rhs()));
+            std::hint::black_box(cold(q));
         }
     });
     let warm_ms = median_time_ms(reps, || {
-        let shared = SharedWord::build(&inst.sigma).expect("word sigma");
+        let engine = WordEngine::new(&inst.sigma).expect("word sigma");
         for q in &qs {
-            std::hint::black_box(shared.implies_word(q.lhs(), q.rhs()));
+            std::hint::black_box(engine.implies_word(q.lhs(), q.rhs()));
         }
     });
     let saturation_ms = median_time_ms(reps, || {
-        let shared = SharedWord::build(&inst.sigma).expect("word sigma");
-        std::hint::black_box(shared.consequences(lhs_pool[0].labels()));
+        std::hint::black_box(engine.system().post_star(lhs_pool[0].labels()));
     });
-    let nfa = shared.consequences(lhs_pool[0].labels());
+    let nfa = engine.consequences(lhs_pool[0].labels());
     let membership_ms = median_time_ms(reps, || {
         for q in &qs {
             std::hint::black_box(nfa.accepts(q.rhs().labels()));

@@ -8,158 +8,26 @@
 //!   [`SharedChase`], resumed per query by
 //!   [`crate::chase_implication_with`]);
 //! - `post*` saturation of the prefix-rewriting system, which depends
-//!   only on `(Σ, φ.lhs)` — so per distinct left-hand side the
-//!   saturated automaton is cached and each query answers as NFA
-//!   membership ([`SharedWord`]), plus the ε-collapse predicate, which
-//!   is Σ-only and precomputed at build.
+//!   only on `(Σ, φ.lhs)`: the context keeps one [`WordEngine`], whose
+//!   per-lhs memo turns each repeat query into NFA membership, and
+//!   whose Σ-only ε-collapse predicate is forced at build.
 //!
 //! A [`SharedContext`] bundles both and is attached to a
 //! [`crate::Solver`] via [`crate::Solver::with_shared`]. Reuse is
-//! guarded: each component checks that the query's Σ (and, for the
-//! chase, the budget caps) is *identical* to what it was built from and
-//! silently falls back to cold solving otherwise — the shared state is
-//! an accelerator, never a source of different answers. Warm and cold
-//! runs produce byte-identical verdicts, traces, and countermodels;
-//! `reaches(α, β)` is *defined* as `post*(α) ∋ β`, so cached membership
-//! is the same computation, and the shared chase resumes the exact
+//! guarded: the context checks that the query's Σ (and, for the chase,
+//! the budget caps) is *identical* to what it was built from, and the
+//! caller silently falls back to cold solving otherwise — the shared
+//! state is an accelerator, never a source of different answers. Warm
+//! and cold runs produce byte-identical verdicts, traces, and
+//! countermodels: a cold engine runs the same [`WordEngine::decide`]
+//! over the same saturations, and the shared chase resumes the exact
 //! deterministic state a cold run recomputes inline.
 
 use crate::chase::SharedChase;
 use crate::outcome::Budget;
 use crate::word::WordEngine;
-use pathcons_automata::{determinize_capped, Dfa, Nfa};
-use pathcons_constraints::{Path, PathConstraint};
-use pathcons_graph::Label;
-use std::collections::BTreeMap;
+use pathcons_constraints::PathConstraint;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Per-context word-constraint amortization: the prefix-rewriting
-/// system built once, the ε-collapse predicate precomputed, and one
-/// saturated `post*` automaton cached per distinct query left-hand
-/// side.
-pub struct SharedWord {
-    sigma: Vec<PathConstraint>,
-    engine: WordEngine,
-    collapse: bool,
-    /// `post*(lhs)` per lhs. Saturation is a function of `(Σ, lhs)`
-    /// alone; the automaton is immutable once built, so clones of the
-    /// `Arc` are handed out under a short lock.
-    post: Mutex<BTreeMap<Vec<Label>, Arc<Nfa>>>,
-    /// Determinized `post*(lhs)` per lhs, for callers that test many
-    /// memberships against one saturation (certificate extraction).
-    /// `None` records that determinization blew the state cap for this
-    /// lhs, so it is not retried.
-    post_dfa: Mutex<BTreeMap<Vec<Label>, Option<Arc<Dfa>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Subset-state ceiling for the determinized `post*` cache: the DFA is
-/// an accelerator for repeated membership, and an automaton that blows
-/// this up determinizing is served by NFA membership instead.
-const POST_DFA_STATE_CAP: usize = 4_096;
-
-impl SharedWord {
-    /// Builds the shared word state, or `None` when Σ is not a pure
-    /// word-constraint theory (the word engine would never run on it).
-    pub fn build(sigma: &[PathConstraint]) -> Option<SharedWord> {
-        if !sigma.iter().all(|c| c.is_word()) {
-            return None;
-        }
-        let engine = WordEngine::new(sigma).ok()?;
-        let collapse = engine.has_epsilon_collapse();
-        Some(SharedWord {
-            sigma: sigma.to_vec(),
-            engine,
-            collapse,
-            post: Mutex::new(BTreeMap::new()),
-            post_dfa: Mutex::new(BTreeMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
-
-    /// Whether this state was built from exactly this Σ (in order).
-    pub fn compatible(&self, sigma: &[PathConstraint]) -> bool {
-        self.sigma == sigma
-    }
-
-    /// The Σ-only ε-collapse predicate (see
-    /// [`WordEngine::has_epsilon_collapse`]), paid once at build.
-    pub fn has_epsilon_collapse(&self) -> bool {
-        self.collapse
-    }
-
-    /// Pre-saturates `post*` for each of `words` (e.g. the left-hand
-    /// sides expected in traffic).
-    pub fn warm(&self, words: &[Vec<Label>]) {
-        for word in words {
-            let _ = self.consequences(word);
-        }
-    }
-
-    /// The cached `post*(alpha)` automaton, saturating on first use.
-    pub fn consequences(&self, alpha: &[Label]) -> Arc<Nfa> {
-        let mut post = self.post.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(nfa) = post.get(alpha) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(nfa);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let nfa = Arc::new(self.engine.system().post_star(alpha));
-        post.insert(alpha.to_vec(), Arc::clone(&nfa));
-        nfa
-    }
-
-    /// Whether `lhs → rhs` is derivable — `post*(lhs) ∋ rhs`, which is
-    /// exactly what a cold [`WordEngine::implies_word`] computes.
-    pub fn implies_word(&self, lhs: &Path, rhs: &Path) -> bool {
-        self.consequences(lhs).accepts(rhs)
-    }
-
-    /// The cached *determinized* `post*(alpha)` automaton — same
-    /// language as [`Self::consequences`], O(|word|) membership — or
-    /// `None` when determinization blew the state cap for this alpha.
-    /// Built once per lhs (subset construction is deterministic, so
-    /// every caller sees the same automaton).
-    pub fn consequences_dfa(&self, alpha: &[Label]) -> Option<Arc<Dfa>> {
-        if let Some(cached) = self
-            .post_dfa
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(alpha)
-        {
-            return cached.clone();
-        }
-        // Determinize outside the lock: the construction can be slow and
-        // a racing builder computes the identical automaton anyway.
-        let nfa = self.consequences(alpha);
-        let alphabet: std::collections::BTreeSet<Label> = (0..nfa.state_count())
-            .flat_map(|i| {
-                nfa.transitions(pathcons_automata::StateId::from_index(i))
-                    .map(|(l, _)| l)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let alphabet: Vec<Label> = alphabet.into_iter().collect();
-        let dfa = determinize_capped(&nfa, &alphabet, POST_DFA_STATE_CAP).map(Arc::new);
-        self.post_dfa
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(alpha.to_vec())
-            .or_insert(dfa)
-            .clone()
-    }
-
-    /// `(hits, misses)` of the `post*` cache so far.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
 
 /// Counter snapshot of a [`SharedContext`], for service stats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -186,10 +54,10 @@ impl std::fmt::Debug for SharedContext {
 }
 
 /// Everything one context shares across its queries: the Σ-only chase
-/// prefix and (for word theories) the saturated-`post*` cache.
+/// prefix and (for word theories) the memoizing word engine.
 pub struct SharedContext {
     chase: SharedChase,
-    word: Option<SharedWord>,
+    word: Option<WordEngine>,
     chase_reuses: AtomicU64,
 }
 
@@ -198,9 +66,14 @@ impl SharedContext {
     /// with an unarmed deadline: the work done here is charged to the
     /// context, not to any query.
     pub fn build(sigma: &[PathConstraint], budget: &Budget) -> SharedContext {
+        let word = WordEngine::new(sigma).ok();
+        if let Some(engine) = &word {
+            // The Σ-only collapse check is paid here, not by a query.
+            engine.has_epsilon_collapse();
+        }
         SharedContext {
             chase: SharedChase::build(sigma, budget),
-            word: SharedWord::build(sigma),
+            word,
             chase_reuses: AtomicU64::new(0),
         }
     }
@@ -217,10 +90,10 @@ impl SharedContext {
         }
     }
 
-    /// The shared word state for a query on `sigma`, or `None` when Σ
-    /// differs or is not a word theory.
-    pub fn word_for(&self, sigma: &[PathConstraint]) -> Option<&SharedWord> {
-        self.word.as_ref().filter(|w| w.compatible(sigma))
+    /// The shared word engine for a query on `sigma`, or `None` when Σ
+    /// differs (in any constraint or in order) or is not a word theory.
+    pub fn word_for(&self, sigma: &[PathConstraint]) -> Option<&WordEngine> {
+        self.word.as_ref().filter(|_| self.chase.sigma() == sigma)
     }
 
     /// The underlying chase prefix snapshot.
@@ -228,8 +101,8 @@ impl SharedContext {
         &self.chase
     }
 
-    /// The underlying word state, when Σ is a word theory.
-    pub fn word(&self) -> Option<&SharedWord> {
+    /// The underlying word engine, when Σ is a word theory.
+    pub fn word(&self) -> Option<&WordEngine> {
         self.word.as_ref()
     }
 
@@ -238,7 +111,7 @@ impl SharedContext {
         let (word_hits, word_misses) = self
             .word
             .as_ref()
-            .map(SharedWord::cache_stats)
+            .map(WordEngine::cache_stats)
             .unwrap_or((0, 0));
         SharedStats {
             chase_reuses: self.chase_reuses.load(Ordering::Relaxed),
@@ -253,7 +126,7 @@ impl SharedContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcons_constraints::parse_constraints;
+    use pathcons_constraints::{parse_constraints, Path};
     use pathcons_graph::LabelInterner;
 
     #[test]
@@ -264,8 +137,8 @@ mod tests {
             &mut labels,
         )
         .unwrap();
-        let shared = SharedWord::build(&sigma).expect("word theory");
-        let engine = WordEngine::new(&sigma).unwrap();
+        let shared = SharedContext::build(&sigma, &Budget::small());
+        let engine = shared.word_for(&sigma).expect("word theory");
         let queries = [
             ("book.ref.author", "person"),
             ("book.ref.ref.ref", "book"),
@@ -277,12 +150,12 @@ mod tests {
             let lhs = Path::parse(lhs_text, &mut labels).unwrap();
             let rhs = Path::parse(rhs_text, &mut labels).unwrap();
             assert_eq!(
-                shared.implies_word(&lhs, &rhs),
                 engine.implies_word(&lhs, &rhs),
+                engine.system().reaches(&lhs, &rhs),
                 "{lhs_text} -> {rhs_text}"
             );
         }
-        let (hits, misses) = shared.cache_stats();
+        let (hits, misses) = engine.cache_stats();
         // Four distinct lhs, five queries: the repeat hits.
         assert_eq!(misses, 4);
         assert_eq!(hits, 1);
@@ -292,7 +165,6 @@ mod tests {
     fn non_word_theories_have_no_word_state() {
         let mut labels = LabelInterner::new();
         let sigma = parse_constraints("K: a -> b", &mut labels).unwrap();
-        assert!(SharedWord::build(&sigma).is_none());
         let shared = SharedContext::build(&sigma, &Budget::default());
         assert!(shared.word().is_none());
         assert!(shared.word_for(&sigma).is_none());

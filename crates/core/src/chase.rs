@@ -304,6 +304,11 @@ impl SharedChase {
             && self.sigma == sigma
     }
 
+    /// The Σ the prefix was built from.
+    pub(crate) fn sigma(&self) -> &[PathConstraint] {
+        &self.sigma
+    }
+
     /// How the prefix run ended.
     pub fn end(&self) -> PrefixEnd {
         self.end

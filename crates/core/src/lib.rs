@@ -32,7 +32,7 @@ mod solver;
 mod typed_m;
 mod word;
 
-pub use amortize::{SharedContext, SharedStats, SharedWord};
+pub use amortize::{SharedContext, SharedStats};
 pub use chase::{
     chase_implication, chase_implication_reference, chase_implication_with, PrefixEnd, SharedChase,
 };
@@ -60,6 +60,4 @@ pub use typed_m::{m_implies, m_satisfiable, MSatisfiability, NotAnMSchema};
 pub use word::{word_implication_naive, NotAWordConstraint, WordEngine};
 
 mod word_evidence;
-pub use word_evidence::{
-    derivation, derivation_guided, quotient_countermodel, Derivation, DerivationStep,
-};
+pub use word_evidence::{derivation_guided, quotient_countermodel, Derivation, DerivationStep};

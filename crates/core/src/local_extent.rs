@@ -8,28 +8,38 @@
 //! 2. constraints on *other* local databases (`Σ_r`) do not interact with
 //!    the implication (Lemma 5.3) and are discarded;
 //! 3. `g₂` strips `K` from the remaining prefixes, yielding a pure word
-//!    constraint instance decided by the PTIME engine of
-//!    [`crate::word`].
+//!    constraint instance decided by [`WordEngine::decide`], the same
+//!    decision the solver's word tier makes.
 //!
 //! The countermodel direction is the Figure 3 construction: given a graph
 //! `G` refuting the word instance, `H` adds a fresh root with a `K`
 //! self-loop and a `K`-edge to `G`'s root — `H ⊨ Σ¹_K ∧ Σ¹_r ∧ ¬φ¹` —
-//! and prepending a fresh `π`-path undoes `g₁`.
+//! and prepending a fresh `π`-path undoes `g₁`. The word decision's
+//! `post*` quotient is lifted this way, so `post*(α)` is saturated once.
+//!
+//! When the stripped Σ collapses a non-empty word to `ε`, the word
+//! decision cannot refute (see [`WordEngine::has_epsilon_collapse`]), and
+//! neither can this reduction: such an instance is
+//! [`LocalExtentError::EpsilonCollapse`], left to the chase.
 
-use crate::outcome::{CounterModel, CounterModelProvenance, Evidence, Outcome, Refutation};
+use crate::outcome::{CounterModel, CounterModelProvenance, Deadline, Evidence, Outcome};
 use crate::word::WordEngine;
 use pathcons_constraints::{BoundedFamily, BoundedFamilyError, Path, PathConstraint};
 use pathcons_graph::{Graph, Label};
 use std::fmt;
 
 /// Error from [`local_extent_implies`]: the instance is not a valid
-/// local-extent implication instance (Definition 2.4).
+/// local-extent implication instance (Definition 2.4), or the reduction
+/// cannot decide it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LocalExtentError {
     /// The query constraint is not bounded by any `(π, K)`.
     QueryNotBounded,
     /// Σ fails Definition 2.3 for the detected `(π, K)`.
     BadFamily(BoundedFamilyError),
+    /// The stripped query is not derivable, but the stripped Σ collapses
+    /// a non-empty word to `ε`, where derivability is incomplete.
+    EpsilonCollapse,
 }
 
 impl fmt::Display for LocalExtentError {
@@ -39,6 +49,10 @@ impl fmt::Display for LocalExtentError {
                 write!(f, "the query constraint is not bounded by any (π, K)")
             }
             LocalExtentError::BadFamily(e) => write!(f, "Σ is not prefix-bounded: {e}"),
+            LocalExtentError::EpsilonCollapse => write!(
+                f,
+                "the stripped Σ collapses a word to ε; the reduction cannot refute"
+            ),
         }
     }
 }
@@ -49,8 +63,9 @@ impl std::error::Error for LocalExtentError {}
 /// for inspection and testing.
 #[derive(Clone, Debug)]
 pub struct LocalExtentAnswer {
-    /// The final three-valued outcome (never `Unknown`: the problem is
-    /// decidable, Theorem 5.1).
+    /// The final outcome (never `Unknown`: the problem is decidable,
+    /// Theorem 5.1). A refutation carries the lifted `post*` quotient
+    /// when the word decision materialized one.
     pub outcome: Outcome,
     /// The detected bound `(π, K)`.
     pub pi: Path,
@@ -62,28 +77,11 @@ pub struct LocalExtentAnswer {
     pub word_phi: PathConstraint,
 }
 
-impl LocalExtentAnswer {
-    /// For a refuted instance, materializes a verified countermodel of
-    /// the *original* bounded instance: the `post*` quotient refuting the
-    /// stripped word instance ([`WordEngine::try_countermodel`]), lifted
-    /// through Figure 3 and the `π`-prefix. Returns `None` for implied
-    /// instances, or when the quotient outgrew its node ceiling or the
-    /// stripped Σ collapses a word to `ε`. Callers should re-verify with
-    /// the satisfaction checker (tests do).
-    pub fn materialize_countermodel(&self) -> Option<CounterModel> {
-        if self.outcome.is_implied() {
-            return None;
-        }
-        let engine = WordEngine::new(&self.word_sigma).ok()?;
-        let word_cm = engine.try_countermodel(&self.word_sigma, &self.word_phi)?;
-        Some(lift_countermodel(&word_cm, &self.pi, self.k))
-    }
-}
-
 /// Decides the (finite) implication problem for local extent constraints
 /// over semistructured data. Implication and finite implication coincide
 /// here (both reduce to the word-constraint problem, where they
-/// coincide).
+/// coincide). A refutation of an ε-collapsing stripped instance is not
+/// trusted: it is [`LocalExtentError::EpsilonCollapse`].
 pub fn local_extent_implies(
     sigma: &[PathConstraint],
     phi: &PathConstraint,
@@ -107,18 +105,20 @@ pub fn local_extent_implies(
 
     let engine =
         WordEngine::new(&word_sigma).expect("stripped bounded constraints are word constraints");
-    let outcome = if engine
-        .implies(&word_phi)
-        .expect("stripped query is a word constraint")
+    let outcome = match engine
+        .decide(&word_sigma, &word_phi, &Deadline::none())
+        .ok_or(LocalExtentError::EpsilonCollapse)?
     {
-        Outcome::Implied(Evidence::LocalExtentReduction(Box::new(
-            Evidence::WordDerivation,
-        )))
-    } else {
-        // The decision rests on the complete Theorem 5.1 procedure; a
-        // lifted countermodel can be materialized on demand via
-        // [`LocalExtentAnswer::materialize_countermodel`].
-        Outcome::NotImplied(Refutation::by_decision_procedure())
+        Outcome::Implied(evidence) => {
+            Outcome::Implied(Evidence::LocalExtentReduction(Box::new(evidence)))
+        }
+        Outcome::NotImplied(mut refutation) => {
+            refutation.countermodel = refutation
+                .countermodel
+                .map(|cm| lift_countermodel(&cm.graph, &pi, k));
+            Outcome::NotImplied(refutation)
+        }
+        unknown => unknown,
     };
 
     Ok(LocalExtentAnswer {
@@ -196,6 +196,10 @@ mod tests {
         assert!(answer.outcome.is_not_implied());
         assert_eq!(answer.word_sigma.len(), 2);
         assert!(answer.word_phi.is_word());
+        let cm = answer.outcome.countermodel().expect("lifted quotient");
+        assert_eq!(cm.provenance, CounterModelProvenance::LocalExtentLift);
+        assert!(all_hold(&cm.graph, &sigma));
+        assert!(!holds(&cm.graph, &phi));
     }
 
     #[test]
@@ -312,33 +316,6 @@ mod tests {
             other => panic!("chase disagrees: {other:?}"),
         }
     }
-}
-
-#[cfg(test)]
-mod materialize_tests {
-    use super::*;
-    use pathcons_constraints::{all_hold, holds, parse_constraints};
-    use pathcons_graph::LabelInterner;
-
-    #[test]
-    fn materialized_countermodels_verify_against_the_original_instance() {
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints(
-            "MIT: book.author -> person\n\
-             MIT: person.wrote -> book\n\
-             Warner.book: author <- wrote\n",
-            &mut labels,
-        )
-        .unwrap();
-        let phi = PathConstraint::parse("MIT: book.ref -> book", &mut labels).unwrap();
-        let answer = local_extent_implies(&sigma, &phi).unwrap();
-        assert!(answer.outcome.is_not_implied());
-        let cm = answer
-            .materialize_countermodel()
-            .expect("the post* quotient refutes the stripped instance");
-        assert!(all_hold(&cm.graph, &sigma));
-        assert!(!holds(&cm.graph, &phi));
-    }
 
     #[test]
     fn implied_instances_materialize_nothing() {
@@ -347,6 +324,31 @@ mod materialize_tests {
         let phi = PathConstraint::parse("MIT: a.b.d -> e", &mut labels).unwrap();
         let answer = local_extent_implies(&sigma, &phi).unwrap();
         assert!(answer.outcome.is_implied());
-        assert!(answer.materialize_countermodel().is_none());
+        assert!(answer.outcome.countermodel().is_none());
+    }
+
+    /// Instances whose stripped Σ collapses a word to `ε`: each is
+    /// semantically implied, though not derivable, so the reduction
+    /// must decline rather than refute.
+    #[test]
+    fn epsilon_collapse_is_not_refuted() {
+        for (sigma_text, phi_text) in [
+            ("K: a -> ()", "K: a -> a.a"),
+            ("K: a -> ()\nK: b -> a", "K: b -> b.b"),
+            ("MIT: a.b -> ()", "MIT: a.b -> a.b.a.b"),
+        ] {
+            let mut labels = LabelInterner::new();
+            let sigma = parse_constraints(sigma_text, &mut labels).unwrap();
+            let phi = PathConstraint::parse(phi_text, &mut labels).unwrap();
+            assert_eq!(
+                local_extent_implies(&sigma, &phi).unwrap_err(),
+                LocalExtentError::EpsilonCollapse,
+                "{phi_text}"
+            );
+            assert!(
+                chase_implication(&sigma, &phi, &Budget::default()).is_implied(),
+                "{phi_text}"
+            );
+        }
     }
 }

@@ -15,20 +15,21 @@
 //! coincide on the two problems; for the general undecidable cases the
 //! chase/search pair answers both soundly (chase proofs hold in all
 //! models, countermodels are finite).
+//!
+//! The word and local-extent cells share one decision,
+//! [`crate::WordEngine::decide`]. It refutes only where the three
+//! rewrite rules are complete (Σ has no ε-collapse); elsewhere a
+//! negative falls through to the chase/search pair, so those two cells
+//! never contradict the chase.
 
-use crate::amortize::{SharedContext, SharedWord};
+use crate::amortize::SharedContext;
 use crate::chase::chase_implication_with;
 use crate::local_extent::{local_extent_implies, LocalExtentError};
-use crate::outcome::{
-    Budget, CounterModel, CounterModelProvenance, Evidence, Outcome, Refutation, UnknownReason,
-};
+use crate::outcome::{Budget, Evidence, Outcome, Refutation, UnknownReason};
 use crate::search::{search_countermodel, search_typed_countermodel};
 use crate::typed_m::{m_implies, NotAnMSchema};
 use crate::word::WordEngine;
-use crate::word_evidence::quotient_countermodel;
-use pathcons_automata::Nfa;
 use pathcons_constraints::PathConstraint;
-use pathcons_graph::Label;
 use pathcons_telemetry::SpanGuard;
 use pathcons_types::{Model, Schema, TypeGraph};
 use std::fmt;
@@ -215,65 +216,35 @@ impl Solver {
     }
 
     fn solve_untyped(&self, sigma: &[PathConstraint], phi: &PathConstraint) -> Answer {
-        // Fragment dispatch: pure word constraints → PTIME decision.
+        // Fragment dispatch: pure word constraints → PTIME decision, on
+        // the shared context's engine when it was built from exactly
+        // this Σ, else on a cold one. `None` is an ε-collapsing
+        // negative (see WordEngine::has_epsilon_collapse): the
+        // three-rule system may miss a consequence there, so the
+        // chase/search semi-deciders, sound both ways, answer instead.
         if phi.is_word() && sigma.iter().all(|c| c.is_word()) {
-            // Warm path: a shared context built from exactly this Σ
-            // answers via the cached saturated post* automaton; the
-            // cold path saturates here, once. Either way `post*(α)` is
-            // the decision (`reaches(α, β)` is `post*(α) ∋ β`) and is
-            // reused for the countermodel.
-            let saturation = match self.shared.as_deref().and_then(|s| s.word_for(sigma)) {
-                Some(sw) => Saturation::Shared(sw),
-                None => Saturation::Cold(WordEngine::new(sigma).expect("all word constraints")),
-            };
-            let post = saturation.post_star(phi.lhs());
-            let implied = post.accepts(phi.rhs());
-            // The collapse predicate only matters for negative answers;
-            // the cold path skips it otherwise (the warm path
-            // precomputed it at build).
-            if !implied && saturation.has_epsilon_collapse() {
-                // The three-rule system is incomplete for ε-collapsing
-                // theories (see WordEngine::has_epsilon_collapse): a
-                // negative answer is unreliable here, so fall through to
-                // the chase/search semi-deciders, which are sound both
-                // ways.
-                return self.solve_general_untyped(sigma, phi);
-            }
-            let outcome = if implied {
-                Outcome::Implied(Evidence::WordDerivation)
-            } else {
-                // The decision stands on the complete procedure; the
-                // countermodel is read off the residuals of post*(ε) and
-                // post*(α), within a node ceiling and the deadline.
-                let empty = saturation.post_star(&[]);
-                let deadline = &self.budget.deadline;
-                match quotient_countermodel(sigma, phi, &empty, &post, deadline) {
-                    Some(graph) => {
-                        Outcome::NotImplied(Refutation::with_countermodel(CounterModel {
-                            graph,
-                            types: None,
-                            provenance: CounterModelProvenance::PostStarQuotient,
-                        }))
-                    }
-                    None => Outcome::NotImplied(Refutation::by_decision_procedure()),
+            let cold;
+            let engine = match self.shared.as_deref().and_then(|s| s.word_for(sigma)) {
+                Some(engine) => engine,
+                None => {
+                    cold = WordEngine::new(sigma).expect("all word constraints");
+                    &cold
                 }
             };
-            return Answer {
-                outcome,
-                method: Method::WordAutomaton,
+            return match engine.decide(sigma, phi, &self.budget.deadline) {
+                Some(outcome) => Answer {
+                    outcome,
+                    method: Method::WordAutomaton,
+                },
+                None => self.solve_general_untyped(sigma, phi),
             };
         }
-        // Local extent instances → Theorem 5.1 (countermodels attached
-        // best-effort; the decision itself is the complete procedure).
+        // Local extent instances → Theorem 5.1, through the same word
+        // decision; an ε-collapsing negative is an `Err` and falls
+        // through to the chase like the word tier's.
         if let Ok(answer) = local_extent_implies(sigma, phi) {
-            let outcome = match (&answer.outcome, answer.materialize_countermodel()) {
-                (Outcome::NotImplied(_), Some(cm)) => {
-                    Outcome::NotImplied(Refutation::with_countermodel(cm))
-                }
-                _ => answer.outcome,
-            };
             return Answer {
-                outcome,
+                outcome: answer.outcome,
                 method: Method::LocalExtentReduction,
             };
         }
@@ -359,29 +330,6 @@ impl Solver {
     }
 }
 
-/// Where the word tier's `post*` automata come from: the shared
-/// context's cache, or a saturation of this query's own.
-enum Saturation<'a> {
-    Shared(&'a SharedWord),
-    Cold(WordEngine),
-}
-
-impl Saturation<'_> {
-    fn post_star(&self, alpha: &[Label]) -> Arc<Nfa> {
-        match self {
-            Saturation::Shared(sw) => sw.consequences(alpha),
-            Saturation::Cold(engine) => Arc::new(engine.system().post_star(alpha)),
-        }
-    }
-
-    fn has_epsilon_collapse(&self) -> bool {
-        match self {
-            Saturation::Shared(sw) => sw.has_epsilon_collapse(),
-            Saturation::Cold(engine) => engine.has_epsilon_collapse(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,6 +363,29 @@ mod tests {
         let answer = solver.implies(&sigma, &phi).unwrap();
         assert_eq!(answer.method, Method::LocalExtentReduction);
         assert!(answer.outcome.is_not_implied());
+    }
+
+    /// Local-extent instances whose stripped Σ collapses a word to `ε`
+    /// are implied but not derivable: the reduction declines and the
+    /// chase proves them, as it does for the word tier.
+    #[test]
+    fn epsilon_collapsing_local_extent_falls_back_to_chase() {
+        for (sigma_text, phi_text) in [
+            ("K: a -> ()", "K: a -> a.a"),
+            ("K: a -> ()\nK: b -> a", "K: b -> b.b"),
+            ("MIT: a.b -> ()", "MIT: a.b -> a.b.a.b"),
+        ] {
+            let mut labels = LabelInterner::new();
+            let sigma = parse_constraints(sigma_text, &mut labels).unwrap();
+            let phi = PathConstraint::parse(phi_text, &mut labels).unwrap();
+            let answer = Solver::new(DataContext::Semistructured)
+                .implies(&sigma, &phi)
+                .unwrap();
+            assert_eq!(answer.method, Method::Chase, "{phi_text}");
+            assert!(answer.outcome.is_implied(), "{phi_text}: {answer:?}");
+            let chase = crate::chase_implication(&sigma, &phi, &Budget::default());
+            assert!(chase.is_implied(), "{phi_text}");
+        }
     }
 
     #[test]
@@ -504,7 +475,10 @@ mod tests {
         let answer = solver.implies(&sigma, &phi).unwrap();
         assert_eq!(answer.method, Method::WordAutomaton);
         let cm = answer.outcome.countermodel().expect("post* quotient");
-        assert_eq!(cm.provenance, CounterModelProvenance::PostStarQuotient);
+        assert_eq!(
+            cm.provenance,
+            crate::CounterModelProvenance::PostStarQuotient
+        );
         assert!(pathcons_constraints::all_hold(&cm.graph, &sigma));
         assert!(!pathcons_constraints::holds(&cm.graph, &phi));
     }

@@ -13,12 +13,26 @@
 //! rules cannot derive. Example: `Σ = {a → ε} ⊨ a → a·a` (any `a`-target
 //! equals the root, so `a` loops there), but `a·a ∉ post*(a)`. See
 //! [`WordEngine::has_epsilon_collapse`]; every construction in the paper
-//! stays in the ε-collapse-free fragment where the rules are complete,
-//! and the [`crate::Solver`] falls back to the chase otherwise.
+//! stays in the ε-collapse-free fragment where the rules are complete.
+//!
+//! [`WordEngine`] is the one word engine: it memoizes `post*(α)` per
+//! left-hand side (so a [`crate::SharedContext`] that keeps an engine
+//! answers repeat queries as NFA membership), and [`WordEngine::decide`]
+//! is the one word decision. The solver's word tier and the Theorem 5.1
+//! local-extent reduction both call it, and both hand an ε-collapsing
+//! negative to the chase.
 
-use pathcons_automata::{Nfa, PrefixRewriteSystem};
+use crate::outcome::{
+    CounterModel, CounterModelProvenance, Deadline, Evidence, Outcome, Refutation,
+};
+use crate::word_evidence::quotient_countermodel;
+use pathcons_automata::{determinize_capped, Dfa, Nfa, PrefixRewriteSystem, StateId};
 use pathcons_constraints::{Path, PathConstraint};
+use pathcons_graph::Label;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Error: a constraint handed to the word engine is not a word constraint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,6 +52,11 @@ impl fmt::Display for NotAWordConstraint {
 }
 
 impl std::error::Error for NotAWordConstraint {}
+
+/// Subset-state ceiling for the determinized `post*` memo: the DFA is
+/// an accelerator for repeated membership, and an automaton that blows
+/// this up determinizing is served by NFA membership instead.
+const POST_DFA_STATE_CAP: usize = 4_096;
 
 /// The word-constraint implication engine.
 ///
@@ -60,13 +79,27 @@ impl std::error::Error for NotAWordConstraint {}
 /// let psi = PathConstraint::parse("book -> person", &mut labels).unwrap();
 /// assert!(!engine.implies(&psi).unwrap());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WordEngine {
     system: PrefixRewriteSystem,
+    /// The Σ-only ε-collapse predicate, computed on first use.
+    collapse: OnceLock<bool>,
+    /// `post*(lhs)` per lhs. Saturation is a function of `(Σ, lhs)`
+    /// alone; the automaton is immutable once built, so clones of the
+    /// `Arc` are handed out under a short lock.
+    post: Mutex<BTreeMap<Vec<Label>, Arc<Nfa>>>,
+    /// Determinized `post*(lhs)` per lhs, for callers that test many
+    /// memberships against one saturation (certificate extraction).
+    /// `None` records that determinization blew the state cap for this
+    /// lhs, so it is not retried.
+    post_dfa: Mutex<BTreeMap<Vec<Label>, Option<Arc<Dfa>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl WordEngine {
-    /// Builds the engine from a set of word constraints.
+    /// Builds the engine from a set of word constraints. Nothing is
+    /// saturated yet.
     pub fn new(sigma: &[PathConstraint]) -> Result<WordEngine, NotAWordConstraint> {
         let mut system = PrefixRewriteSystem::new();
         for (index, c) in sigma.iter().enumerate() {
@@ -75,11 +108,18 @@ impl WordEngine {
             }
             system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
         }
-        Ok(WordEngine { system })
+        Ok(WordEngine {
+            system,
+            collapse: OnceLock::new(),
+            post: Mutex::new(BTreeMap::new()),
+            post_dfa: Mutex::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        })
     }
 
     /// Whether some *non-empty* word is forced down to `ε` by Σ — i.e.
-    /// `pre*(ε)` contains more than the empty word.
+    /// `pre*(ε)` contains more than the empty word. Computed once.
     ///
     /// In that situation the empty path's equality semantics
     /// (`ε(x,y) ⟺ x = y`) gives constraints consequences the three-rule
@@ -87,12 +127,14 @@ impl WordEngine {
     /// `a → a·a` (the constraint pins every `a`-target to the root,
     /// looping `a` there), yet `a·a ∉ post*(a)`. When this predicate is
     /// `true`, a negative [`Self::implies`] answer means "not derivable",
-    /// which may underapproximate semantic implication; the [`crate::Solver`]
-    /// falls back to the chase for these theories. (This is a corner the
+    /// which may underapproximate semantic implication, and
+    /// [`Self::decide`] declines to refute. (This is a corner the
     /// paper's citation of [4]'s completeness does not cover — none of
     /// the paper's constructions produce ε-collapsing sets.)
     pub fn has_epsilon_collapse(&self) -> bool {
-        self.system.pre_star(&[]).accepts_some_nonempty()
+        *self
+            .collapse
+            .get_or_init(|| self.system.pre_star(&[]).accepts_some_nonempty())
     }
 
     /// Whether `φ` is *derivable* from Σ under {reflexivity,
@@ -106,57 +148,114 @@ impl WordEngine {
         Ok(self.implies_word(phi.lhs(), phi.rhs()))
     }
 
-    /// Whether the word constraint `lhs → rhs` is implied.
+    /// Whether the word constraint `lhs → rhs` is derivable:
+    /// `post*(lhs) ∋ rhs`.
     pub fn implies_word(&self, lhs: &Path, rhs: &Path) -> bool {
-        self.system.reaches(lhs, rhs)
+        self.consequences(lhs).accepts(rhs)
     }
 
-    /// The `post*` automaton of a path: accepts every `β` with
-    /// `Σ ⊨ ∀x (α(r,x) → β(r,x))`.
-    pub fn consequences(&self, alpha: &Path) -> Nfa {
-        self.system.post_star(alpha)
-    }
-
-    /// The underlying prefix rewriting system.
-    pub fn system(&self) -> &PrefixRewriteSystem {
-        &self.system
-    }
-}
-
-impl WordEngine {
-    /// Best-effort extraction of a replayable rewrite derivation for an
-    /// implied word constraint (see [`crate::derivation`]); `None` when
-    /// the constraint is not implied or the fuel ran out.
-    pub fn try_derivation(
+    /// Decides `Σ ⊨ φ` for a word query, where `sigma` is the theory
+    /// this engine was built from:
+    ///
+    /// - `β ∈ post*(α)` → `Implied` (the rules are sound);
+    /// - otherwise, when Σ has an ε-collapse, `None`: the rules may miss
+    ///   a semantic consequence, so the caller must ask a semi-decider;
+    /// - otherwise `NotImplied`, carrying the `post*` quotient
+    ///   countermodel when it fits its node ceiling, meets `deadline`
+    ///   and verifies.
+    ///
+    /// `None` also when `φ` is not a word constraint.
+    pub fn decide(
         &self,
         sigma: &[PathConstraint],
         phi: &PathConstraint,
-        fuel: usize,
-    ) -> Option<crate::Derivation> {
-        if !phi.is_word() {
-            return None;
-        }
-        crate::derivation(sigma, phi.lhs(), phi.rhs(), fuel)
-    }
-
-    /// A verified countermodel for a refuted word constraint, read off
-    /// `post*(ε)` and `post*(α)` (see [`crate::quotient_countermodel`]);
-    /// `None` when `φ` is implied, Σ is not this engine's theory, or the
-    /// quotient outgrew its node ceiling.
-    pub fn try_countermodel(
-        &self,
-        sigma: &[PathConstraint],
-        phi: &PathConstraint,
-    ) -> Option<pathcons_graph::Graph> {
+        deadline: &Deadline,
+    ) -> Option<Outcome> {
         if !phi.is_word() {
             return None;
         }
         let post = self.consequences(phi.lhs());
         if post.accepts(phi.rhs()) {
+            return Some(Outcome::Implied(Evidence::WordDerivation));
+        }
+        if self.has_epsilon_collapse() {
             return None;
         }
-        let empty = self.system.post_star(&[]);
-        crate::quotient_countermodel(sigma, phi, &empty, &post, &crate::Deadline::none())
+        let empty = self.consequences(&[]);
+        let refutation = match quotient_countermodel(sigma, phi, &empty, &post, deadline) {
+            Some(graph) => Refutation::with_countermodel(CounterModel {
+                graph,
+                types: None,
+                provenance: CounterModelProvenance::PostStarQuotient,
+            }),
+            None => Refutation::by_decision_procedure(),
+        };
+        Some(Outcome::NotImplied(refutation))
+    }
+
+    /// The `post*` automaton of a path — every `β` with
+    /// `Σ ⊢ ∀x (α(r,x) → β(r,x))` — saturated on first use and memoized.
+    pub fn consequences(&self, alpha: &[Label]) -> Arc<Nfa> {
+        let mut post = self.post.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(nfa) = post.get(alpha) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(nfa);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let nfa = Arc::new(self.system.post_star(alpha));
+        post.insert(alpha.to_vec(), Arc::clone(&nfa));
+        nfa
+    }
+
+    /// The memoized *determinized* `post*(alpha)` automaton — same
+    /// language as [`Self::consequences`], O(|word|) membership — or
+    /// `None` when determinization blew the state cap for this alpha.
+    /// Built once per lhs (subset construction is deterministic, so
+    /// every caller sees the same automaton).
+    pub fn consequences_dfa(&self, alpha: &[Label]) -> Option<Arc<Dfa>> {
+        if let Some(cached) = self
+            .post_dfa
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(alpha)
+        {
+            return cached.clone();
+        }
+        // Determinize outside the lock: the construction can be slow and
+        // a racing builder computes the identical automaton anyway.
+        let nfa = self.consequences(alpha);
+        let alphabet: BTreeSet<Label> = (0..nfa.state_count())
+            .flat_map(|i| nfa.transitions(StateId::from_index(i)).map(|(l, _)| l))
+            .collect();
+        let alphabet: Vec<Label> = alphabet.into_iter().collect();
+        let dfa = determinize_capped(&nfa, &alphabet, POST_DFA_STATE_CAP).map(Arc::new);
+        self.post_dfa
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entry(alpha.to_vec())
+            .or_insert(dfa)
+            .clone()
+    }
+
+    /// Pre-saturates `post*` for each of `words` (e.g. the left-hand
+    /// sides expected in traffic).
+    pub fn warm(&self, words: &[Vec<Label>]) {
+        for word in words {
+            let _ = self.consequences(word);
+        }
+    }
+
+    /// `(hits, misses)` of the `post*` memo so far.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// The underlying prefix rewriting system.
+    pub fn system(&self) -> &PrefixRewriteSystem {
+        &self.system
     }
 }
 

@@ -5,10 +5,11 @@
 //! The `post*` decision procedure is complete but opaque; this module
 //! turns its verdicts into artifacts a skeptic can replay:
 //!
-//! - [`derivation`] — a step-by-step prefix-rewrite sequence from `α` to
-//!   `β`, checkable by [`Derivation::check`] (found by `pre*`-guided BFS;
-//!   shortest derivations can be long, so extraction is fuel-bounded and
-//!   optional — the decision itself never is);
+//! - [`derivation_guided`] — a step-by-step prefix-rewrite sequence
+//!   from `α` to `β`, checkable by [`Derivation::check`] (found by a
+//!   backward BFS pruned to `post*(α)`, the automaton the decision
+//!   already saturated; shortest derivations can be long, so extraction
+//!   is fuel-bounded and optional — the decision itself never is);
 //! - [`quotient_countermodel`] — a finite model of `Σ ∧ ¬(α → β)` read
 //!   off the automata the decision already built: one node per distinct
 //!   residual of `post*(ε)` and of `post*(α)`, so a word reaches a node
@@ -78,90 +79,12 @@ impl Derivation {
     }
 }
 
-/// Extracts a derivation of `Σ ⊢ α → β` by BFS over rewrites, pruned to
-/// words that can still reach `β` (membership in `pre*(β)`). Returns
-/// `None` when `β` is unreachable or the `fuel` (visited-word budget)
-/// runs out — shortest derivations can be exponentially long, so
-/// extraction is best-effort while the decision itself is exact.
-pub fn derivation(
-    sigma: &[PathConstraint],
-    alpha: &Path,
-    beta: &Path,
-    fuel: usize,
-) -> Option<Derivation> {
-    let mut system = PrefixRewriteSystem::new();
-    for c in sigma {
-        if !c.is_word() {
-            return None;
-        }
-        system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
-    }
-    if alpha.labels() == beta.labels() {
-        return Some(Derivation {
-            start: alpha.to_vec(),
-            steps: Vec::new(),
-        });
-    }
-    let pre_star = system.pre_star(beta);
-    if !pre_star.accepts(alpha) {
-        return None;
-    }
-
-    // BFS with parent pointers over (word) nodes, expanding only words
-    // inside pre*(β).
-    let start: Vec<Label> = alpha.to_vec();
-    let target: Vec<Label> = beta.to_vec();
-    let mut parent: HashMap<Vec<Label>, (Vec<Label>, usize)> = HashMap::new();
-    let mut queue: VecDeque<Vec<Label>> = VecDeque::new();
-    let mut seen: HashSet<Vec<Label>> = HashSet::new();
-    seen.insert(start.clone());
-    queue.push_back(start.clone());
-    let mut found = false;
-    while let Some(word) = queue.pop_front() {
-        if word == target {
-            found = true;
-            break;
-        }
-        if seen.len() > fuel {
-            return None;
-        }
-        for (rule_idx, rule) in system.rules().iter().enumerate() {
-            if word.len() >= rule.lhs.len() && word[..rule.lhs.len()] == rule.lhs[..] {
-                let mut next: Vec<Label> = rule.rhs.clone();
-                next.extend_from_slice(&word[rule.lhs.len()..]);
-                if !seen.contains(&next) && pre_star.accepts(&next) {
-                    seen.insert(next.clone());
-                    parent.insert(next.clone(), (word.clone(), rule_idx));
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-    if !found {
-        return None;
-    }
-    // Reconstruct.
-    let mut steps = Vec::new();
-    let mut cursor = target.clone();
-    while cursor != start {
-        let (prev, rule) = parent.get(&cursor).expect("BFS parent");
-        steps.push(DerivationStep {
-            rule: *rule,
-            result: cursor.clone(),
-        });
-        cursor = prev.clone();
-    }
-    steps.reverse();
-    Some(Derivation { start, steps })
-}
-
 /// Extracts a derivation of `Σ ⊢ α → β` by *backward* BFS from `β`,
 /// pruned to words reachable from `α` — `member` must answer membership
 /// in `post*(α)`, which is exactly the language the decision procedure
 /// already saturated to answer the query. A shared context hands in
-/// (the determinized form of) its cached automaton, so extraction costs
-/// membership queries instead of the fresh `pre*(β)` saturation
-/// [`derivation`] pays per query.
+/// (the determinized form of) its memoized automaton, so extraction
+/// costs membership queries, not a further saturation.
 ///
 /// Every word on a forward derivation `α ⇒* β` lies in `post*(α)`, so
 /// the pruning keeps the search complete while confining it to the cone
@@ -423,15 +346,25 @@ mod tests {
     use pathcons_constraints::parse_constraints;
     use pathcons_graph::LabelInterner;
 
+    /// A `post*(α)` membership oracle, as the engine supplies to
+    /// [`derivation_guided`] (possibly in determinized form — same
+    /// language either way).
+    fn post_member(sigma: &[PathConstraint], alpha: &Path) -> impl FnMut(&[Label]) -> bool {
+        let post = crate::WordEngine::new(sigma).unwrap().consequences(alpha);
+        move |w: &[Label]| post.accepts(w)
+    }
+
     #[test]
     fn derivation_for_chained_rules() {
         let mut labels = LabelInterner::new();
         let sigma = parse_constraints("a -> b\nb.g -> c", &mut labels).unwrap();
         let alpha = Path::parse("a.g", &mut labels).unwrap();
         let beta = Path::parse("c", &mut labels).unwrap();
-        let d = derivation(&sigma, &alpha, &beta, 10_000).expect("derivable");
+        let d = derivation_guided(&sigma, &alpha, &beta, 10_000, post_member(&sigma, &alpha))
+            .expect("derivable");
         assert_eq!(d.steps.len(), 2);
         d.check(&sigma).unwrap();
+        assert_eq!(d.start, alpha.to_vec());
         assert_eq!(d.end(), beta.labels());
     }
 
@@ -439,7 +372,10 @@ mod tests {
     fn reflexive_derivation_is_empty() {
         let mut labels = LabelInterner::new();
         let alpha = Path::parse("a.b", &mut labels).unwrap();
-        let d = derivation(&[], &alpha, &alpha, 100).unwrap();
+        let d = derivation_guided(&[], &alpha, &alpha, 100, |_: &[Label]| {
+            panic!("reflexive case must not consult the oracle")
+        })
+        .unwrap();
         assert!(d.steps.is_empty());
         d.check(&[]).unwrap();
     }
@@ -450,7 +386,10 @@ mod tests {
         let sigma = parse_constraints("a -> b", &mut labels).unwrap();
         let alpha = Path::parse("b", &mut labels).unwrap();
         let beta = Path::parse("a", &mut labels).unwrap();
-        assert_eq!(derivation(&sigma, &alpha, &beta, 10_000), None);
+        assert_eq!(
+            derivation_guided(&sigma, &alpha, &beta, 10_000, post_member(&sigma, &alpha)),
+            None
+        );
     }
 
     #[test]
@@ -477,52 +416,6 @@ mod tests {
             }],
         };
         honest.check(&sigma).unwrap();
-    }
-
-    /// A `post*(α)` membership oracle, as the engine supplies to
-    /// [`derivation_guided`] (possibly in determinized form — same
-    /// language either way).
-    fn post_member(sigma: &[PathConstraint], alpha: &Path) -> impl FnMut(&[Label]) -> bool {
-        let mut system = PrefixRewriteSystem::new();
-        for c in sigma {
-            system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
-        }
-        let post = system.post_star(alpha);
-        move |w: &[Label]| post.accepts(w)
-    }
-
-    #[test]
-    fn guided_derivation_agrees_with_prestar_guided() {
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints("a -> b\nb.g -> c", &mut labels).unwrap();
-        let alpha = Path::parse("a.g", &mut labels).unwrap();
-        let beta = Path::parse("c", &mut labels).unwrap();
-        let d = derivation_guided(&sigma, &alpha, &beta, 10_000, post_member(&sigma, &alpha))
-            .expect("derivable");
-        d.check(&sigma).unwrap();
-        assert_eq!(d.start, alpha.to_vec());
-        assert_eq!(d.end(), beta.labels());
-        // Both extractors find the same-length (shortest) derivation.
-        let via_pre = derivation(&sigma, &alpha, &beta, 10_000).unwrap();
-        assert_eq!(d.steps.len(), via_pre.steps.len());
-    }
-
-    #[test]
-    fn guided_derivation_rejects_nonmembers_and_is_reflexive() {
-        let mut labels = LabelInterner::new();
-        let sigma = parse_constraints("a -> b", &mut labels).unwrap();
-        let b = Path::parse("b", &mut labels).unwrap();
-        let a = Path::parse("a", &mut labels).unwrap();
-        // b ⇏ a: the oracle rules the target out immediately.
-        assert_eq!(
-            derivation_guided(&sigma, &b, &a, 10_000, post_member(&sigma, &b)),
-            None
-        );
-        let refl = derivation_guided(&sigma, &a, &a, 10_000, |_: &[Label]| {
-            panic!("reflexive case must not consult the oracle")
-        })
-        .unwrap();
-        assert!(refl.steps.is_empty());
     }
 
     /// Refutes `phi` through the quotient of a cold saturation.

@@ -14,8 +14,11 @@
 //!   pattern has the same shape under renaming) and constraint indices
 //!   into the *original* Σ; the indices are remapped by renaming the
 //!   original constraint and locating it in the canonical Σ.
-//! - **Word derivations** are re-extracted directly over the canonical
-//!   Σ/φ (the solver's `WordDerivation` evidence carries no steps).
+//! - **Word derivations** are extracted over the *original* Σ/φ, guided
+//!   by `post*(α)` (the context's memoized saturation, or a cold
+//!   engine's fresh one), then renamed into canonical space with their rule
+//!   indices remapped like the chase's (the solver's `WordDerivation`
+//!   evidence carries no steps).
 //! - **Countermodels** are renamed edge-by-edge into canonical labels.
 //!   Typed countermodels are skipped: they carry `Φ(σ)` obligations the
 //!   untyped checker cannot audit.
@@ -33,7 +36,7 @@ use pathcons_cert::{
     ImpliedCert, RewriteStep,
 };
 use pathcons_constraints::PathConstraint;
-use pathcons_core::{derivation_guided, Answer, Evidence, Outcome, SharedContext, SharedWord};
+use pathcons_core::{derivation_guided, Answer, Evidence, Outcome, SharedContext, WordEngine};
 use pathcons_graph::Label;
 
 /// Visited-word budget for re-extracting a word derivation. Shortest
@@ -156,7 +159,7 @@ fn word_rewrite_cert(
     let word = match shared.and_then(|s| s.word_for(original_sigma)) {
         Some(w) => w,
         None => {
-            owned = SharedWord::build(original_sigma)?;
+            owned = WordEngine::new(original_sigma).ok()?;
             &owned
         }
     };

@@ -2,8 +2,8 @@
 //! derivations and countermodels must tell one consistent story.
 
 use pathcons::constraints::{all_hold, holds, parse_constraints, PathConstraint};
-use pathcons::core::WordEngine;
-use pathcons::graph::LabelInterner;
+use pathcons::core::{derivation_guided, Deadline, Derivation, WordEngine};
+use pathcons::graph::{Graph, LabelInterner};
 use proptest::prelude::*;
 
 fn word_sigma(
@@ -25,6 +25,27 @@ fn word_sigma(
     (labels, sigma)
 }
 
+/// A derivation guided by the engine's own `post*(α)`.
+fn derivation(
+    engine: &WordEngine,
+    sigma: &[PathConstraint],
+    phi: &PathConstraint,
+    fuel: usize,
+) -> Option<Derivation> {
+    let post = engine.consequences(phi.lhs());
+    derivation_guided(sigma, phi.lhs(), phi.rhs(), fuel, |w| post.accepts(w))
+}
+
+/// The countermodel the word decision attaches to a refutation.
+fn countermodel(
+    engine: &WordEngine,
+    sigma: &[PathConstraint],
+    phi: &PathConstraint,
+) -> Option<Graph> {
+    let outcome = engine.decide(sigma, phi, &Deadline::none())?;
+    outcome.countermodel().map(|cm| cm.graph.clone())
+}
+
 #[test]
 fn derivations_exist_and_replay_for_paper_style_rules() {
     let mut labels = LabelInterner::new();
@@ -41,8 +62,7 @@ fn derivations_exist_and_replay_for_paper_style_rules() {
     ] {
         let phi = PathConstraint::parse(text, &mut labels).unwrap();
         assert!(engine.implies(&phi).unwrap(), "{text} should be implied");
-        let derivation = engine
-            .try_derivation(&sigma, &phi, 100_000)
+        let derivation = derivation(&engine, &sigma, &phi, 100_000)
             .unwrap_or_else(|| panic!("no derivation for {text}"));
         derivation.check(&sigma).unwrap();
         assert_eq!(derivation.end(), phi.rhs().labels());
@@ -61,8 +81,7 @@ fn countermodels_exist_and_verify_for_refuted_queries() {
     ] {
         let phi = PathConstraint::parse(text, &mut labels).unwrap();
         assert!(!engine.implies(&phi).unwrap());
-        let g = engine
-            .try_countermodel(&sigma, &phi)
+        let g = countermodel(&engine, &sigma, &phi)
             .unwrap_or_else(|| panic!("no countermodel for {text}"));
         assert!(all_hold(&g, &sigma), "countermodel violates Σ for {text}");
         assert!(!holds(&g, &phi), "countermodel satisfies {text}");
@@ -92,7 +111,7 @@ proptest! {
             pathcons::constraints::Path::from_labels(rhs.iter().map(|&i| all[i])),
         );
         let decided = engine.implies(&phi).unwrap();
-        match engine.try_derivation(&sigma, &phi, 50_000) {
+        match derivation(&engine, &sigma, &phi, 50_000) {
             Some(d) => {
                 prop_assert!(decided, "derivation for a refuted constraint");
                 d.check(&sigma).unwrap();
@@ -107,7 +126,7 @@ proptest! {
         // Countermodels exist exactly for refuted constraints — on
         // theories without ε-collapse, where refutation is semantic —
         // and verify.
-        match engine.try_countermodel(&sigma, &phi) {
+        match countermodel(&engine, &sigma, &phi) {
             Some(g) => {
                 prop_assert!(!decided);
                 prop_assert!(all_hold(&g, &sigma));
