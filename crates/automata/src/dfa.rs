@@ -182,14 +182,6 @@ impl Dfa {
 /// alphabet. The result has no unreachable states; the dead (empty) subset
 /// is never materialized, so the result is partial.
 pub fn determinize(nfa: &Nfa, alphabet: &[Label]) -> Dfa {
-    determinize_capped(nfa, alphabet, usize::MAX).expect("uncapped determinization")
-}
-
-/// [`determinize`] with a ceiling on the number of subset states, for
-/// callers that use the DFA as an optimization and can fall back to NFA
-/// membership: the subset construction is exponential in the worst
-/// case, and `None` reports that this automaton is one of those cases.
-pub fn determinize_capped(nfa: &Nfa, alphabet: &[Label], max_states: usize) -> Option<Dfa> {
     let mut dfa = Dfa::new();
     let mut subsets: HashMap<Vec<u32>, StateId> = HashMap::new();
 
@@ -233,9 +225,6 @@ pub fn determinize_capped(nfa: &Nfa, alphabet: &[Label], max_states: usize) -> O
             let target = match subsets.get(&next_key) {
                 Some(&s) => s,
                 None => {
-                    if dfa.state_count() >= max_states {
-                        return None;
-                    }
                     let s = dfa.add_state();
                     dfa.set_accepting(s, is_accepting(&closure));
                     subsets.insert(next_key.clone(), s);
@@ -246,7 +235,7 @@ pub fn determinize_capped(nfa: &Nfa, alphabet: &[Label], max_states: usize) -> O
             dfa.set_transition(dfa_state, label, target);
         }
     }
-    Some(dfa)
+    dfa
 }
 
 #[cfg(test)]
@@ -317,24 +306,6 @@ mod tests {
             vec![a, b, a],
             vec![b, b, b],
         ] {
-            assert_eq!(nfa.accepts(&word), dfa.accepts(&word), "word {word:?}");
-        }
-    }
-
-    #[test]
-    fn determinize_capped_falls_back_or_agrees() {
-        let (a, b) = ab();
-        // Same (a|b)* a NFA as above: needs 2 subset states.
-        let mut nfa = Nfa::new();
-        let s1 = nfa.add_state();
-        nfa.add_transition(nfa.start(), a, nfa.start());
-        nfa.add_transition(nfa.start(), b, nfa.start());
-        nfa.add_transition(nfa.start(), a, s1);
-        nfa.set_accepting(s1, true);
-
-        assert!(determinize_capped(&nfa, &[a, b], 1).is_none());
-        let dfa = determinize_capped(&nfa, &[a, b], 2).expect("2 subsets suffice");
-        for word in [vec![], vec![a], vec![b, a], vec![a, b]] {
             assert_eq!(nfa.accepts(&word), dfa.accepts(&word), "word {word:?}");
         }
     }

@@ -6,6 +6,8 @@
 //! Table 1 of Buneman, Fan & Weinstein (PODS 1999).
 //!
 //! - [`Nfa`] — nondeterministic automata with ε-transitions;
+//! - [`BitNfa`] — an NFA frozen as per-(state, label) target bitsets,
+//!   the form `post*`/`pre*` saturation returns;
 //! - [`Dfa`] — partial deterministic automata, used for the `Paths(σ)`
 //!   language of a schema (the type graph);
 //! - [`determinize`] — subset construction;
@@ -16,11 +18,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bitnfa;
 mod dfa;
 mod nfa;
 mod rewrite;
 
-pub use dfa::{determinize, determinize_capped, Dfa};
+pub use bitnfa::BitNfa;
+pub use dfa::{determinize, Dfa};
 pub use nfa::{Nfa, StateId};
 pub use rewrite::{PrefixRewriteSystem, RewriteRule};
 

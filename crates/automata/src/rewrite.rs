@@ -18,7 +18,16 @@
 //! module implements that saturation, which makes the word-constraint
 //! implication problem — the decidable baseline that Theorems 4.3, 5.1 and
 //! 5.2 of the paper are measured against — decidable in PTIME.
+//!
+//! [`PrefixRewriteSystem::post_star`] is the standard worklist
+//! saturation: reading layers hang off the nodes of one trie of Σ's
+//! left-hand sides (rules sharing a prefix share its layers), layers
+//! and transition rows are bitsets over the fixed state space, and the
+//! result is frozen as a [`BitNfa`].
+//! [`PrefixRewriteSystem::post_star_rounds`] is the round-based
+//! reference it is tested against, transition for transition.
 
+use crate::bitnfa::{push_bits, BitNfa};
 use crate::nfa::{Nfa, StateId};
 use pathcons_graph::Label;
 use std::collections::HashSet;
@@ -72,45 +81,33 @@ impl PrefixRewriteSystem {
         &self.rules
     }
 
-    /// The system with every rule reversed (`rhs ⇒ lhs`).
+    /// Computes an automaton accepting `post*({initial})` — every word
+    /// reachable from `initial` by a sequence of prefix rewrites.
     ///
-    /// `w ∈ pre*(β)` under `R` iff `w ∈ post*(β)` under `R` reversed, so
-    /// this is how `pre*` is obtained from [`Self::post_star`].
-    pub fn reversed(&self) -> PrefixRewriteSystem {
-        PrefixRewriteSystem {
-            rules: self
-                .rules
-                .iter()
-                .map(|r| RewriteRule::new(r.rhs.clone(), r.lhs.clone()))
-                .collect(),
-        }
-    }
-
-    /// Computes an NFA accepting `post*({initial})` — every word reachable
-    /// from `initial` by a sequence of prefix rewrites.
-    ///
-    /// The automaton starts as the chain for `initial`. For every rule
-    /// `u ⇒ v` with `|v| ≥ 2`, a fixed auxiliary chain of `|v| − 1` interior
-    /// states is allocated once. Saturation then runs to fixpoint: whenever
-    /// the automaton can read `u` from the start state and end in state
-    /// `q`, a path spelling `v` from the start state to `q` is added
-    /// (reusing the rule's interior chain; for `|v| = 1` a direct
+    /// The automaton starts as the chain for `initial` (states
+    /// `0..=|initial|`, the last accepting). For every rule `u ⇒ v` with
+    /// `|v| ≥ 2`, in rule order, a fixed interior chain of `|v| − 1`
+    /// states is allocated once. Saturation then runs to fixpoint:
+    /// whenever the automaton can read `u` from the start state and end
+    /// in state `q`, a path spelling `v` from the start state to `q` is
+    /// added (through the rule's interior chain; for `|v| = 1` a direct
     /// transition; for `v = ε` an ε-transition). States are never added
     /// during saturation, so the transition count — and hence the running
     /// time — is polynomial in the input size.
     ///
-    /// This is the incremental (worklist) implementation: per-rule reading
-    /// layers are maintained under transition insertion instead of being
-    /// recomputed from scratch each round (see
-    /// [`Self::post_star_rounds`] for the naive saturation the tests
-    /// check it against).
-    pub fn post_star(&self, initial: &[Label]) -> Nfa {
-        Saturation::run(self, initial)
+    /// This is the worklist saturation over the trie of Σ's left-hand
+    /// sides (see `Saturation`). It computes the least fixpoint on the
+    /// same state space as [`Self::post_star_rounds`], so both produce
+    /// the same states and the same transitions.
+    pub fn post_star(&self, initial: &[Label]) -> BitNfa {
+        Saturation::run(self, initial, false)
     }
 
     /// The round-based reference implementation of [`Self::post_star`]:
     /// recomputes every rule's reading set from scratch each round until
-    /// nothing changes. Kept as a test oracle for the worklist version.
+    /// nothing changes, on an [`Nfa`]. Kept as a test oracle for the
+    /// worklist version, which must match it state for state and
+    /// transition for transition.
     pub fn post_star_rounds(&self, initial: &[Label]) -> Nfa {
         let mut nfa = Nfa::from_word(initial);
         let start = nfa.start();
@@ -144,10 +141,11 @@ impl PrefixRewriteSystem {
         nfa
     }
 
-    /// Computes an NFA accepting `pre*({target})` — every word from which
-    /// `target` is reachable.
-    pub fn pre_star(&self, target: &[Label]) -> Nfa {
-        self.reversed().post_star(target)
+    /// Computes an automaton accepting `pre*({target})` — every word
+    /// from which `target` is reachable: `w ∈ pre*(β)` under the rules
+    /// iff `w ∈ post*(β)` under the rules reversed (`rhs ⇒ lhs`).
+    pub fn pre_star(&self, target: &[Label]) -> BitNfa {
+        Saturation::run(self, target, true)
     }
 
     /// Whether `to` is reachable from `from` (i.e. the word constraint
@@ -195,161 +193,207 @@ impl PrefixRewriteSystem {
     }
 }
 
-/// Incremental saturation state: per rule, the "reading layers"
-/// `L_0 … L_{|u|}` where `L_i` is the (ε-closed) set of states reachable
-/// from the start by reading the first `i` letters of the rule's LHS.
-/// Layers only grow; every transition insertion is propagated through
-/// them, and every state newly entering the final layer is a fresh anchor
-/// whose RHS path is then installed — which may insert further
-/// transitions, and so on to fixpoint.
-struct Saturation<'a> {
-    system: &'a PrefixRewriteSystem,
-    nfa: Nfa,
-    chains: Vec<Vec<StateId>>,
-    /// `layers[rule][i][state]`.
-    layers: Vec<Vec<Vec<bool>>>,
-    /// For each label, the `(rule, layer)` positions whose next LHS
-    /// letter is that label — so a transition insertion touches only the
-    /// rules that can actually consume it.
-    positions_by_label: std::collections::HashMap<Label, Vec<(usize, usize)>>,
-    /// Anchors awaiting RHS installation: `(rule, state)`.
-    anchor_queue: Vec<(usize, StateId)>,
-    /// Layer memberships awaiting forward propagation:
-    /// `(rule, layer, state)`.
-    member_queue: Vec<(usize, usize, StateId)>,
+/// One node of the trie of Σ's left-hand sides: the prefix it spells
+/// is read by the layer `layers[node]`.
+#[derive(Default)]
+struct TrieNode {
+    /// `(column, child)`, one per label some lhs continues with.
+    children: Vec<(usize, usize)>,
+    /// The rules whose whole lhs this node spells.
+    rules: Vec<usize>,
 }
 
-impl<'a> Saturation<'a> {
-    fn run(system: &'a PrefixRewriteSystem, initial: &[Label]) -> Nfa {
-        let mut nfa = Nfa::from_word(initial);
-        let chains: Vec<Vec<StateId>> = system
-            .rules
-            .iter()
-            .map(|rule| {
-                if rule.rhs.len() >= 2 {
-                    (0..rule.rhs.len() - 1).map(|_| nfa.add_state()).collect()
+/// Worklist saturation state (Bouajjani–Esparza–Maler 1997; Esparza et
+/// al., CAV 2000). Node `u` of the lhs trie keeps the layer `L_u`: the
+/// (ε-closed) states reachable from the start by reading the prefix `u`,
+/// as a bitset. Layers only grow. A state entering `L_u` is pushed once
+/// and, when popped, flows along its existing transitions into the
+/// layers of `u`'s children (and along ε into `L_u`) and, if `u` spells
+/// whole lhs, becomes an anchor of those rules. A transition inserted
+/// later flows into the children of every node whose layer holds its
+/// source. Rules sharing an lhs prefix share its layers, and the
+/// automaton's rows are bitsets, so one propagation step is a
+/// word-parallel OR.
+struct Saturation {
+    nfa: BitNfa,
+    /// Every rule's rhs as columns, back to back: rule `r`'s is
+    /// `rhs[rhs_at[r]..rhs_at[r + 1]]`.
+    rhs: Vec<usize>,
+    rhs_at: Vec<usize>,
+    /// Per rule, its first interior chain state (used when `|rhs| ≥ 2`).
+    chain: Vec<usize>,
+    trie: Vec<TrieNode>,
+    /// Per column, the trie edges `(node, child)` that read it.
+    edges_by_column: Vec<Vec<(usize, usize)>>,
+    /// `layers[node * words..][..words]` is `L_node`.
+    layers: Vec<u64>,
+    words: usize,
+    /// Layer memberships awaiting propagation: `(node, state)`.
+    queue: Vec<(usize, usize)>,
+}
+
+impl Saturation {
+    /// Saturates from `initial` under `system`'s rules, each read
+    /// `rhs ⇒ lhs` when `reversed`.
+    fn run(system: &PrefixRewriteSystem, initial: &[Label], reversed: bool) -> BitNfa {
+        let rules = || {
+            system.rules.iter().map(move |r| {
+                if reversed {
+                    (&r.rhs[..], &r.lhs[..])
                 } else {
-                    Vec::new()
+                    (&r.lhs[..], &r.rhs[..])
                 }
             })
-            .collect();
-        let states = nfa.state_count();
-        let layers = system
-            .rules
-            .iter()
-            .map(|rule| vec![vec![false; states]; rule.lhs.len() + 1])
-            .collect();
-        let mut positions_by_label: std::collections::HashMap<Label, Vec<(usize, usize)>> =
-            std::collections::HashMap::new();
-        for (rule_idx, rule) in system.rules.iter().enumerate() {
-            for (layer, &letter) in rule.lhs.iter().enumerate() {
-                positions_by_label
-                    .entry(letter)
-                    .or_default()
-                    .push((rule_idx, layer));
-            }
-        }
-        let mut sat = Saturation {
-            system,
-            nfa,
-            chains,
-            layers,
-            positions_by_label,
-            anchor_queue: Vec::new(),
-            member_queue: Vec::new(),
         };
-        // Seed every rule's layer 0 with the start state.
-        let start = sat.nfa.start();
-        for rule_idx in 0..sat.system.rules.len() {
-            sat.add_member(rule_idx, 0, start);
+        let mut labels: Vec<Label> = initial
+            .iter()
+            .chain(system.rules.iter().flat_map(|r| r.lhs.iter().chain(&r.rhs)))
+            .copied()
+            .collect();
+        labels.sort_unstable();
+        labels.dedup();
+        // States: the chain for `initial`, then one interior chain per
+        // rule with `|rhs| ≥ 2`, in rule order.
+        let mut states = initial.len() + 1;
+        let chain: Vec<usize> = rules()
+            .map(|(_, rhs)| {
+                let first = states;
+                states += rhs.len().saturating_sub(1);
+                first
+            })
+            .collect();
+        let mut nfa = BitNfa::new(labels, states);
+        let column =
+            |nfa: &BitNfa, label: Label| nfa.column(label).expect("every label is in the alphabet");
+        for (i, &label) in initial.iter().enumerate() {
+            nfa.insert(i, column(&nfa, label), i + 1);
         }
+        nfa.set_accepting(initial.len());
+
+        let mut trie = vec![TrieNode::default()];
+        let mut edges_by_column = vec![Vec::new(); nfa.epsilon_column()];
+        let mut rhs = Vec::new();
+        let mut rhs_at = vec![0];
+        for (rule_idx, (lhs, right)) in rules().enumerate() {
+            let mut node = 0;
+            for &label in lhs {
+                let c = column(&nfa, label);
+                node = match trie[node].children.iter().find(|&&(cc, _)| cc == c) {
+                    Some(&(_, child)) => child,
+                    None => {
+                        let child = trie.len();
+                        trie.push(TrieNode::default());
+                        trie[node].children.push((c, child));
+                        edges_by_column[c].push((node, child));
+                        child
+                    }
+                };
+            }
+            trie[node].rules.push(rule_idx);
+            rhs.extend(right.iter().map(|&l| column(&nfa, l)));
+            rhs_at.push(rhs.len());
+        }
+        let words = nfa.set_words();
+        let mut sat = Saturation {
+            nfa,
+            rhs,
+            rhs_at,
+            chain,
+            layers: vec![0; trie.len() * words],
+            trie,
+            edges_by_column,
+            words,
+            queue: Vec::new(),
+        };
+        sat.add_member(0, 0);
         sat.drain();
+        sat.nfa.shrink_to_fit();
         sat.nfa
     }
 
-    /// Records `state ∈ L_i` of `rule`; enqueues propagation.
-    fn add_member(&mut self, rule: usize, layer: usize, state: StateId) {
-        let slot = &mut self.layers[rule][layer][state.index()];
-        if !*slot {
-            *slot = true;
-            if layer == self.system.rules[rule].lhs.len() {
-                self.anchor_queue.push((rule, state));
-            } else {
-                self.member_queue.push((rule, layer, state));
-            }
-            // ε-successors share the layer.
-            let eps: Vec<StateId> = self.nfa.epsilon_successors(state).collect();
-            for t in eps {
-                self.add_member(rule, layer, t);
-            }
+    /// Records `state ∈ L_node`; queues its propagation if it is new.
+    fn add_member(&mut self, node: usize, state: usize) {
+        let word = &mut self.layers[node * self.words + state / 64];
+        let bit = 1u64 << (state % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.queue.push((node, state));
         }
     }
 
-    /// Installs a transition and propagates it through the layers of the
-    /// rules whose LHS can consume `label` at some position.
-    fn add_transition(&mut self, from: StateId, label: Label, to: StateId) {
-        if !self.nfa.add_transition(from, label, to) {
-            return;
-        }
-        let Some(positions) = self.positions_by_label.get(&label) else {
+    /// ORs the row `(state, column)` into `L_node`, queueing the states
+    /// it adds.
+    fn flow(&mut self, state: usize, column: usize, node: usize) {
+        let Some(row) = self.nfa.row(state, column) else {
             return;
         };
-        for &(rule, layer) in positions.clone().iter() {
-            if self.layers[rule][layer][from.index()] {
-                self.add_member(rule, layer + 1, to);
+        let layer = &mut self.layers[node * self.words..(node + 1) * self.words];
+        for (i, (l, &r)) in layer.iter_mut().zip(row).enumerate() {
+            let new = r & !*l;
+            *l |= new;
+            push_bits(i, new, |state| self.queue.push((node, state)));
+        }
+    }
+
+    fn in_layer(&self, node: usize, state: usize) -> bool {
+        self.layers[node * self.words + state / 64] & (1 << (state % 64)) != 0
+    }
+
+    /// Installs `from --column--> to` and propagates it through every
+    /// layer holding `from` whose node reads `column`.
+    fn add_transition(&mut self, from: usize, column: usize, to: usize) {
+        if !self.nfa.insert(from, column, to) {
+            return;
+        }
+        for i in 0..self.edges_by_column[column].len() {
+            let (node, child) = self.edges_by_column[column][i];
+            if self.in_layer(node, from) {
+                self.add_member(child, to);
             }
         }
     }
 
-    /// Installs an ε-transition and propagates it through all layers.
-    fn add_epsilon(&mut self, from: StateId, to: StateId) {
-        if !self.nfa.add_epsilon(from, to) {
+    /// Installs `from --ε--> to` and propagates it through every layer
+    /// holding `from`.
+    fn add_epsilon(&mut self, from: usize, to: usize) {
+        if !self.nfa.insert(from, self.nfa.epsilon_column(), to) {
             return;
         }
-        for rule in 0..self.system.rules.len() {
-            for layer in 0..self.layers[rule].len() {
-                if self.layers[rule][layer][from.index()] {
-                    self.add_member(rule, layer, to);
-                }
+        for node in 0..self.trie.len() {
+            if self.in_layer(node, from) {
+                self.add_member(node, to);
             }
         }
     }
 
     fn drain(&mut self) {
-        loop {
-            if let Some((rule, layer, state)) = self.member_queue.pop() {
-                // Forward propagation: existing transitions out of
-                // `state` matching the next LHS letter.
-                let letter = self.system.rules[rule].lhs[layer];
-                let targets: Vec<StateId> = self.nfa.successors(state, letter).collect();
-                for t in targets {
-                    self.add_member(rule, layer + 1, t);
-                }
-                continue;
+        let eps = self.nfa.epsilon_column();
+        while let Some((node, state)) = self.queue.pop() {
+            for i in 0..self.trie[node].rules.len() {
+                let rule = self.trie[node].rules[i];
+                self.install_rhs(rule, state);
             }
-            if let Some((rule, q)) = self.anchor_queue.pop() {
-                self.install_rhs(rule, q);
-                continue;
+            self.flow(state, eps, node);
+            for i in 0..self.trie[node].children.len() {
+                let (column, child) = self.trie[node].children[i];
+                self.flow(state, column, child);
             }
-            return;
         }
     }
 
-    /// Adds the RHS path of `rule` from the start to anchor `q`.
-    fn install_rhs(&mut self, rule: usize, q: StateId) {
-        let start = self.nfa.start();
-        let rhs = self.system.rules[rule].rhs.clone();
-        match rhs.len() {
-            0 => self.add_epsilon(start, q),
-            1 => self.add_transition(start, rhs[0], q),
-            _ => {
-                let chain = self.chains[rule].clone();
-                self.add_transition(start, rhs[0], chain[0]);
-                for i in 1..rhs.len() - 1 {
-                    self.add_transition(chain[i - 1], rhs[i], chain[i]);
-                }
-                self.add_transition(chain[rhs.len() - 2], rhs[rhs.len() - 1], q);
-            }
+    /// Adds the rhs path of `rule` from the start to anchor `q`, through
+    /// the rule's interior chain.
+    fn install_rhs(&mut self, rule: usize, q: usize) {
+        let start = 0;
+        let (at, len) = (self.rhs_at[rule], self.rhs_at[rule + 1] - self.rhs_at[rule]);
+        if len == 0 {
+            return self.add_epsilon(start, q);
+        }
+        let chain = self.chain[rule];
+        for i in 0..len {
+            let from = if i == 0 { start } else { chain + i - 1 };
+            let to = if i + 1 == len { q } else { chain + i };
+            self.add_transition(from, self.rhs[at + i], to);
         }
     }
 }
@@ -569,29 +613,57 @@ mod worklist_tests {
         system
     }
 
+    /// Every transition of an automaton, ε as `None`, sorted.
+    fn edges_of_rounds(nfa: &Nfa) -> Vec<(StateId, Option<Label>, StateId)> {
+        let mut edges: Vec<_> = (0..nfa.state_count())
+            .map(StateId::from_index)
+            .flat_map(|q| {
+                nfa.transitions(q)
+                    .map(move |(l, t)| (q, Some(l), t))
+                    .chain(nfa.epsilon_successors(q).map(move |t| (q, None, t)))
+            })
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    fn edges_of_worklist(nfa: &BitNfa) -> Vec<(StateId, Option<Label>, StateId)> {
+        let mut edges: Vec<_> = nfa
+            .transitions()
+            .map(|(q, l, t)| (q, Some(l), t))
+            .chain(nfa.epsilon_transitions().map(|(q, t)| (q, None, t)))
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
     #[test]
     fn worklist_agrees_with_rounds_on_random_systems() {
         let ab = alphabet(3);
-        for seed in 0..200u64 {
+        let mut epsilon_lhs = 0;
+        let mut epsilon_rhs = 0;
+        for seed in 0..400u64 {
             let system = pseudo_system(seed, &ab, 4, 3);
+            epsilon_lhs += system.rules().iter().filter(|r| r.lhs.is_empty()).count();
+            epsilon_rhs += system.rules().iter().filter(|r| r.rhs.is_empty()).count();
             let initial: Vec<Label> = (0..(seed as usize % 4))
                 .map(|i| ab[(seed as usize + i) % ab.len()])
                 .collect();
             let fast = system.post_star(&initial);
             let slow = system.post_star_rounds(&initial);
-            for word in slow.accepted_up_to(&ab, 5) {
-                assert!(
-                    fast.accepts(&word),
-                    "worklist missing {word:?} (seed {seed})"
-                );
-            }
-            for word in fast.accepted_up_to(&ab, 5) {
-                assert!(
-                    slow.accepts(&word),
-                    "worklist over-accepts {word:?} (seed {seed})"
-                );
+            assert_eq!(fast.state_count(), slow.state_count(), "seed {seed}");
+            assert_eq!(
+                edges_of_worklist(&fast),
+                edges_of_rounds(&slow),
+                "seed {seed}: {:?} from {initial:?}",
+                system.rules()
+            );
+            let accepting: Vec<StateId> = slow.accepting_states().collect();
+            for q in (0..slow.state_count()).map(StateId::from_index) {
+                assert_eq!(fast.is_accepting(q), accepting.contains(&q));
             }
         }
+        assert!(epsilon_lhs > 0 && epsilon_rhs > 0, "ε rules exercised");
     }
 
     #[test]

@@ -12,22 +12,93 @@
 //! bench_word [--smoke] [--out PATH]
 //! ```
 //!
+//! Besides the grid, one resident-shaped cell mirrors servebench's
+//! `resident_word` context: 128 distinct rules over 8 labels, lhs of 1–2
+//! labels, rhs of 1–3. Every cell also reports the heap bytes of a
+//! memoized automaton.
+//!
 //! `--smoke` runs a scaled-down grid (seconds, used by CI); the default
 //! run covers the full grid and asserts the amortization floor on the
 //! headline cell: answering the query mix through a shared cache at
-//! least 2x faster than re-saturating per query.
+//! least 2x faster than re-saturating per query. Both assert that every
+//! memoized verdict matches a fresh saturation.
 
 use pathcons_bench::{bench_meta, gen_word_instance, median_time_ms};
 use pathcons_constraints::{Path, PathConstraint};
 use pathcons_core::WordEngine;
-use pathcons_graph::Label;
+use pathcons_graph::{Label, LabelInterner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
-struct Cell {
+/// A cell's theory: `constraints` rules over `alphabet` labels, lhs of
+/// 1 to `max_lhs` labels and rhs of `min_rhs` to `max_rhs`.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Generated by [`gen_word_instance`], as Table 1's word series is.
+    grid: bool,
     constraints: usize,
-    max_len: usize,
+    alphabet: usize,
+    max_lhs: usize,
+    min_rhs: usize,
+    max_rhs: usize,
+}
+
+impl Shape {
+    /// A Table-1 grid cell: [`gen_word_instance`]'s paths of up to
+    /// `max_len` labels over 4.
+    fn grid(constraints: usize, max_len: usize) -> Shape {
+        Shape {
+            grid: true,
+            constraints,
+            alphabet: 4,
+            max_lhs: max_len,
+            min_rhs: 0,
+            max_rhs: max_len,
+        }
+    }
+
+    /// servebench's `resident_word` context.
+    const RESIDENT: Shape = Shape {
+        grid: false,
+        constraints: 128,
+        alphabet: 8,
+        max_lhs: 2,
+        min_rhs: 1,
+        max_rhs: 3,
+    };
+
+    /// The theory's labels and rules.
+    fn sigma(&self, seed: u64) -> (LabelInterner, Vec<PathConstraint>) {
+        if self.grid {
+            let inst = gen_word_instance(self.constraints, self.alphabet, self.max_lhs, seed);
+            return (inst.labels, inst.sigma);
+        }
+        let labels = LabelInterner::with_labels(
+            (0..self.alphabet)
+                .map(|i| format!("r{i}"))
+                .collect::<Vec<_>>(),
+        );
+        let alpha: Vec<Label> = labels.labels().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut word = |min: usize, max: usize| -> Path {
+            let len = rng.gen_range(min..=max);
+            Path::from_labels((0..len).map(|_| alpha[rng.gen_range(0..alpha.len())]))
+        };
+        let mut sigma: Vec<PathConstraint> = Vec::with_capacity(self.constraints);
+        while sigma.len() < self.constraints {
+            let (lhs, rhs) = (word(1, self.max_lhs), word(self.min_rhs, self.max_rhs));
+            let rule = PathConstraint::word(lhs.clone(), rhs.clone());
+            if lhs != rhs && !sigma.contains(&rule) {
+                sigma.push(rule);
+            }
+        }
+        (labels, sigma)
+    }
+}
+
+struct Cell {
+    shape: Shape,
     queries: usize,
     distinct_lhs: usize,
     /// All queries, re-saturating `post*` for every one (the cold path).
@@ -39,6 +110,9 @@ struct Cell {
     saturation_ms: f64,
     /// All queries as bare membership against the cached automaton.
     membership_ms: f64,
+    /// Heap bytes of a memoized `post*` automaton, mean over the
+    /// distinct lhs.
+    automaton_bytes: usize,
 }
 
 impl Cell {
@@ -47,17 +121,10 @@ impl Cell {
     }
 }
 
-fn measure_cell(
-    constraints: usize,
-    alphabet: usize,
-    max_len: usize,
-    queries: usize,
-    distinct_lhs: usize,
-    reps: usize,
-    seed: u64,
-) -> Cell {
-    let inst = gen_word_instance(constraints, alphabet, max_len, seed);
-    let alpha: Vec<Label> = inst.labels.labels().collect();
+fn measure_cell(shape: Shape, queries: usize, distinct_lhs: usize, reps: usize, seed: u64) -> Cell {
+    let (labels, sigma) = shape.sigma(seed);
+    let max_len = shape.max_lhs.max(shape.max_rhs);
+    let alpha: Vec<Label> = labels.labels().collect();
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15));
     let mut word = |min: usize| -> Path {
         let len = rng.gen_range(min..=max_len.max(min));
@@ -70,7 +137,7 @@ fn measure_cell(
         .collect();
 
     // Both paths must agree on every verdict before timing means anything.
-    let engine = WordEngine::new(&inst.sigma).expect("generated sigma is word constraints");
+    let engine = WordEngine::new(&sigma).expect("generated sigma is word constraints");
     let cold = |q: &PathConstraint| engine.system().post_star(q.lhs()).accepts(q.rhs());
     for q in &qs {
         assert_eq!(
@@ -86,7 +153,7 @@ fn measure_cell(
         }
     });
     let warm_ms = median_time_ms(reps, || {
-        let engine = WordEngine::new(&inst.sigma).expect("word sigma");
+        let engine = WordEngine::new(&sigma).expect("word sigma");
         for q in &qs {
             std::hint::black_box(engine.implies_word(q.lhs(), q.rhs()));
         }
@@ -100,15 +167,20 @@ fn measure_cell(
             std::hint::black_box(nfa.accepts(q.rhs().labels()));
         }
     });
+    let automaton_bytes = lhs_pool
+        .iter()
+        .map(|lhs| engine.consequences(lhs.labels()).heap_bytes())
+        .sum::<usize>()
+        / distinct_lhs;
     Cell {
-        constraints,
-        max_len,
+        shape,
         queries,
         distinct_lhs,
         cold_ms,
         warm_ms,
         saturation_ms,
         membership_ms,
+        automaton_bytes,
     }
 }
 
@@ -121,7 +193,6 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_word.json".to_owned());
 
-    let alphabet = 4;
     let (grid, queries, distinct_lhs, reps): (Vec<(usize, usize)>, usize, usize, usize) = if smoke {
         (vec![(8, 4), (32, 6)], 16, 4, 3)
     } else {
@@ -132,28 +203,28 @@ fn main() {
             5,
         )
     };
+    let shapes = grid
+        .iter()
+        .map(|&(constraints, max_len)| Shape::grid(constraints, max_len))
+        .chain([Shape::RESIDENT]);
 
     let mut cells = Vec::new();
-    for &(constraints, max_len) in &grid {
-        let cell = measure_cell(
-            constraints,
-            alphabet,
-            max_len,
-            queries,
-            distinct_lhs,
-            reps,
-            7,
-        );
+    for shape in shapes {
+        let cell = measure_cell(shape, queries, distinct_lhs, reps, 7);
         println!(
-            "{:>4} constraints, len<= {}: cold {:>9.3} ms, warm {:>9.3} ms ({:>6.1}x) | saturation {:>8.3} ms vs {} memberships {:>8.3} ms",
-            cell.constraints,
-            cell.max_len,
+            "{:>4} constraints over {} labels, lhs<= {}, rhs {}..={}: cold {:>9.3} ms, warm {:>9.3} ms ({:>6.1}x) | saturation {:>8.3} ms vs {} memberships {:>8.3} ms | automaton {} B",
+            shape.constraints,
+            shape.alphabet,
+            shape.max_lhs,
+            shape.min_rhs,
+            shape.max_rhs,
             cell.cold_ms,
             cell.warm_ms,
             cell.speedup(),
             cell.saturation_ms,
             cell.queries,
             cell.membership_ms,
+            cell.automaton_bytes,
         );
         cells.push(cell);
     }
@@ -161,7 +232,11 @@ fn main() {
     // The headline cell: the largest grid point must show the
     // amortization the shared-context layer banks on.
     if !smoke {
-        let headline = cells.last().expect("grid is non-empty");
+        let headline = cells
+            .iter()
+            .rev()
+            .find(|c| c.shape.grid)
+            .expect("grid is non-empty");
         assert!(
             headline.speedup() >= 2.0,
             "shared word cache fell below the 2x floor over per-query saturation: {:.2}x",
@@ -170,7 +245,7 @@ fn main() {
     }
 
     let workload = format!(
-        "word implication grids over alphabet {alphabet}: {queries} queries per cell, {distinct_lhs} distinct lhs; cold = post* per query, warm = cached post* + membership"
+        "word implication grids over alphabet 4 plus a resident-shaped cell (128 rules over 8 labels, lhs <= 2, rhs 1..=3): {queries} queries per cell, {distinct_lhs} distinct lhs; cold = post* per query, warm = cached post* + membership"
     );
     let mut json = String::new();
     json.push_str("{\n");
@@ -186,9 +261,12 @@ fn main() {
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"constraints\": {}, \"max_len\": {}, \"queries\": {}, \"distinct_lhs\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}, \"saturation_ms\": {:.3}, \"membership_ms\": {:.3}}}{}",
-            c.constraints,
-            c.max_len,
+            "    {{\"constraints\": {}, \"alphabet\": {}, \"max_lhs\": {}, \"min_rhs\": {}, \"max_rhs\": {}, \"queries\": {}, \"distinct_lhs\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}, \"saturation_ms\": {:.3}, \"membership_ms\": {:.3}, \"automaton_bytes\": {}}}{}",
+            c.shape.constraints,
+            c.shape.alphabet,
+            c.shape.max_lhs,
+            c.shape.min_rhs,
+            c.shape.max_rhs,
             c.queries,
             c.distinct_lhs,
             c.cold_ms,
@@ -196,6 +274,7 @@ fn main() {
             c.speedup(),
             c.saturation_ms,
             c.membership_ms,
+            c.automaton_bytes,
             if i + 1 == cells.len() { "" } else { "," }
         );
     }

@@ -16,8 +16,9 @@
 //! stays in the ε-collapse-free fragment where the rules are complete.
 //!
 //! [`WordEngine`] is the one word engine: it memoizes `post*(α)` per
-//! left-hand side (so a [`crate::SharedContext`] that keeps an engine
-//! answers repeat queries as NFA membership), and [`WordEngine::decide`]
+//! left-hand side, as a [`BitNfa`], for up to `MEMO_CAPACITY` left-hand
+//! sides (so a [`crate::SharedContext`] that keeps an engine answers
+//! repeat queries as automaton membership), and [`WordEngine::decide`]
 //! is the one word decision. The solver's word tier and the Theorem 5.1
 //! local-extent reduction both call it, and both hand an ε-collapsing
 //! negative to the chase.
@@ -26,10 +27,10 @@ use crate::outcome::{
     CounterModel, CounterModelProvenance, Deadline, Evidence, Outcome, Refutation,
 };
 use crate::word_evidence::quotient_countermodel;
-use pathcons_automata::{determinize_capped, Dfa, Nfa, PrefixRewriteSystem, StateId};
+use pathcons_automata::{BitNfa, Dfa, PrefixRewriteSystem};
 use pathcons_constraints::{Path, PathConstraint};
 use pathcons_graph::Label;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -57,6 +58,60 @@ impl std::error::Error for NotAWordConstraint {}
 /// an accelerator for repeated membership, and an automaton that blows
 /// this up determinizing is served by NFA membership instead.
 const POST_DFA_STATE_CAP: usize = 4_096;
+
+/// Most left-hand sides an engine keeps saturated (and, separately,
+/// determinized). Past it the least recently used one is evicted, and a
+/// later query on it saturates again; a resident context's traffic
+/// reuses far fewer.
+const MEMO_CAPACITY: usize = 256;
+
+/// A memo from left-hand side to automaton holding at most
+/// [`MEMO_CAPACITY`] entries, least recently used evicted first.
+#[derive(Debug)]
+struct Memo<V> {
+    /// Each value with the tick of its last use.
+    map: HashMap<Box<[Label]>, (V, u64)>,
+    tick: u64,
+}
+
+impl<V: Clone> Memo<V> {
+    fn new() -> Memo<V> {
+        Memo {
+            map: HashMap::new(),
+            tick: 0,
+        }
+    }
+
+    fn get(&mut self, key: &[Label]) -> Option<V> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.map.get_mut(key).map(|(value, used)| {
+            *used = tick;
+            value.clone()
+        })
+    }
+
+    /// The value under `key`, storing `value` there first if it has none
+    /// (evicting the least recently used entry when full): every caller
+    /// racing on one key gets the value the first of them stored.
+    fn get_or_insert(&mut self, key: &[Label], value: V) -> V {
+        if let Some(stored) = self.get(key) {
+            return stored;
+        }
+        if self.map.len() >= MEMO_CAPACITY {
+            let lru = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| k.clone());
+            if let Some(lru) = lru {
+                self.map.remove(&lru);
+            }
+        }
+        self.map.insert(key.into(), (value.clone(), self.tick));
+        value
+    }
+}
 
 /// The word-constraint implication engine.
 ///
@@ -87,12 +142,12 @@ pub struct WordEngine {
     /// `post*(lhs)` per lhs. Saturation is a function of `(Σ, lhs)`
     /// alone; the automaton is immutable once built, so clones of the
     /// `Arc` are handed out under a short lock.
-    post: Mutex<BTreeMap<Vec<Label>, Arc<Nfa>>>,
+    post: Mutex<Memo<Arc<BitNfa>>>,
     /// Determinized `post*(lhs)` per lhs, for callers that test many
     /// memberships against one saturation (certificate extraction).
     /// `None` records that determinization blew the state cap for this
     /// lhs, so it is not retried.
-    post_dfa: Mutex<BTreeMap<Vec<Label>, Option<Arc<Dfa>>>>,
+    post_dfa: Mutex<Memo<Option<Arc<Dfa>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -111,8 +166,8 @@ impl WordEngine {
         Ok(WordEngine {
             system,
             collapse: OnceLock::new(),
-            post: Mutex::new(BTreeMap::new()),
-            post_dfa: Mutex::new(BTreeMap::new()),
+            post: Mutex::new(Memo::new()),
+            post_dfa: Mutex::new(Memo::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
@@ -195,16 +250,27 @@ impl WordEngine {
 
     /// The `post*` automaton of a path — every `β` with
     /// `Σ ⊢ ∀x (α(r,x) → β(r,x))` — saturated on first use and memoized.
-    pub fn consequences(&self, alpha: &[Label]) -> Arc<Nfa> {
-        let mut post = self.post.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(nfa) = post.get(alpha) {
+    ///
+    /// Saturation runs outside the memo's lock, so one caller's cold
+    /// saturation never blocks another's hit. Callers racing on one
+    /// cold lhs each saturate, and all of them get the automaton the
+    /// first to finish stored.
+    pub fn consequences(&self, alpha: &[Label]) -> Arc<BitNfa> {
+        if let Some(nfa) = self
+            .post
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(alpha)
+        {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(nfa);
+            return nfa;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let nfa = Arc::new(self.system.post_star(alpha));
-        post.insert(alpha.to_vec(), Arc::clone(&nfa));
-        nfa
+        self.post
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get_or_insert(alpha, nfa)
     }
 
     /// The memoized *determinized* `post*(alpha)` automaton — same
@@ -219,22 +285,18 @@ impl WordEngine {
             .unwrap_or_else(|e| e.into_inner())
             .get(alpha)
         {
-            return cached.clone();
+            return cached;
         }
         // Determinize outside the lock: the construction can be slow and
         // a racing builder computes the identical automaton anyway.
-        let nfa = self.consequences(alpha);
-        let alphabet: BTreeSet<Label> = (0..nfa.state_count())
-            .flat_map(|i| nfa.transitions(StateId::from_index(i)).map(|(l, _)| l))
-            .collect();
-        let alphabet: Vec<Label> = alphabet.into_iter().collect();
-        let dfa = determinize_capped(&nfa, &alphabet, POST_DFA_STATE_CAP).map(Arc::new);
+        let dfa = self
+            .consequences(alpha)
+            .determinize_capped(POST_DFA_STATE_CAP)
+            .map(Arc::new);
         self.post_dfa
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .entry(alpha.to_vec())
-            .or_insert(dfa)
-            .clone()
+            .get_or_insert(alpha, dfa)
     }
 
     /// Pre-saturates `post*` for each of `words` (e.g. the left-hand
@@ -389,6 +451,133 @@ mod tests {
         assert!(nfa.accepts(&[b, a]));
         assert!(nfa.accepts(&[c, a]));
         assert!(!nfa.accepts(&[c]));
+    }
+}
+
+#[cfg(test)]
+mod memo_tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn word(ids: &[usize]) -> Vec<Label> {
+        ids.iter().map(|&i| Label::from_index(i)).collect()
+    }
+
+    /// 128 distinct rules over `labels` labels, lhs of 1–2 labels and
+    /// rhs of 1–3 (over 8 labels: the resident-context shape).
+    fn sigma_over(labels: usize) -> Vec<PathConstraint> {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut sigma: Vec<PathConstraint> = Vec::new();
+        while sigma.len() < 128 {
+            let lhs: Vec<usize> = (0..1 + next(2)).map(|_| next(labels)).collect();
+            let rhs: Vec<usize> = (0..1 + next(3)).map(|_| next(labels)).collect();
+            let rule =
+                PathConstraint::word(Path::from_labels(word(&lhs)), Path::from_labels(word(&rhs)));
+            if lhs != rhs && !sigma.contains(&rule) {
+                sigma.push(rule);
+            }
+        }
+        sigma
+    }
+
+    fn memo_len(engine: &WordEngine) -> usize {
+        engine.post.lock().unwrap().map.len()
+    }
+
+    #[test]
+    fn racing_callers_get_one_automaton_and_every_call_counts() {
+        let engine = WordEngine::new(&sigma_over(8)).unwrap();
+        let lhs: Vec<Vec<Label>> = [&[0][..], &[1, 2], &[3, 3, 4], &[5, 6, 7, 0]]
+            .iter()
+            .map(|ids| word(ids))
+            .collect();
+        const ROUNDS: usize = 50;
+        let barrier = Barrier::new(2);
+        let seen: Vec<Vec<Arc<BitNfa>>> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (0..ROUNDS)
+                            .flat_map(|_| lhs.iter().map(|w| engine.consequences(w)))
+                            .collect()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for (i, w) in lhs.iter().enumerate() {
+            let stored = engine.consequences(w);
+            for calls in &seen {
+                for nfa in calls.iter().skip(i).step_by(lhs.len()) {
+                    assert!(Arc::ptr_eq(nfa, &stored), "lhs {w:?}");
+                }
+            }
+        }
+        let (hits, misses) = engine.cache_stats();
+        assert_eq!(hits + misses, (2 * ROUNDS + 1) as u64 * lhs.len() as u64);
+        assert!((lhs.len()..=2 * lhs.len()).contains(&(misses as usize)));
+    }
+
+    #[test]
+    fn memo_stays_bounded_over_many_distinct_lhs() {
+        let sigma = sigma_over(32);
+        let engine = WordEngine::new(&sigma).unwrap();
+        // Lhs `i` is `i + 32` in base 32 (2–3 labels, all distinct); its
+        // queries are one rewrite step away (implied) and its reverse.
+        let lhs = |i: usize| {
+            let mut digits = Vec::new();
+            let mut n = i + 32;
+            while n > 0 {
+                digits.push(n % 32);
+                n /= 32;
+            }
+            word(&digits)
+        };
+        let queries = |w: &[Label]| -> [Vec<Label>; 2] {
+            let step = sigma
+                .iter()
+                .find(|c| w.starts_with(c.lhs().labels()))
+                .map(|c| [c.rhs().labels(), &w[c.lhs().len()..]].concat())
+                .unwrap_or_else(|| w.to_vec());
+            let mut reversed = w.to_vec();
+            reversed.reverse();
+            [step, reversed]
+        };
+        let implied = |lhs: &[Label], rhs: &[Label]| engine.consequences(lhs).accepts(rhs);
+        const LHS: usize = 10_000;
+        let mut verdicts = Vec::with_capacity(LHS);
+        for i in 0..LHS {
+            let w = lhs(i);
+            let [step, reversed] = queries(&w);
+            let v = (implied(&w, &step), implied(&w, &reversed));
+            assert!(v.0, "one rewrite step is derivable");
+            verdicts.push(v);
+            assert!(memo_len(&engine) <= MEMO_CAPACITY);
+        }
+        assert_eq!(memo_len(&engine), MEMO_CAPACITY);
+        assert_eq!(engine.cache_stats(), (LHS as u64, LHS as u64));
+        // Evicted lhs saturate again to the same verdicts, which a fresh
+        // saturation confirms.
+        for i in (0..LHS).step_by(97) {
+            let w = lhs(i);
+            let [step, reversed] = queries(&w);
+            let again = (implied(&w, &step), implied(&w, &reversed));
+            assert_eq!(again, verdicts[i], "lhs {w:?}");
+            let fresh = engine.system().post_star(&w);
+            assert_eq!(
+                (fresh.accepts(&step), fresh.accepts(&reversed)),
+                verdicts[i]
+            );
+        }
+        assert!(verdicts.iter().any(|v| v.1) && verdicts.iter().any(|v| !v.1));
+        assert!(memo_len(&engine) <= MEMO_CAPACITY);
     }
 }
 

@@ -20,7 +20,7 @@
 //!   its node ceiling or the deadline, or Σ collapses a word to `ε`.
 
 use crate::outcome::Deadline;
-use pathcons_automata::{Nfa, PrefixRewriteSystem, StateId};
+use pathcons_automata::{BitNfa, PrefixRewriteSystem};
 use pathcons_constraints::{all_hold, holds, Path, PathConstraint};
 use pathcons_graph::{Graph, Label};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -219,8 +219,8 @@ const MAX_QUOTIENT_NODES: usize = 512;
 pub fn quotient_countermodel(
     sigma: &[PathConstraint],
     phi: &PathConstraint,
-    empty: &Nfa,
-    post: &Nfa,
+    empty: &BitNfa,
+    post: &BitNfa,
     deadline: &Deadline,
 ) -> Option<Graph> {
     if !phi.is_word() || !sigma.iter().all(PathConstraint::is_word) {
@@ -252,76 +252,36 @@ pub fn quotient_countermodel(
 /// or the deadline fires.
 fn add_quotient(
     graph: &mut Graph,
-    nfa: &Nfa,
+    nfa: &BitNfa,
     alphabet: &[Label],
     at_root: bool,
     deadline: &Deadline,
 ) -> Option<()> {
-    let n = nfa.state_count();
-    // Reversed transitions, per target state.
-    let mut eps_pred: Vec<Vec<StateId>> = vec![Vec::new(); n];
-    let mut pred: Vec<Vec<(Label, StateId)>> = vec![Vec::new(); n];
-    for q in (0..n).map(StateId::from_index) {
-        for t in nfa.epsilon_successors(q) {
-            eps_pred[t.index()].push(q);
-        }
-        for (l, t) in nfa.transitions(q) {
-            pred[t.index()].push((l, q));
-        }
-    }
-    let mut mark = vec![false; n];
-    // Backward ε-closure of `seed`, as a sorted state set.
-    let mut close = |mut seed: Vec<StateId>| {
-        for q in &seed {
-            mark[q.index()] = true;
-        }
-        let mut i = 0;
-        while i < seed.len() {
-            for &p in &eps_pred[seed[i].index()] {
-                if !mark[p.index()] {
-                    mark[p.index()] = true;
-                    seed.push(p);
-                }
-            }
-            i += 1;
-        }
-        for q in &seed {
-            mark[q.index()] = false;
-        }
-        seed.sort_unstable();
-        seed
-    };
+    let is_empty = |set: &[u64]| set.iter().all(|&w| w == 0);
     // A fresh node, unless the graph is already at the node ceiling.
     let fresh_node =
         |graph: &mut Graph| (graph.node_count() < MAX_QUOTIENT_NODES).then(|| graph.add_node());
 
     let root = graph.root();
-    let first = close(nfa.accepting_states().collect());
-    if first.is_empty() {
+    let mut first = nfa.accepting_set().to_vec();
+    nfa.close_backward(&mut first);
+    if is_empty(&first) {
         return None;
     }
     let mut nodes = vec![if at_root { root } else { fresh_node(graph)? }];
     let mut sets = vec![first.clone()];
-    let mut index: HashMap<Vec<StateId>, usize> = HashMap::from([(first, 0)]);
+    let mut index: HashMap<Vec<u64>, usize> = HashMap::from([(first, 0)]);
     let mut j = 0;
     while j < sets.len() {
         if deadline.expired() {
             return None;
         }
         for &l in alphabet {
-            let mut seed: Vec<StateId> = sets[j]
-                .iter()
-                .flat_map(|t| pred[t.index()].iter())
-                .filter(|&&(pl, _)| pl == l)
-                .map(|&(_, q)| q)
-                .collect();
-            seed.sort_unstable();
-            seed.dedup();
-            let pre = close(seed);
-            if pre.is_empty() {
+            let pre = nfa.pre_closed(l, &sets[j]);
+            if is_empty(&pre) {
                 continue;
             }
-            if pre.binary_search(&nfa.start()).is_ok() {
+            if BitNfa::contains(&pre, nfa.start()) {
                 graph.add_edge(root, l, nodes[j]);
             }
             let i = match index.get(&pre) {
@@ -474,11 +434,12 @@ mod tests {
         // `a^k` has k + 1 residuals (`ε`, `a`, …, `a^k`): a fresh
         // graph holds them up to the node ceiling, counting its root.
         let a = labels.get("a").unwrap();
-        let fits = Nfa::from_word(&vec![a; MAX_QUOTIENT_NODES - 2]);
+        let chain = |n: usize| PrefixRewriteSystem::new().post_star(&vec![a; n]);
+        let fits = chain(MAX_QUOTIENT_NODES - 2);
         let mut graph = Graph::new();
         add_quotient(&mut graph, &fits, &[a], false, &Deadline::none()).unwrap();
         assert_eq!(graph.node_count(), MAX_QUOTIENT_NODES);
-        let spills = Nfa::from_word(&vec![a; MAX_QUOTIENT_NODES - 1]);
+        let spills = chain(MAX_QUOTIENT_NODES - 1);
         let mut graph = Graph::new();
         assert!(add_quotient(&mut graph, &spills, &[a], false, &Deadline::none()).is_none());
     }

@@ -2,9 +2,11 @@
 //! solved [`Answer`]s, with hit/miss/eviction counters.
 //!
 //! Keys are stored once per entry, in a compact byte encoding shared by
-//! the map and the LRU slot (see `encode_key`): a resident-context key
-//! carries the whole canonical Σ, so its storage sets the cache's
-//! footprint.
+//! the map and the LRU slot (see `encode_key`). A key names a long
+//! canonical Σ by intern id: each distinct such Σ encoding is stored
+//! once (see `InternedSigma`), reference-counted by the live entries
+//! that carry it and dropped with the last of them, so keys over one
+//! resident context's Σ share one copy of it. A short Σ stays inline.
 //!
 //! Entries are stored packed (see `PackedEntry`): the answer *in the
 //! label space of the query that inserted it*, that query's renaming
@@ -24,7 +26,9 @@ use pathcons_cert::{
 use pathcons_constraints::{Kind, PathConstraint};
 use pathcons_core::{Answer, CounterModel, CounterModelProvenance, Outcome};
 use pathcons_graph::{Graph, Label, NodeId};
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Monotonic counters describing cache behaviour.
@@ -69,24 +73,95 @@ pub struct CachedEntry {
     pub certificate: Option<Certificate>,
 }
 
-const NIL: usize = usize::MAX;
+/// The end of the LRU list. Links are `u32` slot indices, which keeps a
+/// slot small.
+const NIL: u32 = u32::MAX;
 
 /// A key as the cache stores it: its [`encode_key`] bytes in one
 /// allocation, shared by the map and the LRU slot.
 type StoredKey = Arc<[u8]>;
 
-/// Writes the stored encoding of `key` into `out` (cleared first).
-///
-/// Layout: a context tag byte (followed, for schema contexts, by the
-/// 8-byte little-endian fingerprint), the revision, `|Σ|`, then each
-/// constraint of Σ and finally φ as a kind byte plus, for each of
-/// prefix, lhs and rhs, its length and its label ids. Every integer
-/// but the fingerprint is LEB128 — canonical ids are small, so most
-/// take one byte. Each field is fixed-width or length-prefixed, so the
-/// encoding is injective: equal bytes mean equal keys, and a hit still
-/// proves alpha-equivalence.
-fn encode_key(key: &QueryKey, out: &mut Vec<u8>) {
+/// Σ encodings shorter than this are stored inline in their keys, not
+/// interned. Interning one costs about this much (an `Arc` header, the
+/// id and an intern-table slot), so it pays only for longer ones, such
+/// as a resident context's.
+const MIN_INTERNED_SIGMA: usize = 64;
+
+/// A canonical Σ's [`encode_sigma`] bytes, interned: one allocation
+/// holding the intern id (4 bytes, little-endian) and then the bytes.
+/// It hashes and compares by the bytes alone, so the intern table
+/// answers a lookup by encoding. The table holds one reference and each
+/// live entry one more, so the `Arc`'s strong count is the table's
+/// reference count.
+#[derive(Clone)]
+struct InternedSigma(Arc<[u8]>);
+
+impl InternedSigma {
+    fn new(id: u32, bytes: &[u8]) -> InternedSigma {
+        InternedSigma(id.to_le_bytes().iter().chain(bytes).copied().collect())
+    }
+
+    fn id(&self) -> u32 {
+        u32::from_le_bytes([self.0[0], self.0[1], self.0[2], self.0[3]])
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.0[4..]
+    }
+}
+
+impl Borrow<[u8]> for InternedSigma {
+    fn borrow(&self) -> &[u8] {
+        self.bytes()
+    }
+}
+
+impl Hash for InternedSigma {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bytes().hash(state);
+    }
+}
+
+impl PartialEq for InternedSigma {
+    fn eq(&self, other: &InternedSigma) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for InternedSigma {}
+
+/// Writes the encoding of `key`'s Σ into `out` (cleared first): `|Σ|`,
+/// then each constraint (see [`encode_constraint`]). Every integer is
+/// LEB128 — canonical ids are small, so most take one byte.
+fn encode_sigma(key: &QueryKey, out: &mut Vec<u8>) {
     out.clear();
+    leb128(out, key.sigma.len() as u64);
+    for c in &key.sigma {
+        encode_constraint(c, out);
+    }
+}
+
+/// Writes the stored encoding of `key` into `out` (cleared first).
+/// `sigma` is the intern id of the Σ encoded as `sigma_bytes`, or `None`
+/// when the Σ is stored inline.
+///
+/// Layout: `id + 1` for an interned Σ, or `0` and `sigma_bytes`; then a
+/// context tag byte (followed, for schema contexts, by the 8-byte
+/// little-endian fingerprint), the revision, and φ (see
+/// [`encode_constraint`]). Every integer but the fingerprint is LEB128.
+/// Each field is fixed-width or length-prefixed, and live entries with
+/// distinct interned Σ encodings have distinct ids, so the encoding is
+/// injective: equal bytes mean equal keys, and a hit still proves
+/// alpha-equivalence.
+fn encode_key(key: &QueryKey, sigma: Option<u32>, sigma_bytes: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    match sigma {
+        Some(id) => leb128(out, u64::from(id) + 1),
+        None => {
+            out.push(0);
+            out.extend_from_slice(sigma_bytes);
+        }
+    }
     let (tag, fingerprint) = match key.context {
         ContextKey::Semistructured => (0, None),
         ContextKey::M(fingerprint) => (1, Some(fingerprint)),
@@ -98,18 +173,22 @@ fn encode_key(key: &QueryKey, out: &mut Vec<u8>) {
         out.extend_from_slice(&fingerprint.to_le_bytes());
     }
     leb128(out, key.revision);
-    leb128(out, key.sigma.len() as u64);
-    for c in key.sigma.iter().chain(std::iter::once(&key.phi)) {
-        encode_constraint(c, out);
-    }
+    encode_constraint(&key.phi, out);
 }
 
+/// A constraint as one LEB128 integer holding its prefix's length and
+/// its kind (`2·|prefix| + kind`, so a word constraint's takes one byte),
+/// the prefix's label ids, then lhs and rhs as words.
 fn encode_constraint(c: &PathConstraint, out: &mut Vec<u8>) {
-    out.push(match c.kind() {
+    let kind = match c.kind() {
         Kind::Forward => 0,
         Kind::Backward => 1,
-    });
-    for path in [c.prefix(), c.lhs(), c.rhs()] {
+    };
+    leb128(out, 2 * c.prefix().len() as u64 + kind);
+    for label in c.prefix().labels() {
+        leb128(out, label.index() as u64);
+    }
+    for path in [c.lhs(), c.rhs()] {
         encode_word(path.labels(), out);
     }
 }
@@ -419,9 +498,11 @@ impl Unpacker<'_> {
 
 struct Slot {
     key: StoredKey,
+    /// The key's Σ, when interned; holding it keeps it interned.
+    sigma: Option<InternedSigma>,
     entry: PackedEntry,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
 }
 
 /// A bounded LRU cache over canonical query keys.
@@ -432,13 +513,19 @@ pub struct AnswerCache {
     capacity: usize,
     map: HashMap<StoredKey, usize>,
     slots: Vec<Option<Slot>>,
+    /// The Σ of every live entry, once each.
+    sigmas: HashSet<InternedSigma>,
+    /// Intern ids whose Σ was dropped, for reuse.
+    free_ids: Vec<u32>,
+    next_id: u32,
     free: Vec<usize>,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
     stats: CacheStats,
-    /// The encoding of the key being looked up, reused across calls so
-    /// lookups allocate nothing.
+    /// The encodings of the key being looked up and of its Σ, reused
+    /// across calls so lookups allocate nothing.
     scratch: Vec<u8>,
+    sigma_scratch: Vec<u8>,
 }
 
 impl AnswerCache {
@@ -448,11 +535,15 @@ impl AnswerCache {
             capacity,
             map: HashMap::new(),
             slots: Vec::new(),
+            sigmas: HashSet::new(),
+            free_ids: Vec::new(),
+            next_id: 0,
             free: Vec::new(),
             head: NIL,
             tail: NIL,
             stats: CacheStats::default(),
             scratch: Vec::new(),
+            sigma_scratch: Vec::new(),
         }
     }
 
@@ -471,32 +562,70 @@ impl AnswerCache {
         self.stats
     }
 
+    /// Number of distinct Σ encodings interned, one per Σ that some
+    /// live entry's key carries.
+    pub fn interned_sigmas(&self) -> usize {
+        self.sigmas.len()
+    }
+
+    /// Encodes `key`'s Σ into `sigma_scratch` and, unless it is long
+    /// enough to intern but not interned, the stored key into `scratch`.
+    /// `false` means no live entry carries this Σ, so none has this key.
+    fn encode(&mut self, key: &QueryKey) -> bool {
+        encode_sigma(key, &mut self.sigma_scratch);
+        let sigma = if self.sigma_scratch.len() < MIN_INTERNED_SIGMA {
+            None
+        } else {
+            match self.sigmas.get(&self.sigma_scratch[..]) {
+                Some(sigma) => Some(sigma.id()),
+                None => return false,
+            }
+        };
+        encode_key(key, sigma, &self.sigma_scratch, &mut self.scratch);
+        true
+    }
+
+    /// Whether the live slot `idx` stores the key encoded in `scratch`
+    /// and `sigma_scratch`, compared byte for byte.
+    fn slot_holds_scratch(&self, idx: usize) -> bool {
+        self.slots
+            .get(idx)
+            .and_then(Option::as_ref)
+            .is_some_and(|slot| {
+                slot.key[..] == self.scratch[..]
+                    && slot
+                        .sigma
+                        .as_ref()
+                        .map_or(true, |sigma| sigma.bytes() == &self.sigma_scratch[..])
+            })
+    }
+
     /// Looks up a canonical key, counting a hit or miss and refreshing
     /// recency on hit. Returns the entry unpacked from its slot (entries
     /// stay owned by the cache).
     ///
     /// Defensive against torn state: a mapped index whose slot is dead,
-    /// whose slot stores a *different* key than the map said (the
+    /// whose slot stores a *different* key or Σ than the map said (the
     /// canonical-key half of the hit-validator), or whose packed entry
     /// does not unpack, is treated as a miss — the mapping and any slot
     /// behind it are dropped and a
     /// [`CacheStats::validation_evictions`] is counted — rather than
     /// served or panicked on.
     pub fn lookup(&mut self, key: &QueryKey) -> Option<CachedEntry> {
-        encode_key(key, &mut self.scratch);
-        let idx = match self.map.get(&self.scratch[..]) {
-            Some(&idx) => idx,
-            None => {
+        let idx = match self.encode(key).then(|| self.map.get(&self.scratch[..])) {
+            Some(Some(&idx)) => idx,
+            _ => {
                 self.stats.misses += 1;
                 return None;
             }
         };
-        let unpacked = self
-            .slots
-            .get(idx)
-            .and_then(Option::as_ref)
-            .filter(|slot| slot.key[..] == self.scratch[..])
-            .and_then(|slot| slot.entry.unpack());
+        let unpacked = if self.slot_holds_scratch(idx) {
+            self.slots[idx]
+                .as_ref()
+                .and_then(|slot| slot.entry.unpack())
+        } else {
+            None
+        };
         match unpacked {
             Some(entry) => {
                 self.stats.hits += 1;
@@ -518,13 +647,12 @@ impl AnswerCache {
     /// [`CacheStats::validation_evictions`]. Returns whether the key
     /// was present.
     pub fn evict_invalid(&mut self, key: &QueryKey) -> bool {
-        encode_key(key, &mut self.scratch);
-        let removed = match self.map.get(&self.scratch[..]) {
-            None => false,
-            Some(&idx) => {
+        let removed = match self.encode(key).then(|| self.map.get(&self.scratch[..])) {
+            Some(Some(&idx)) => {
                 self.remove_mapped(idx);
                 true
             }
+            _ => false,
         };
         if removed {
             self.stats.validation_evictions += 1;
@@ -536,16 +664,37 @@ impl AnswerCache {
     /// `idx`, and frees that slot if it is live and stores this key.
     fn remove_mapped(&mut self, idx: usize) {
         self.map.remove(&self.scratch[..]);
-        let owned = self
-            .slots
-            .get(idx)
-            .and_then(Option::as_ref)
-            .is_some_and(|slot| slot.key[..] == self.scratch[..]);
-        if owned {
+        if self.slot_holds_scratch(idx) {
             self.unlink(idx);
-            self.slots[idx] = None;
-            self.free.push(idx);
+            self.free_slot(idx);
         }
+    }
+
+    /// Empties the unlinked slot `idx`, dropping its Σ from the intern
+    /// table if no other entry carries it.
+    fn free_slot(&mut self, idx: usize) {
+        let slot = self.slots[idx].take().expect("freed slot is live");
+        // The table's reference and this slot's are the last two.
+        if let Some(sigma) = slot.sigma.filter(|s| Arc::strong_count(&s.0) == 2) {
+            self.sigmas.remove(sigma.bytes());
+            self.free_ids.push(sigma.id());
+        }
+        self.free.push(idx);
+    }
+
+    /// The interned copy of the Σ encoded in `sigma_scratch`, interning
+    /// it under a fresh id if no entry carries it yet.
+    fn intern_scratch(&mut self) -> InternedSigma {
+        if let Some(sigma) = self.sigmas.get(&self.sigma_scratch[..]) {
+            return sigma.clone();
+        }
+        let id = self.free_ids.pop().unwrap_or_else(|| {
+            self.next_id += 1;
+            self.next_id - 1
+        });
+        let sigma = InternedSigma::new(id, &self.sigma_scratch);
+        self.sigmas.insert(sigma.clone());
+        sigma
     }
 
     /// Stores an entry, evicting the least-recently-used one if full.
@@ -553,8 +702,17 @@ impl AnswerCache {
         if self.capacity == 0 {
             return;
         }
-        encode_key(&key, &mut self.scratch);
         self.stats.insertions += 1;
+        // Intern before evicting, so an evicted entry with the same Σ
+        // cannot drop it from the table under the id encoded here.
+        encode_sigma(&key, &mut self.sigma_scratch);
+        let sigma = (self.sigma_scratch.len() >= MIN_INTERNED_SIGMA).then(|| self.intern_scratch());
+        encode_key(
+            &key,
+            sigma.as_ref().map(InternedSigma::id),
+            &self.sigma_scratch,
+            &mut self.scratch,
+        );
         if let Some(idx) = self.map.get(&self.scratch[..]).copied() {
             // Overwrite in place (a concurrent miss may have re-solved).
             let slot = self.slots[idx].as_mut().expect("mapped slot is live");
@@ -564,12 +722,12 @@ impl AnswerCache {
             return;
         }
         if self.map.len() >= self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
+            debug_assert_ne!(self.tail, NIL);
+            let lru = self.tail as usize;
             self.unlink(lru);
-            let slot = self.slots[lru].take().expect("tail slot is live");
-            self.map.remove(&slot.key);
-            self.free.push(lru);
+            let key = Arc::clone(&self.slots[lru].as_ref().expect("tail slot is live").key);
+            self.map.remove(&key);
+            self.free_slot(lru);
             self.stats.evictions += 1;
         }
         let idx = match self.free.pop() {
@@ -582,6 +740,7 @@ impl AnswerCache {
         let key: StoredKey = Arc::from(&self.scratch[..]);
         self.slots[idx] = Some(Slot {
             key: Arc::clone(&key),
+            sigma,
             entry: PackedEntry::pack(entry),
             prev: NIL,
             next: NIL,
@@ -599,6 +758,9 @@ impl AnswerCache {
     pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
+        self.sigmas.clear();
+        self.free_ids.clear();
+        self.next_id = 0;
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
@@ -622,44 +784,46 @@ impl AnswerCache {
     }
 
     fn unlink(&mut self, idx: usize) {
-        let (prev, next) = {
-            let slot = self.slots[idx].as_ref().expect("unlink of live slot");
-            (slot.prev, slot.next)
-        };
+        let slot = self.slots[idx].as_mut().expect("unlink of live slot");
+        let (prev, next) = (slot.prev, slot.next);
+        slot.prev = NIL;
+        slot.next = NIL;
         match prev {
             NIL => {
-                if self.head == idx {
+                if self.head == idx as u32 {
                     self.head = next;
                 }
             }
-            p => self.slots[p].as_mut().expect("prev is live").next = next,
+            p => self.slots[p as usize].as_mut().expect("prev is live").next = next,
         }
         match next {
             NIL => {
-                if self.tail == idx {
+                if self.tail == idx as u32 {
                     self.tail = prev;
                 }
             }
-            n => self.slots[n].as_mut().expect("next is live").prev = prev,
+            n => self.slots[n as usize].as_mut().expect("next is live").prev = prev,
         }
-        let slot = self.slots[idx].as_mut().expect("unlink of live slot");
-        slot.prev = NIL;
-        slot.next = NIL;
     }
 
     fn push_front(&mut self, idx: usize) {
+        let link = u32::try_from(idx)
+            .ok()
+            .filter(|&l| l != NIL)
+            .expect("slot index fits a link");
         let old_head = self.head;
-        {
-            let slot = self.slots[idx].as_mut().expect("push of live slot");
-            slot.prev = NIL;
-            slot.next = old_head;
-        }
+        let slot = self.slots[idx].as_mut().expect("push of live slot");
+        slot.prev = NIL;
+        slot.next = old_head;
         if old_head != NIL {
-            self.slots[old_head].as_mut().expect("head is live").prev = idx;
+            self.slots[old_head as usize]
+                .as_mut()
+                .expect("head is live")
+                .prev = link;
         }
-        self.head = idx;
+        self.head = link;
         if self.tail == NIL {
-            self.tail = idx;
+            self.tail = link;
         }
     }
 }
@@ -683,10 +847,23 @@ mod tests {
         }
     }
 
+    /// The stored key of `key`, with its Σ inline when short and under
+    /// intern id 0 otherwise (the id the first Σ interned gets).
     fn stored(key: &QueryKey) -> StoredKey {
+        let mut sigma = Vec::new();
+        encode_sigma(key, &mut sigma);
+        let id = (sigma.len() >= MIN_INTERNED_SIGMA).then_some(0);
         let mut out = Vec::new();
-        encode_key(key, &mut out);
+        encode_key(key, id, &sigma, &mut out);
         out.into()
+    }
+
+    /// What a cache compares to match `key`: its Σ's encoding and its
+    /// stored key.
+    fn identity(key: &QueryKey) -> (Vec<u8>, StoredKey) {
+        let mut sigma = Vec::new();
+        encode_sigma(key, &mut sigma);
+        (sigma, stored(key))
     }
 
     fn entry() -> CachedEntry {
@@ -841,7 +1018,7 @@ mod tests {
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
-                assert_ne!(stored(a), stored(b), "{a:?} vs {b:?}");
+                assert_ne!(identity(a), identity(b), "{a:?} vs {b:?}");
             }
         }
     }
@@ -1046,6 +1223,77 @@ mod tests {
         assert!(cache.lookup(&key(1)).is_some());
         cache.insert(key(2), entry());
         assert!(cache.lookup(&key(2)).is_some());
+    }
+
+    /// `key(n)` over the Σ `{s·i → s : i < 16}`, long enough to intern.
+    fn key_over(n: usize, s: usize) -> QueryKey {
+        let path = |ids: &[usize]| Path::from_labels(ids.iter().map(|&i| Label::from_index(i)));
+        QueryKey {
+            sigma: (0..16)
+                .map(|i| PathConstraint::word(path(&[s, i]), path(&[s])))
+                .collect(),
+            ..key(n)
+        }
+    }
+
+    #[test]
+    fn short_sigmas_are_stored_inline() {
+        let mut cache = AnswerCache::new(4);
+        let mut short = key(0);
+        short.sigma = key_over(0, 100).sigma[..2].to_vec();
+        cache.insert(short.clone(), entry());
+        cache.insert(key(1), entry());
+        assert_eq!(cache.interned_sigmas(), 0);
+        assert!(cache.lookup(&short).is_some());
+        assert!(cache.lookup(&key(1)).is_some());
+        cache.insert(key_over(2, 100), entry());
+        assert_eq!(cache.interned_sigmas(), 1);
+        assert!(cache.lookup(&key_over(2, 100)).is_some());
+    }
+
+    #[test]
+    fn each_sigma_is_interned_once_and_dropped_with_its_last_entry() {
+        let mut cache = AnswerCache::new(3);
+        cache.insert(key_over(0, 100), entry());
+        cache.insert(key_over(1, 100), entry());
+        assert_eq!(cache.interned_sigmas(), 1, "one Σ shared by two keys");
+        cache.insert(key_over(2, 200), entry());
+        assert_eq!(cache.interned_sigmas(), 2);
+        // Evicting one of Σ_100's two entries keeps it interned.
+        cache.insert(key_over(3, 300), entry());
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.interned_sigmas(), 3);
+        assert!(cache.lookup(&key_over(1, 100)).is_some());
+        // Its last entry goes, and the Σ with it.
+        assert!(cache.evict_invalid(&key_over(1, 100)));
+        assert_eq!(cache.interned_sigmas(), 2);
+        // A Σ no entry carries is a plain miss, and its freed id is
+        // reused without confusing the keys still stored.
+        assert!(cache.lookup(&key_over(1, 100)).is_none());
+        cache.insert(key_over(4, 400), entry());
+        assert!(cache.lookup(&key_over(4, 400)).is_some());
+        assert!(cache.lookup(&key_over(2, 200)).is_some());
+        assert!(cache.lookup(&key_over(3, 300)).is_some());
+        assert!(cache.lookup(&key_over(4, 100)).is_none());
+        for k in [key_over(2, 200), key_over(3, 300), key_over(4, 400)] {
+            assert!(cache.evict_invalid(&k));
+        }
+        assert_eq!(cache.interned_sigmas(), 0);
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().validation_evictions, 4);
+    }
+
+    #[test]
+    fn a_slot_with_another_sigma_under_the_same_key_bytes_misses() {
+        let mut cache = AnswerCache::new(4);
+        cache.insert(key_over(0, 100), entry());
+        // Tear the slot: same stored key bytes, another Σ.
+        let idx = cache.map[&stored(&key_over(0, 100))];
+        let mut other = Vec::new();
+        encode_sigma(&key_over(0, 200), &mut other);
+        cache.slots[idx].as_mut().unwrap().sigma = Some(InternedSigma::new(0, &other));
+        assert!(cache.lookup(&key_over(0, 100)).is_none());
+        assert_eq!(cache.stats().validation_evictions, 1);
     }
 
     #[test]

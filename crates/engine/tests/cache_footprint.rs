@@ -1,11 +1,17 @@
 //! Memory regression test for the answer cache's key storage.
 //!
-//! A counting global allocator tracks live heap bytes. The test fills a
-//! capacity-4096 `AnswerCache` with distinct canonical keys over one
-//! 128-rule Σ — the resident-context shape, where every key carries the
-//! whole Σ — and bounds the live-heap growth per entry. Keeping this
-//! binary to a single `#[test]` keeps other tests' allocations out of
-//! the count.
+//! A counting global allocator tracks live heap bytes and allocations.
+//! The test fills a capacity-4096 `AnswerCache` twice and bounds the
+//! live-heap growth per entry each time:
+//!
+//! - with distinct keys over one 128-rule Σ — the resident-context
+//!   shape, where the cache interns the shared Σ once;
+//! - with a distinct 32-rule Σ per key — the cold shape, where interning
+//!   shares nothing and may cost at most 64 bytes and one allocation per
+//!   entry over storing each Σ inside its key.
+//!
+//! Keeping this binary to a single `#[test]` keeps other tests'
+//! allocations out of the count.
 
 use pathcons_constraints::{Path, PathConstraint};
 use pathcons_core::{Answer, DataContext, Evidence, Method, Outcome};
@@ -14,8 +20,10 @@ use pathcons_graph::Label;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
-/// Live heap bytes, as seen through the counting allocator.
+/// Live heap bytes and allocations, as seen through the counting
+/// allocator.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static ALLOCS: AtomicIsize = AtomicIsize::new(0);
 
 struct Counting;
 
@@ -26,6 +34,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
@@ -34,6 +43,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
@@ -41,6 +51,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        ALLOCS.fetch_sub(1, Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -61,35 +72,48 @@ static GLOBAL: Counting = Counting;
 const CAPACITY: usize = 4096;
 const RULES: usize = 128;
 const LABELS: u64 = 8;
-/// The bound: at most 4 KiB of live heap per cached entry.
-const MAX_BYTES_PER_ENTRY: isize = 4096;
+/// Live heap per entry when every key shares one interned 128-rule Σ.
+const MAX_SHARED_BYTES_PER_ENTRY: isize = 512;
+/// Live heap and allocations per entry with a distinct 32-rule Σ per
+/// key, when each key stored its own Σ inline (x86-64 Linux, release
+/// and debug alike), plus the interning allowance: 64 bytes and one
+/// allocation.
+const MAX_DISTINCT_BYTES_PER_ENTRY: isize = INLINE_DISTINCT_BYTES + 64;
+const INLINE_DISTINCT_BYTES: isize = 538;
+const MAX_DISTINCT_ALLOCS_PER_ENTRY: isize = INLINE_DISTINCT_ALLOCS + 1;
+const INLINE_DISTINCT_ALLOCS: isize = 2;
 
 fn path(labels: &[u64]) -> Path {
     Path::from_labels(labels.iter().map(|&l| Label::from_index(l as usize)))
 }
 
-/// 128 distinct word rules `x.y -> z` / `x -> y.z` over 8 labels.
-fn sigma() -> Vec<PathConstraint> {
-    let mut state = 0x5eed_u64;
-    let mut next = move || {
+/// A pseudo-random label stream.
+fn labels(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
         state = state
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
         (state >> 33) % LABELS
-    };
-    let mut rules = Vec::with_capacity(RULES);
-    while rules.len() < RULES {
+    }
+}
+
+/// `rules` distinct word rules `x.y -> z` / `x -> y.z` over 8 labels.
+fn sigma(seed: u64, rules: usize) -> Vec<PathConstraint> {
+    let mut next = labels(seed);
+    let mut sigma = Vec::with_capacity(rules);
+    while sigma.len() < rules {
         let (x, y, z) = (next(), next(), next());
-        let rule = if rules.len() % 2 == 0 {
+        let rule = if sigma.len() % 2 == 0 {
             PathConstraint::word(path(&[x, y]), path(&[z]))
         } else {
             PathConstraint::word(path(&[x]), path(&[y, z]))
         };
-        if !rules.contains(&rule) {
-            rules.push(rule);
+        if !sigma.contains(&rule) {
+            sigma.push(rule);
         }
     }
-    rules
+    sigma
 }
 
 /// A distinct goal per entry: `i` written in base 8 as the rhs path.
@@ -103,10 +127,26 @@ fn phi(i: usize) -> PathConstraint {
     PathConstraint::word(path(&[0]), path(&digits))
 }
 
+/// Fills a fresh cache with the keys `key(0..CAPACITY)`; returns it
+/// with its live-heap bytes and allocations per entry.
+fn fill(key: impl Fn(usize) -> QueryKey, entry: &CachedEntry) -> (AnswerCache, isize, isize) {
+    let (bytes, allocs) = (LIVE.load(Ordering::Relaxed), ALLOCS.load(Ordering::Relaxed));
+    let mut cache = AnswerCache::new(CAPACITY);
+    for i in 0..CAPACITY {
+        cache.insert(key(i), entry.clone());
+    }
+    let per_entry = |now: isize, then: isize| (now - then) / CAPACITY as isize;
+    (
+        cache,
+        per_entry(LIVE.load(Ordering::Relaxed), bytes),
+        per_entry(ALLOCS.load(Ordering::Relaxed), allocs),
+    )
+}
+
 #[test]
-fn cached_entries_stay_under_four_kib_each() {
-    let sigma = sigma();
-    let canon = canonicalize(&DataContext::Semistructured, &sigma, &phi(0));
+fn cached_entries_stay_small() {
+    let shared = sigma(0x5eed, RULES);
+    let canon = canonicalize(&DataContext::Semistructured, &shared, &phi(0));
     assert_eq!(canon.key.sigma.len(), RULES);
     let entry = CachedEntry {
         answer: Answer {
@@ -116,29 +156,41 @@ fn cached_entries_stay_under_four_kib_each() {
         renaming: canon.renaming.clone(),
         certificate: None,
     };
-
-    let mut cache = AnswerCache::new(CAPACITY);
-    let before = LIVE.load(Ordering::Relaxed);
-    for i in 0..CAPACITY {
-        let key = QueryKey {
-            phi: phi(i),
-            ..canon.key.clone()
-        };
-        cache.insert(key, entry.clone());
-    }
-    let grown = LIVE.load(Ordering::Relaxed) - before;
-    assert_eq!(cache.len(), CAPACITY, "every key is distinct");
-    assert_eq!(cache.stats().evictions, 0);
-
-    let per_entry = grown / CAPACITY as isize;
-    assert!(
-        per_entry <= MAX_BYTES_PER_ENTRY,
-        "{per_entry} live bytes per cached entry (bound {MAX_BYTES_PER_ENTRY})"
-    );
-    // The entries are really there: a stored key answers its lookup.
-    let probe = QueryKey {
-        phi: phi(CAPACITY - 1),
+    let key = |sigma: &[PathConstraint], i: usize| QueryKey {
+        sigma: sigma.to_vec(),
+        phi: phi(i),
         ..canon.key.clone()
     };
-    assert!(cache.lookup(&probe).is_some());
+
+    // One shared Σ.
+    let (mut cache, bytes, _) = fill(|i| key(&canon.key.sigma, i), &entry);
+    assert_eq!(cache.len(), CAPACITY, "every key is distinct");
+    assert_eq!(cache.stats().evictions, 0);
+    assert_eq!(cache.interned_sigmas(), 1);
+    assert!(
+        bytes <= MAX_SHARED_BYTES_PER_ENTRY,
+        "{bytes} live bytes per entry over a shared Σ (bound {MAX_SHARED_BYTES_PER_ENTRY})"
+    );
+    // The entries are really there: a stored key answers its lookup.
+    assert!(cache.lookup(&key(&canon.key.sigma, CAPACITY - 1)).is_some());
+    // Once every entry is evicted, the intern table is empty.
+    for i in 0..CAPACITY {
+        assert!(cache.evict_invalid(&key(&canon.key.sigma, i)));
+    }
+    assert!(cache.is_empty());
+    assert_eq!(cache.interned_sigmas(), 0);
+    drop(cache);
+
+    // A distinct Σ per entry.
+    let (cache, bytes, allocs) = fill(|i| key(&sigma(i as u64, 32), i), &entry);
+    assert_eq!(cache.len(), CAPACITY);
+    assert_eq!(cache.interned_sigmas(), CAPACITY);
+    assert!(
+        bytes <= MAX_DISTINCT_BYTES_PER_ENTRY,
+        "{bytes} live bytes per entry over distinct Σ (bound {MAX_DISTINCT_BYTES_PER_ENTRY})"
+    );
+    assert!(
+        allocs <= MAX_DISTINCT_ALLOCS_PER_ENTRY,
+        "{allocs} live allocations per entry over distinct Σ (bound {MAX_DISTINCT_ALLOCS_PER_ENTRY})"
+    );
 }

@@ -1,11 +1,14 @@
 //! Property tests for the PTIME word-constraint engine: soundness and
 //! completeness against independent references.
 
-use pathcons::automata::PrefixRewriteSystem;
-use pathcons::constraints::{holds, Path, PathConstraint};
-use pathcons::core::{chase_implication, Budget, Outcome, WordEngine};
-use pathcons::graph::Label;
+use pathcons::automata::{Nfa, PrefixRewriteSystem, StateId};
+use pathcons::constraints::{all_hold, holds, Path, PathConstraint};
+use pathcons::core::{
+    chase_implication, quotient_countermodel, Budget, Deadline, Outcome, WordEngine,
+};
+use pathcons::graph::{Graph, Label};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn arb_word(alphabet: usize, max_len: usize) -> impl Strategy<Value = Vec<Label>> {
     prop::collection::vec(0..alphabet, 0..=max_len)
@@ -25,8 +28,135 @@ fn arb_sigma(alphabet: usize, max_rules: usize) -> impl Strategy<Value = Vec<Pat
     })
 }
 
+/// The residual quotient countermodel as it was computed before `post*`
+/// was frozen into bitsets: the same construction as
+/// `quotient_countermodel`, over sorted state vectors of the round-based
+/// saturation's [`Nfa`]s. A reference for the bitset version, which must
+/// build the identical graph.
+fn reference_quotient(sigma: &[PathConstraint], phi: &PathConstraint) -> Option<Graph> {
+    let mut system = PrefixRewriteSystem::new();
+    for c in sigma {
+        system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
+    }
+    let mut alphabet: Vec<Label> = sigma
+        .iter()
+        .chain(std::iter::once(phi))
+        .flat_map(|c| c.lhs().labels().iter().chain(c.rhs().labels()))
+        .copied()
+        .collect();
+    alphabet.sort_unstable();
+    alphabet.dedup();
+    let mut graph = Graph::new();
+    reference_add(&mut graph, &system.post_star_rounds(&[]), &alphabet, true)?;
+    if !phi.lhs().is_empty() {
+        reference_add(
+            &mut graph,
+            &system.post_star_rounds(phi.lhs()),
+            &alphabet,
+            false,
+        )?;
+    }
+    (all_hold(&graph, sigma) && !holds(&graph, phi)).then_some(graph)
+}
+
+fn reference_add(graph: &mut Graph, nfa: &Nfa, alphabet: &[Label], at_root: bool) -> Option<()> {
+    const MAX_NODES: usize = 512;
+    let n = nfa.state_count();
+    let mut eps_pred: Vec<Vec<StateId>> = vec![Vec::new(); n];
+    let mut pred: Vec<Vec<(Label, StateId)>> = vec![Vec::new(); n];
+    for q in (0..n).map(StateId::from_index) {
+        for t in nfa.epsilon_successors(q) {
+            eps_pred[t.index()].push(q);
+        }
+        for (l, t) in nfa.transitions(q) {
+            pred[t.index()].push((l, q));
+        }
+    }
+    let close = |mut seed: Vec<StateId>| {
+        let mut i = 0;
+        while i < seed.len() {
+            for &p in &eps_pred[seed[i].index()] {
+                if !seed.contains(&p) {
+                    seed.push(p);
+                }
+            }
+            i += 1;
+        }
+        seed.sort_unstable();
+        seed
+    };
+    let fresh = |graph: &mut Graph| (graph.node_count() < MAX_NODES).then(|| graph.add_node());
+    let root = graph.root();
+    let first = close(nfa.accepting_states().collect());
+    if first.is_empty() {
+        return None;
+    }
+    let mut nodes = vec![if at_root { root } else { fresh(graph)? }];
+    let mut sets = vec![first.clone()];
+    let mut index: HashMap<Vec<StateId>, usize> = HashMap::from([(first, 0)]);
+    let mut j = 0;
+    while j < sets.len() {
+        for &l in alphabet {
+            let mut seed: Vec<StateId> = sets[j]
+                .iter()
+                .flat_map(|t| pred[t.index()].iter())
+                .filter(|&&(pl, _)| pl == l)
+                .map(|&(_, q)| q)
+                .collect();
+            seed.sort_unstable();
+            seed.dedup();
+            let pre = close(seed);
+            if pre.is_empty() {
+                continue;
+            }
+            if pre.binary_search(&nfa.start()).is_ok() {
+                graph.add_edge(root, l, nodes[j]);
+            }
+            let i = match index.get(&pre) {
+                Some(&i) => i,
+                None => {
+                    nodes.push(fresh(graph)?);
+                    sets.push(pre.clone());
+                    index.insert(pre, sets.len() - 1);
+                    sets.len() - 1
+                }
+            };
+            graph.add_edge(nodes[i], l, nodes[j]);
+        }
+        j += 1;
+    }
+    Some(())
+}
+
+fn graph_shape(g: &Graph) -> (usize, usize, Vec<(usize, Label, usize)>) {
+    let edges = g
+        .edges()
+        .map(|(a, l, b)| (a.index(), l, b.index()))
+        .collect();
+    (g.node_count(), g.root().index(), edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The quotient countermodel read off the bitset `post*` automata is
+    /// the graph the round-based automata give, node for node and edge
+    /// for edge.
+    #[test]
+    fn quotient_countermodels_are_unchanged(
+        sigma in arb_sigma(3, 4),
+        lhs in arb_word(3, 3),
+        rhs in arb_word(3, 3),
+    ) {
+        let phi = PathConstraint::word(Path::from_labels(lhs), Path::from_labels(rhs));
+        let engine = WordEngine::new(&sigma).unwrap();
+        let post = engine.consequences(phi.lhs());
+        prop_assume!(!post.accepts(phi.rhs()));
+        let empty = engine.consequences(&[]);
+        let got = quotient_countermodel(&sigma, &phi, &empty, &post, &Deadline::none());
+        let want = reference_quotient(&sigma, &phi);
+        prop_assert_eq!(got.as_ref().map(graph_shape), want.as_ref().map(graph_shape));
+    }
 
     /// Completeness against the naive rewriting reference: every word the
     /// bounded BFS reaches must be accepted by the post* automaton.
