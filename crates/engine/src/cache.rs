@@ -666,16 +666,17 @@ impl AnswerCache {
         self.map.remove(&self.scratch[..]);
         if self.slot_holds_scratch(idx) {
             self.unlink(idx);
-            self.free_slot(idx);
+            let slot = self.slots[idx].take().expect("owned slot is live");
+            self.release(idx, slot);
         }
     }
 
-    /// Empties the unlinked slot `idx`, dropping its Σ from the intern
-    /// table if no other entry carries it.
-    fn free_slot(&mut self, idx: usize) {
-        let slot = self.slots[idx].take().expect("freed slot is live");
+    /// Frees slot `idx`, whose unlinked `slot` was taken out of it and
+    /// unmapped, dropping its Σ from the intern table if no other entry
+    /// carries it.
+    fn release(&mut self, idx: usize, slot: Slot) {
         // The table's reference and this slot's are the last two.
-        if let Some(sigma) = slot.sigma.filter(|s| Arc::strong_count(&s.0) == 2) {
+        if let Some(sigma) = slot.sigma.as_ref().filter(|s| Arc::strong_count(&s.0) == 2) {
             self.sigmas.remove(sigma.bytes());
             self.free_ids.push(sigma.id());
         }
@@ -725,9 +726,9 @@ impl AnswerCache {
             debug_assert_ne!(self.tail, NIL);
             let lru = self.tail as usize;
             self.unlink(lru);
-            let key = Arc::clone(&self.slots[lru].as_ref().expect("tail slot is live").key);
-            self.map.remove(&key);
-            self.free_slot(lru);
+            let slot = self.slots[lru].take().expect("tail slot is live");
+            self.map.remove(&slot.key);
+            self.release(lru, slot);
             self.stats.evictions += 1;
         }
         let idx = match self.free.pop() {
