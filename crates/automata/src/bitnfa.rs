@@ -2,13 +2,16 @@
 //! saturation produces (see [`crate::PrefixRewriteSystem::post_star`])
 //! and a word context keeps per left-hand side.
 //!
-//! A saturated automaton has a fixed state space and a dense transition
-//! relation into it: the start state and the last state of each rule's
-//! right-hand-side chain reach every anchor the rule fires on. One bitset
-//! per non-empty `(state, label)` row stores that relation in
-//! `states / 8` bytes per row, and every operation the word tier runs on
-//! it — membership, ε-closure, the residual quotient's `pre_l` step and
-//! the subset construction — is a word-parallel OR over those rows.
+//! A saturated automaton has a fixed state space, and its transitions
+//! concentrate on few sources: the start state and the last state of
+//! each rule's right-hand-side chain reach every anchor the rule fires
+//! on. One bitset per non-empty `(state, label)` row stores that
+//! relation in `states / 8` bytes per row, and every operation the word
+//! tier runs on it — membership, ε-closure, the residual quotient's
+//! `pre_l` step and the subset construction — is a word-parallel OR
+//! over those rows. The rows are indexed sparsely, per column by source
+//! state, so the index grows with the alphabet and the rows that exist,
+//! not with `states × alphabet`; a step scans its column's rows.
 //!
 //! A state set is a bitset of `⌈states / 64⌉` `u64`s: state `q` is bit
 //! `q % 64` of word `q / 64`.
@@ -18,8 +21,124 @@ use crate::nfa::StateId;
 use pathcons_graph::Label;
 use std::collections::{HashMap, VecDeque};
 
-/// `row_of` marker for an empty row.
-const NO_ROW: u32 = u32::MAX;
+/// A [`BitNfa`] under construction: transitions are added one at a time
+/// and read back while they are, and [`Self::freeze`] packs the result.
+pub(crate) struct BitNfaBuilder {
+    states: usize,
+    labels: Box<[Label]>,
+    /// Per state, its non-empty rows as `(column, row in rows)`, sorted
+    /// by column.
+    index: Vec<Vec<(u32, u32)>>,
+    /// The non-empty rows, `set_words` words each, in the order their
+    /// first transition arrived.
+    rows: Vec<u64>,
+    accepting: Box<[u64]>,
+    epsilon: bool,
+}
+
+impl BitNfaBuilder {
+    /// `states` states and no transitions over the sorted, deduplicated
+    /// `labels`; [`Self::insert`] adds the transitions.
+    pub(crate) fn new(labels: Vec<Label>, states: usize) -> BitNfaBuilder {
+        debug_assert!(labels.windows(2).all(|w| w[0] < w[1]));
+        BitNfaBuilder {
+            states,
+            labels: labels.into(),
+            index: vec![Vec::new(); states],
+            rows: Vec::new(),
+            accepting: vec![0; states.div_ceil(64)].into(),
+            epsilon: false,
+        }
+    }
+
+    /// Words per state set.
+    pub(crate) fn set_words(&self) -> usize {
+        self.states.div_ceil(64)
+    }
+
+    /// The column that reads `label`, if it is in the alphabet.
+    pub(crate) fn column(&self, label: Label) -> Option<usize> {
+        self.labels.binary_search(&label).ok()
+    }
+
+    /// The ε column.
+    pub(crate) fn epsilon_column(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Adds `from --column--> to` (column [`Self::epsilon_column`] for
+    /// ε), allocating the row on its first transition; returns whether
+    /// the transition is new.
+    pub(crate) fn insert(&mut self, from: usize, column: usize, to: usize) -> bool {
+        let w = self.set_words();
+        let entries = &mut self.index[from];
+        let r = match entries.binary_search_by_key(&(column as u32), |&(c, _)| c) {
+            Ok(i) => entries[i].1 as usize,
+            Err(i) => {
+                let r = self.rows.len() / w;
+                entries.insert(i, (column as u32, u32::try_from(r).expect("too many rows")));
+                self.rows.resize(self.rows.len() + w, 0);
+                r
+            }
+        };
+        let word = &mut self.rows[r * w + to / 64];
+        let bit = 1u64 << (to % 64);
+        let new = *word & bit == 0;
+        *word |= bit;
+        self.epsilon |= column == self.labels.len();
+        new
+    }
+
+    /// The targets of `state` under `column`, unless there are none.
+    pub(crate) fn row(&self, state: usize, column: usize) -> Option<&[u64]> {
+        let entries = &self.index[state];
+        let i = entries
+            .binary_search_by_key(&(column as u32), |&(c, _)| c)
+            .ok()?;
+        let (r, w) = (entries[i].1 as usize, self.set_words());
+        Some(&self.rows[r * w..(r + 1) * w])
+    }
+
+    pub(crate) fn set_accepting(&mut self, state: usize) {
+        insert(&mut self.accepting, StateId::from_index(state));
+    }
+
+    /// The finished automaton, its rows laid out by column and source
+    /// state (a counting sort over the columns).
+    pub(crate) fn freeze(self) -> BitNfa {
+        let w = self.set_words();
+        let columns = self.labels.len() + 1;
+        let mut col_start = vec![0u32; columns + 1];
+        for &(c, _) in self.index.iter().flatten() {
+            col_start[c as usize + 1] += 1;
+        }
+        for c in 0..columns {
+            col_start[c + 1] += col_start[c];
+        }
+        let count = col_start[columns] as usize;
+        let mut next = col_start[..columns].to_vec();
+        let mut sources = vec![0u32; count];
+        let mut rows = vec![0u64; count * w];
+        for (q, entries) in self.index.iter().enumerate() {
+            for &(c, r) in entries {
+                let i = next[c as usize] as usize;
+                next[c as usize] += 1;
+                sources[i] = q as u32;
+                rows[i * w..(i + 1) * w]
+                    .copy_from_slice(&self.rows[r as usize * w..(r as usize + 1) * w]);
+            }
+        }
+        BitNfa {
+            states: self.states,
+            labels: self.labels,
+            col_start: col_start.into(),
+            sources: sources.into(),
+            rows: rows.into(),
+            accepting: self.accepting,
+            epsilon: self.epsilon,
+        }
+    }
+}
 
 /// An NFA with ε-transitions over a fixed, sorted alphabet, stored as one
 /// target bitset per non-empty `(state, label)` and `(state, ε)` row.
@@ -29,12 +148,12 @@ pub struct BitNfa {
     /// The alphabet, sorted: column `c` reads `labels[c]`, and column
     /// `labels.len()` is ε.
     labels: Box<[Label]>,
-    /// `row_of[state * (labels.len() + 1) + column]`: the index of that
-    /// row in `rows`, or [`NO_ROW`] when it is empty.
-    row_of: Box<[u32]>,
-    /// The non-empty rows, `set_words` words each, in the order their
-    /// first transition arrived.
-    rows: Vec<u64>,
+    /// Column `c`'s rows are rows `col_start[c]..col_start[c + 1]`.
+    col_start: Box<[u32]>,
+    /// Each row's source state, ascending within a column.
+    sources: Box<[u32]>,
+    /// The rows, `set_words` words each.
+    rows: Box<[u64]>,
     accepting: Box<[u64]>,
     /// Whether any ε-transition exists (closures are no-ops otherwise).
     epsilon: bool,
@@ -51,50 +170,6 @@ impl BitNfa {
     #[inline]
     pub fn start(&self) -> StateId {
         StateId::from_index(0)
-    }
-
-    /// `states` states and no transitions over the sorted, deduplicated
-    /// `labels`; [`Self::insert`] adds the transitions.
-    pub(crate) fn new(labels: Vec<Label>, states: usize) -> BitNfa {
-        debug_assert!(labels.windows(2).all(|w| w[0] < w[1]));
-        // A saturated automaton has about one row per state plus one per
-        // label out of the start state.
-        let rows = Vec::with_capacity((states + labels.len()) * states.div_ceil(64));
-        BitNfa {
-            states,
-            row_of: vec![NO_ROW; states * (labels.len() + 1)].into(),
-            labels: labels.into(),
-            rows,
-            accepting: vec![0; states.div_ceil(64)].into(),
-            epsilon: false,
-        }
-    }
-
-    /// Adds `from --column--> to` (column [`Self::epsilon_column`] for
-    /// ε), allocating the row on its first transition; returns whether
-    /// the transition is new.
-    pub(crate) fn insert(&mut self, from: usize, column: usize, to: usize) -> bool {
-        let w = self.set_words();
-        let slot = &mut self.row_of[from * (self.labels.len() + 1) + column];
-        if *slot == NO_ROW {
-            *slot = u32::try_from(self.rows.len() / w).expect("too many rows");
-            self.rows.resize(self.rows.len() + w, 0);
-        }
-        let word = &mut self.rows[*slot as usize * w + to / 64];
-        let bit = 1u64 << (to % 64);
-        let new = *word & bit == 0;
-        *word |= bit;
-        self.epsilon |= column == self.labels.len();
-        new
-    }
-
-    pub(crate) fn set_accepting(&mut self, state: usize) {
-        insert(&mut self.accepting, StateId::from_index(state));
-    }
-
-    /// Releases the spare capacity construction left behind.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.rows.shrink_to_fit();
     }
 
     /// Words per state set.
@@ -125,50 +200,59 @@ impl BitNfa {
     /// Bytes held on the heap.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of_val::<[Label]>(&self.labels)
-            + std::mem::size_of_val::<[u32]>(&self.row_of)
-            + self.rows.capacity() * std::mem::size_of::<u64>()
+            + std::mem::size_of_val::<[u32]>(&self.col_start)
+            + std::mem::size_of_val::<[u32]>(&self.sources)
+            + std::mem::size_of_val::<[u64]>(&self.rows)
             + std::mem::size_of_val::<[u64]>(&self.accepting)
     }
 
     /// The column that reads `label`, if it is in the alphabet.
-    pub(crate) fn column(&self, label: Label) -> Option<usize> {
+    fn column(&self, label: Label) -> Option<usize> {
         self.labels.binary_search(&label).ok()
     }
 
     /// The ε column.
-    pub(crate) fn epsilon_column(&self) -> usize {
+    fn epsilon_column(&self) -> usize {
         self.labels.len()
     }
 
-    /// The targets of `state` under `column`, unless there are none.
-    pub(crate) fn row(&self, state: usize, column: usize) -> Option<&[u64]> {
-        let r = self.row_of[state * (self.labels.len() + 1) + column];
-        (r != NO_ROW).then(|| {
-            let w = self.set_words();
-            &self.rows[r as usize * w..(r as usize + 1) * w]
-        })
+    /// Row `i`'s targets.
+    fn row_at(&self, i: usize) -> &[u64] {
+        let w = self.set_words();
+        &self.rows[i * w..(i + 1) * w]
     }
 
-    /// Every labeled transition `(from, label, to)`, sorted.
+    /// Column `column`'s non-empty rows as `(source, targets)`, by
+    /// source.
+    fn column_rows(&self, column: usize) -> impl Iterator<Item = (usize, &[u64])> + '_ {
+        let (lo, hi) = (
+            self.col_start[column] as usize,
+            self.col_start[column + 1] as usize,
+        );
+        (lo..hi).map(move |i| (self.sources[i] as usize, self.row_at(i)))
+    }
+
+    /// The targets of `state` under `column`, unless there are none.
+    fn row(&self, state: usize, column: usize) -> Option<&[u64]> {
+        let lo = self.col_start[column] as usize;
+        let hi = self.col_start[column + 1] as usize;
+        let i = self.sources[lo..hi].binary_search(&(state as u32)).ok()?;
+        Some(self.row_at(lo + i))
+    }
+
+    /// Every labeled transition `(from, label, to)`, by label, then
+    /// source, then target.
     pub fn transitions(&self) -> impl Iterator<Item = (StateId, Label, StateId)> + '_ {
-        (0..self.states).flat_map(move |q| {
-            self.labels.iter().enumerate().flat_map(move |(c, &l)| {
-                self.row(q, c)
-                    .into_iter()
-                    .flat_map(members)
-                    .map(move |t| (StateId::from_index(q), l, t))
-            })
+        self.labels.iter().enumerate().flat_map(move |(c, &l)| {
+            self.column_rows(c)
+                .flat_map(move |(q, row)| members(row).map(move |t| (StateId::from_index(q), l, t)))
         })
     }
 
     /// Every ε-transition `(from, to)`, sorted.
     pub fn epsilon_transitions(&self) -> impl Iterator<Item = (StateId, StateId)> + '_ {
-        (0..self.states).flat_map(move |q| {
-            self.row(q, self.epsilon_column())
-                .into_iter()
-                .flat_map(members)
-                .map(move |t| (StateId::from_index(q), t))
-        })
+        self.column_rows(self.epsilon_column())
+            .flat_map(|(q, row)| members(row).map(move |t| (StateId::from_index(q), t)))
     }
 
     /// Closes `set` under ε-transitions.
@@ -195,8 +279,8 @@ impl BitNfa {
         out.clear();
         out.resize(self.set_words(), 0);
         let mut any = false;
-        for q in members(set) {
-            if let Some(row) = self.row(q.index(), column) {
+        for (q, row) in self.column_rows(column) {
+            if contains(set, StateId::from_index(q)) {
                 any = true;
                 or_into(out, row);
             }
@@ -245,9 +329,9 @@ impl BitNfa {
         let mut frontier = self.initial();
         loop {
             let mut next = self.empty_set();
-            for q in members(&frontier) {
-                for c in 0..self.labels.len() {
-                    if let Some(row) = self.row(q.index(), c) {
+            for c in 0..self.labels.len() {
+                for (q, row) in self.column_rows(c) {
+                    if contains(&frontier, StateId::from_index(q)) {
                         or_into(&mut next, row);
                     }
                 }
@@ -271,8 +355,8 @@ impl BitNfa {
     pub fn pre_closed(&self, label: Label, set: &[u64]) -> Vec<u64> {
         let mut pre = self.empty_set();
         if let Some(c) = self.column(label) {
-            for q in 0..self.states {
-                if self.row(q, c).is_some_and(|row| intersects(row, set)) {
+            for (q, row) in self.column_rows(c) {
+                if intersects(row, set) {
                     insert(&mut pre, StateId::from_index(q));
                 }
             }
@@ -287,13 +371,11 @@ impl BitNfa {
         if !self.epsilon {
             return;
         }
-        let eps = self.epsilon_column();
         loop {
             let mut grew = false;
-            for q in 0..self.states {
+            for (q, row) in self.column_rows(self.epsilon_column()) {
                 let state = StateId::from_index(q);
-                if !contains(set, state) && self.row(q, eps).is_some_and(|row| intersects(row, set))
-                {
+                if !contains(set, state) && intersects(row, set) {
                     insert(set, state);
                     grew = true;
                 }
@@ -419,13 +501,36 @@ fn intersects(a: &[u64], b: &[u64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{determinize, Nfa};
+    use crate::{determinize, Nfa, PrefixRewriteSystem};
+
+    #[test]
+    fn a_wide_automaton_is_stored_in_less_than_a_byte_per_state_and_label() {
+        // `lᵢ ⇒ lᵢ₊₁·lᵢ₊₂` for i < 1 000: every rule fires from `l₀`,
+        // over 1 002 labels and 1 002 states, but only the start state
+        // and each rule's interior state have rows.
+        let n = 1000;
+        let l = |i: usize| Label::from_index(i);
+        let system = PrefixRewriteSystem::from_rules(
+            (0..n).map(|i| crate::RewriteRule::new(vec![l(i)], vec![l(i + 1), l(i + 2)])),
+        );
+        let nfa = system.post_star(&[l(0)]);
+        assert_eq!(nfa.state_count(), n + 2);
+        assert!(nfa.accepts(&[l(1), l(2)]));
+        assert!(nfa.accepts(&[l(2), l(3), l(2)]));
+        assert!(!nfa.accepts(&[l(2)]));
+        let pairs = nfa.state_count() * (n + 2);
+        assert!(
+            nfa.heap_bytes() < pairs,
+            "{} heap bytes for {pairs} (state, label) pairs",
+            nfa.heap_bytes()
+        );
+    }
 
     #[test]
     fn capped_determinization_falls_back_or_matches_the_nfa_one() {
         let (a, b) = (Label::from_index(0), Label::from_index(1));
         // (a|b)* a, with an ε-detour: needs 2 subset states.
-        let mut bits = BitNfa::new(vec![a, b], 3);
+        let mut bits = BitNfaBuilder::new(vec![a, b], 3);
         let mut nfa = Nfa::new();
         nfa.add_state();
         let accepting = nfa.add_state();
@@ -448,6 +553,7 @@ mod tests {
             }
         }
         bits.set_accepting(2);
+        let bits = bits.freeze();
         nfa.set_accepting(accepting, true);
 
         assert!(bits.determinize_capped(1).is_none());

@@ -27,7 +27,7 @@
 //! [`PrefixRewriteSystem::post_star_rounds`] is the round-based
 //! reference it is tested against, transition for transition.
 
-use crate::bitnfa::{push_bits, BitNfa};
+use crate::bitnfa::{push_bits, BitNfa, BitNfaBuilder};
 use crate::nfa::{Nfa, StateId};
 use pathcons_graph::Label;
 use std::collections::HashSet;
@@ -215,7 +215,7 @@ struct TrieNode {
 /// automaton's rows are bitsets, so one propagation step is a
 /// word-parallel OR.
 struct Saturation {
-    nfa: BitNfa,
+    nfa: BitNfaBuilder,
     /// Every rule's rhs as columns, back to back: rule `r`'s is
     /// `rhs[rhs_at[r]..rhs_at[r + 1]]`.
     rhs: Vec<usize>,
@@ -262,9 +262,10 @@ impl Saturation {
                 first
             })
             .collect();
-        let mut nfa = BitNfa::new(labels, states);
-        let column =
-            |nfa: &BitNfa, label: Label| nfa.column(label).expect("every label is in the alphabet");
+        let mut nfa = BitNfaBuilder::new(labels, states);
+        let column = |nfa: &BitNfaBuilder, label: Label| {
+            nfa.column(label).expect("every label is in the alphabet")
+        };
         for (i, &label) in initial.iter().enumerate() {
             nfa.insert(i, column(&nfa, label), i + 1);
         }
@@ -307,8 +308,7 @@ impl Saturation {
         };
         sat.add_member(0, 0);
         sat.drain();
-        sat.nfa.shrink_to_fit();
-        sat.nfa
+        sat.nfa.freeze()
     }
 
     /// Records `state ∈ L_node`; queues its propagation if it is new.

@@ -14,8 +14,11 @@
 //!
 //! Besides the grid, one resident-shaped cell mirrors servebench's
 //! `resident_word` context: 128 distinct rules over 8 labels, lhs of 1–2
-//! labels, rhs of 1–3. Every cell also reports the heap bytes of a
-//! memoized automaton.
+//! labels, rhs of 1–3. A wide cell keeps that rule shape over a large
+//! alphabet (1 024 rules over 1 024 labels; 256 over 256 in the smoke
+//! run), where an automaton has many states and labels but few
+//! transitions. Every cell also reports the heap bytes of a memoized
+//! automaton.
 //!
 //! `--smoke` runs a scaled-down grid (seconds, used by CI); the default
 //! run covers the full grid and asserts the amortization floor on the
@@ -67,6 +70,15 @@ impl Shape {
         min_rhs: 1,
         max_rhs: 3,
     };
+
+    /// The resident rule shape, `constraints` rules over as many labels.
+    fn wide(constraints: usize) -> Shape {
+        Shape {
+            constraints,
+            alphabet: constraints,
+            ..Shape::RESIDENT
+        }
+    }
 
     /// The theory's labels and rules.
     fn sigma(&self, seed: u64) -> (LabelInterner, Vec<PathConstraint>) {
@@ -193,11 +205,18 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_word.json".to_owned());
 
-    let (grid, queries, distinct_lhs, reps): (Vec<(usize, usize)>, usize, usize, usize) = if smoke {
-        (vec![(8, 4), (32, 6)], 16, 4, 3)
+    let (grid, wide, queries, distinct_lhs, reps): (
+        Vec<(usize, usize)>,
+        usize,
+        usize,
+        usize,
+        usize,
+    ) = if smoke {
+        (vec![(8, 4), (32, 6)], 256, 16, 4, 3)
     } else {
         (
             vec![(8, 4), (8, 8), (32, 4), (32, 8), (128, 4), (128, 8)],
+            1024,
             64,
             4,
             5,
@@ -206,7 +225,7 @@ fn main() {
     let shapes = grid
         .iter()
         .map(|&(constraints, max_len)| Shape::grid(constraints, max_len))
-        .chain([Shape::RESIDENT]);
+        .chain([Shape::RESIDENT, Shape::wide(wide)]);
 
     let mut cells = Vec::new();
     for shape in shapes {
@@ -245,7 +264,7 @@ fn main() {
     }
 
     let workload = format!(
-        "word implication grids over alphabet 4 plus a resident-shaped cell (128 rules over 8 labels, lhs <= 2, rhs 1..=3): {queries} queries per cell, {distinct_lhs} distinct lhs; cold = post* per query, warm = cached post* + membership"
+        "word implication grids over alphabet 4 plus a resident-shaped cell (128 rules over 8 labels, lhs <= 2, rhs 1..=3) and a wide one ({wide} such rules over {wide} labels): {queries} queries per cell, {distinct_lhs} distinct lhs; cold = post* per query, warm = cached post* + membership"
     );
     let mut json = String::new();
     json.push_str("{\n");

@@ -82,9 +82,13 @@ const NIL: u32 = u32::MAX;
 type StoredKey = Arc<[u8]>;
 
 /// Σ encodings shorter than this are stored inline in their keys, not
-/// interned. Interning one costs about this much (an `Arc` header, the
-/// id and an intern-table slot), so it pays only for longer ones, such
-/// as a resident context's.
+/// interned. Interning a Σ costs about 60 bytes and one allocation
+/// beyond its bytes (an `Arc` header, the id and an intern-table slot),
+/// so it pays once two live keys share a Σ longer than that, as a
+/// resident context's keys do. The short Σ of the wire-shaped jobs are
+/// rarely shared: interning them too costs 58 bytes and one allocation
+/// per entry (`tests/cache_footprint.rs`) and about 1 MiB of peak RSS
+/// on servebench's `wire_mix` (EXPERIMENTS.md).
 const MIN_INTERNED_SIGMA: usize = 64;
 
 /// A canonical Σ's [`encode_sigma`] bytes, interned: one allocation

@@ -1,14 +1,16 @@
 //! Memory regression test for the answer cache's key storage.
 //!
 //! A counting global allocator tracks live heap bytes and allocations.
-//! The test fills a capacity-4096 `AnswerCache` twice and bounds the
-//! live-heap growth per entry each time:
+//! The test fills a capacity-4096 `AnswerCache` three times and bounds
+//! the live-heap growth per entry each time:
 //!
 //! - with distinct keys over one 128-rule Σ — the resident-context
 //!   shape, where the cache interns the shared Σ once;
 //! - with a distinct 32-rule Σ per key — the cold shape, where interning
 //!   shares nothing and may cost at most 64 bytes and one allocation per
-//!   entry over storing each Σ inside its key.
+//!   entry over storing each Σ inside its key;
+//! - with a distinct 2-rule Σ per key — the wire shape, whose short Σ
+//!   stay inline in their keys and pay nothing for interning.
 //!
 //! Keeping this binary to a single `#[test]` keeps other tests'
 //! allocations out of the count.
@@ -82,6 +84,12 @@ const MAX_DISTINCT_BYTES_PER_ENTRY: isize = INLINE_DISTINCT_BYTES + 64;
 const INLINE_DISTINCT_BYTES: isize = 538;
 const MAX_DISTINCT_ALLOCS_PER_ENTRY: isize = INLINE_DISTINCT_ALLOCS + 1;
 const INLINE_DISTINCT_ALLOCS: isize = 2;
+/// Live heap and allocations per entry with a distinct 2-rule Σ per
+/// key: 337 bytes and 2 allocations stored inline (x86-64 Linux,
+/// release and debug alike), plus 16 bytes of slack. Interning each
+/// such Σ measured 395 bytes and 3 allocations.
+const MAX_SHORT_BYTES_PER_ENTRY: isize = 352;
+const MAX_SHORT_ALLOCS_PER_ENTRY: isize = 2;
 
 fn path(labels: &[u64]) -> Path {
     Path::from_labels(labels.iter().map(|&l| Label::from_index(l as usize)))
@@ -192,5 +200,19 @@ fn cached_entries_stay_small() {
     assert!(
         allocs <= MAX_DISTINCT_ALLOCS_PER_ENTRY,
         "{allocs} live allocations per entry over distinct Σ (bound {MAX_DISTINCT_ALLOCS_PER_ENTRY})"
+    );
+    drop(cache);
+
+    // A distinct short Σ per entry: stored inline, nothing interned.
+    let (cache, bytes, allocs) = fill(|i| key(&sigma(i as u64, 2), i), &entry);
+    assert_eq!(cache.len(), CAPACITY);
+    assert_eq!(cache.interned_sigmas(), 0);
+    assert!(
+        bytes <= MAX_SHORT_BYTES_PER_ENTRY,
+        "{bytes} live bytes per entry over short Σ (bound {MAX_SHORT_BYTES_PER_ENTRY})"
+    );
+    assert!(
+        allocs <= MAX_SHORT_ALLOCS_PER_ENTRY,
+        "{allocs} live allocations per entry over short Σ (bound {MAX_SHORT_ALLOCS_PER_ENTRY})"
     );
 }
