@@ -1,6 +1,8 @@
 //! Serve benchmark trajectory: startup cost (binary snapshot load vs
-//! cold JSONL context parsing) and sustained throughput (jobs/sec at
-//! 1, 8 and 64 concurrent clients over a unix socket). Results go to
+//! cold JSONL context parsing, the resident graphs' heap bytes, and the
+//! latency of a `check` of ten constraints on a 1 000-book
+//! bibliography) and sustained throughput (jobs/sec at 1, 8 and 64
+//! concurrent clients over a unix socket). Results go to
 //! `BENCH_serve.json`.
 //!
 //! Usage:
@@ -12,10 +14,12 @@
 //! `--smoke` runs a scaled-down workload (seconds, used by CI); the
 //! default run is the one committed to the repo and asserts the
 //! acceptance floor: snapshot load at least 10x faster than parsing the
-//! same contexts from JSONL.
+//! same contexts from JSONL. Both modes assert that the loaded graphs
+//! keep at most 12.1 bytes per edge and 8 per node.
 
-use pathcons_bench::{bench_meta, median_time_ms};
+use pathcons_bench::{bench_meta, gen_bibliography, median_time_ms};
 use pathcons_engine::{BatchEngine, EngineConfig};
+use pathcons_store::snapshot::{self, ContextRecord, GraphColumns, SnapshotDoc};
 use pathcons_store::{Client, ConstraintStore, Endpoint, Server};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -70,6 +74,28 @@ fn job_line(client: usize, i: usize, variants: usize) -> String {
     format!(r#"{{"id": "c{client}-{i}", "sigma": [{sigma}], "phi": "x{v}_0 -> x{v}_{len}"}}"#)
 }
 
+/// The resident-graph bound: bytes per edge, bytes per node, and an
+/// allowance per graph for the rounding of its small tables.
+const MAX_GRAPH_BYTES_PER_EDGE: f64 = 12.1;
+const MAX_GRAPH_BYTES_PER_NODE: f64 = 8.0;
+const GRAPH_BYTES_ALLOWANCE: f64 = 64.0;
+
+/// The `check` pool: the Section 1 constraints, which every generated
+/// bibliography meets, and five that fail on any bibliography with a
+/// book, a person and an authorship.
+const CHECK_POOL: [(&str, bool); 10] = [
+    ("book.author -> person", true),
+    ("person.wrote -> book", true),
+    ("book.ref -> book", true),
+    ("book: author <- wrote", true),
+    ("person: wrote <- author", true),
+    ("book -> person", false),
+    ("person -> book", false),
+    ("book.author -> book", false),
+    ("book.title -> book", false),
+    ("book: title <- author", false),
+];
+
 struct LoadPoint {
     contexts: usize,
     edges_total: usize,
@@ -77,6 +103,11 @@ struct LoadPoint {
     snapshot_bytes: usize,
     cold_parse_ms: f64,
     snapshot_load_ms: f64,
+    /// Heap bytes of the loaded store's resident graphs.
+    resident_graph_bytes: usize,
+    /// Median wall time of one `check` of [`CHECK_POOL`] on a
+    /// 1 000-book bibliography, in microseconds.
+    check_us_p50: f64,
 }
 
 impl LoadPoint {
@@ -100,6 +131,23 @@ fn measure_load(contexts: usize, nodes_per: usize, edges_per: usize, reps: usize
     let snapshot_load_ms = median_time_ms(reps, || {
         std::hint::black_box(ConstraintStore::from_bytes(&bytes).expect("warm load"))
     });
+    let graphs: Vec<_> = reloaded
+        .contexts()
+        .filter_map(|(_, c)| c.columnar())
+        .collect();
+    let resident_graph_bytes = graphs.iter().map(|g| g.heap_bytes()).sum();
+    let bound: f64 = graphs
+        .iter()
+        .map(|g| {
+            MAX_GRAPH_BYTES_PER_EDGE * g.edge_count() as f64
+                + MAX_GRAPH_BYTES_PER_NODE * g.node_count() as f64
+                + GRAPH_BYTES_ALLOWANCE
+        })
+        .sum();
+    assert!(
+        resident_graph_bytes as f64 <= bound,
+        "resident graphs keep {resident_graph_bytes} bytes, over the {bound:.0} byte bound"
+    );
     LoadPoint {
         contexts,
         edges_total: contexts * edges_per,
@@ -107,7 +155,41 @@ fn measure_load(contexts: usize, nodes_per: usize, edges_per: usize, reps: usize
         snapshot_bytes: bytes.len(),
         cold_parse_ms,
         snapshot_load_ms,
+        resident_graph_bytes,
+        check_us_p50: measure_check(reps * 10),
     }
+}
+
+/// Loads a 1 000-book bibliography (400 persons) through a snapshot and
+/// times `check` of the whole [`CHECK_POOL`] against it: the median of
+/// `reps` runs, in microseconds.
+fn measure_check(reps: usize) -> f64 {
+    let bib = gen_bibliography(1_000, 400, 7);
+    let edges: Vec<_> = bib.graph.edges().collect();
+    let doc = SnapshotDoc {
+        labels: bib.labels.iter().map(|(_, name)| name.to_owned()).collect(),
+        contexts: vec![ContextRecord {
+            name: "bib".to_owned(),
+            kind: "semistructured".to_owned(),
+            sigma: Vec::new(),
+            graph: Some(GraphColumns {
+                node_count: bib.graph.node_count() as u32,
+                root: bib.graph.root().index() as u32,
+                src: edges.iter().map(|e| e.0.index() as u32).collect(),
+                label: edges.iter().map(|e| e.1.index() as u32).collect(),
+                dst: edges.iter().map(|e| e.2.index() as u32).collect(),
+            }),
+        }],
+    };
+    let store = ConstraintStore::from_bytes(&snapshot::encode(&doc)).expect("bibliography loads");
+    let texts: Vec<String> = CHECK_POOL.iter().map(|(t, _)| (*t).to_owned()).collect();
+    let verdicts = store.check("bib", &texts).expect("check runs");
+    let holds: Vec<bool> = verdicts.iter().map(|(_, holds)| *holds).collect();
+    let want: Vec<bool> = CHECK_POOL.iter().map(|(_, holds)| *holds).collect();
+    assert_eq!(holds, want, "check verdicts on the bibliography");
+    median_time_ms(reps, || {
+        std::hint::black_box(store.check("bib", &texts).expect("check runs"))
+    }) * 1e3
 }
 
 struct ThroughputPoint {
@@ -187,6 +269,12 @@ fn main() {
         load.snapshot_bytes,
         load.speedup()
     );
+    println!(
+        "resident graphs {} bytes; check of {} constraints on a 1000-book bibliography {:.1} us p50",
+        load.resident_graph_bytes,
+        CHECK_POOL.len(),
+        load.check_us_p50
+    );
     if !smoke {
         assert!(
             load.speedup() >= 10.0,
@@ -240,10 +328,15 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"cold_parse_ms\": {:.3}, \"snapshot_load_ms\": {:.3}, \"speedup\": {:.2}",
+        "    \"cold_parse_ms\": {:.3}, \"snapshot_load_ms\": {:.3}, \"speedup\": {:.2},",
         load.cold_parse_ms,
         load.snapshot_load_ms,
         load.speedup()
+    );
+    let _ = writeln!(
+        json,
+        "    \"resident_graph_bytes\": {}, \"check_us_p50\": {:.1}",
+        load.resident_graph_bytes, load.check_us_p50
     );
     json.push_str("  },\n");
     json.push_str("  \"throughput\": [\n");

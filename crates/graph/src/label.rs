@@ -122,7 +122,7 @@ impl LabelInterner {
     }
 
     /// Iterates over `(label, name)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (Label, &str)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Label, &str)> + '_ {
         self.names
             .iter()
             .enumerate()

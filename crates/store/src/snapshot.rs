@@ -160,30 +160,98 @@ const CHUNK: usize = 64 << 10;
 /// Encodes a document to snapshot bytes (magic, version, payload,
 /// checksum), writing the payload straight into the output.
 pub fn encode(doc: &SnapshotDoc) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    // The payload length is known once the payload is written: reserve
-    // its slot and fill it in below.
-    out.extend_from_slice(&0u64.to_le_bytes());
-    let (length, checksum) = write_payload(doc, &mut out).expect("a Vec sink cannot fail");
-    out[MAGIC.len() + 4..MAGIC.len() + 12].copy_from_slice(&length.to_le_bytes());
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    encode_payload(doc)
 }
 
 /// The content id `doc` encodes to — the payload checksum, rendered as
 /// 16 hex digits (`{:016x}`) in line with the certificate layer's
 /// snapshot-id strings — computed without materialising the encoding.
 pub fn content_id(doc: &SnapshotDoc) -> u64 {
-    write_payload(doc, io::sink())
+    payload_id(doc)
+}
+
+/// What the payload writer reads: a string table and context records,
+/// borrowed from a [`SnapshotDoc`] or straight from a resident store.
+pub(crate) trait Payload {
+    /// The label names, in id order.
+    fn label_names(&self) -> impl ExactSizeIterator<Item = &str>;
+    /// The context records, in payload order.
+    fn records(&self) -> impl ExactSizeIterator<Item = ContextPayload<'_>>;
+}
+
+/// One context record as the payload writer reads it.
+pub(crate) struct ContextPayload<'a> {
+    pub name: &'a str,
+    pub kind: &'a str,
+    pub sigma: &'a [String],
+    pub graph: Option<GraphPayload<'a>>,
+}
+
+/// One graph as the payload writer reads it.
+pub(crate) struct GraphPayload<'a> {
+    pub node_count: u32,
+    pub root: u32,
+    pub sources: Sources<'a>,
+    pub label: &'a [u32],
+    pub dst: &'a [u32],
+}
+
+/// Where the payload writer reads the `src` column from.
+pub(crate) enum Sources<'a> {
+    /// The column itself.
+    Column(&'a [u32]),
+    /// CSR offsets: node `n` is the source of the positions
+    /// `offsets[n]..offsets[n + 1]`.
+    Offsets(&'a [u32]),
+}
+
+impl Payload for SnapshotDoc {
+    fn label_names(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.labels.iter().map(String::as_str)
+    }
+
+    fn records(&self) -> impl ExactSizeIterator<Item = ContextPayload<'_>> {
+        self.contexts.iter().map(|context| ContextPayload {
+            name: &context.name,
+            kind: &context.kind,
+            sigma: &context.sigma,
+            graph: context.graph.as_ref().map(|g| GraphPayload {
+                node_count: g.node_count,
+                root: g.root,
+                sources: Sources::Column(&g.src),
+                label: &g.label,
+                dst: &g.dst,
+            }),
+        })
+    }
+}
+
+/// Encodes `payload` to snapshot bytes (magic, version, payload,
+/// checksum), writing the payload straight into the output.
+pub(crate) fn encode_payload(payload: &impl Payload) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    // The payload length is known once the payload is written: reserve
+    // its slot and fill it in below.
+    out.extend_from_slice(&0u64.to_le_bytes());
+    let (length, checksum) = write_payload(payload, &mut out).expect("a Vec sink cannot fail");
+    out[MAGIC.len() + 4..MAGIC.len() + 12].copy_from_slice(&length.to_le_bytes());
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// The content id `payload` encodes to, hashed without materialising
+/// the encoding.
+pub(crate) fn payload_id(payload: &impl Payload) -> u64 {
+    write_payload(payload, io::sink())
         .expect("io::sink cannot fail")
         .1
 }
 
-/// Streams the payload of `doc` into `out`; returns its byte length and
-/// FNV-1a checksum.
-fn write_payload<W: Write>(doc: &SnapshotDoc, out: W) -> io::Result<(u64, u64)> {
+/// Streams `payload` into `out`; returns its byte length and FNV-1a
+/// checksum.
+fn write_payload<W: Write>(payload: &impl Payload, out: W) -> io::Result<(u64, u64)> {
     let mut w = Hashing {
         out,
         length: 0,
@@ -194,27 +262,43 @@ fn write_payload<W: Write>(doc: &SnapshotDoc, out: W) -> io::Result<(u64, u64)> 
         put_u32(w, s.len() as u32)?;
         w.write_all(s.as_bytes())
     };
-    put_u32(&mut w, doc.labels.len() as u32)?;
-    for name in &doc.labels {
+    let labels = payload.label_names();
+    put_u32(&mut w, labels.len() as u32)?;
+    for name in labels {
         put_str(&mut w, name)?;
     }
-    put_u32(&mut w, doc.contexts.len() as u32)?;
-    for context in &doc.contexts {
-        put_str(&mut w, &context.name)?;
-        put_str(&mut w, &context.kind)?;
+    let contexts = payload.records();
+    put_u32(&mut w, contexts.len() as u32)?;
+    for context in contexts {
+        put_str(&mut w, context.name)?;
+        put_str(&mut w, context.kind)?;
         put_u32(&mut w, context.sigma.len() as u32)?;
-        for text in &context.sigma {
+        for text in context.sigma {
             put_str(&mut w, text)?;
         }
-        match &context.graph {
+        match context.graph {
             None => w.write_all(&[0])?,
             Some(g) => {
                 w.write_all(&[1])?;
                 put_u32(&mut w, g.node_count)?;
                 put_u32(&mut w, g.root)?;
-                put_u32(&mut w, g.src.len() as u32)?;
-                for column in [&g.src, &g.label, &g.dst] {
-                    for &v in column.iter() {
+                put_u32(&mut w, g.label.len() as u32)?;
+                match g.sources {
+                    Sources::Column(src) => {
+                        for &s in src {
+                            put_u32(&mut w, s)?;
+                        }
+                    }
+                    Sources::Offsets(offsets) => {
+                        for (node, bounds) in offsets.windows(2).enumerate() {
+                            for _ in bounds[0]..bounds[1] {
+                                put_u32(&mut w, node as u32)?;
+                            }
+                        }
+                    }
+                }
+                for column in [g.label, g.dst] {
+                    for &v in column {
                         put_u32(&mut w, v)?;
                     }
                 }

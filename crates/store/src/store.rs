@@ -17,7 +17,9 @@
 //! the interner's contents never leak into an answer.
 
 use crate::columnar::ColumnarGraph;
-use crate::snapshot::{self, ContextRecord, GraphColumns, SnapshotDoc, SnapshotError};
+use crate::snapshot::{
+    self, ContextPayload, ContextRecord, GraphColumns, Payload, SnapshotDoc, SnapshotError,
+};
 use pathcons_constraints::PathConstraint;
 use pathcons_core::{Budget, DataContext, SharedContext, SharedStats};
 use pathcons_engine::{build_context, prepare_job, Job, Json, PreparedJob};
@@ -309,9 +311,9 @@ impl ConstraintStore {
                     GraphColumns {
                         node_count: col.node_count() as u32,
                         root: col.root(),
-                        src: src.to_vec(),
-                        label: label.to_vec(),
-                        dst: dst.to_vec(),
+                        src,
+                        label,
+                        dst,
                     }
                 }),
             })
@@ -322,9 +324,11 @@ impl ConstraintStore {
         }
     }
 
-    /// Encodes the store to snapshot bytes.
+    /// Encodes the store to snapshot bytes, reading the resident
+    /// contexts in place: the same bytes as `encode(&self.to_doc())`,
+    /// without the document's copy of every column and text.
     pub fn to_bytes(&self) -> Vec<u8> {
-        snapshot::encode(&self.to_doc())
+        snapshot::encode_payload(self)
     }
 
     /// The content id (payload checksum) of the snapshot this store was
@@ -418,18 +422,10 @@ impl ConstraintStore {
             Some(known) => (known.index() as u32, self.labels.len() as u32),
             None => (self.labels.len() as u32, self.labels.len() as u32 + 1),
         };
-        let (node_count, root, mut src_col, mut label_col, mut dst_col) = match &resident.columnar {
-            Some(col) => {
-                let (s, l, d) = col.columns();
-                (
-                    col.node_count() as u32,
-                    col.root(),
-                    s.to_vec(),
-                    l.to_vec(),
-                    d.to_vec(),
-                )
-            }
-            None => (1, 0, Vec::new(), Vec::new(), Vec::new()),
+        let (node_count, root, (mut src_col, mut label_col, mut dst_col)) = match &resident.columnar
+        {
+            Some(col) => (col.node_count() as u32, col.root(), col.columns()),
+            None => (1, 0, Default::default()),
         };
         let Some(node_count) = src.max(dst).checked_add(1).map(|n| n.max(node_count)) else {
             return Err(format!(
@@ -453,8 +449,10 @@ impl ConstraintStore {
 
     /// Re-derives the content id after a mutation, so `ping`/`stats`
     /// advertise the id of the snapshot the mutated store would write.
+    /// Hashes the resident contexts in place, as [`Self::to_bytes`]
+    /// encodes them.
     fn refresh_content_id(&mut self) {
-        self.content_id = snapshot::content_id(&self.to_doc());
+        self.content_id = snapshot::payload_id(self);
     }
 
     /// Per-context counters for the serve `stats` op, in name order.
@@ -603,14 +601,30 @@ impl ConstraintStore {
                 Some(col) => {
                     let _ = writeln!(
                         out,
-                        ", graph {} node(s) / {} edge(s)",
+                        ", graph {} node(s) / {} edge(s), {} bytes resident",
                         col.node_count(),
-                        col.edge_count()
+                        col.edge_count(),
+                        col.heap_bytes()
                     );
                 }
             }
         }
         out
+    }
+}
+
+impl Payload for ConstraintStore {
+    fn label_names(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.labels.iter().map(|(_, name)| name)
+    }
+
+    fn records(&self) -> impl ExactSizeIterator<Item = ContextPayload<'_>> {
+        self.contexts.iter().map(|(name, resident)| ContextPayload {
+            name,
+            kind: &resident.kind,
+            sigma: &resident.sigma_texts,
+            graph: resident.columnar.as_ref().map(ColumnarGraph::payload),
+        })
     }
 }
 

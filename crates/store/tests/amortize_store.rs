@@ -89,6 +89,11 @@ fn mutations_bump_revision_and_invalidate_only_that_context() {
         "the other context's state survives"
     );
     assert_ne!(store.content_id(), id_before, "content id tracks mutations");
+    assert_eq!(
+        store.content_id(),
+        snapshot::content_id(&store.to_doc()),
+        "the in-place id is the id of the store's document"
+    );
 
     // The next empty-sigma prepare rebuilds state at the new revision
     // and stamps the prepared job with it.
@@ -105,6 +110,7 @@ fn mutations_bump_revision_and_invalidate_only_that_context() {
     let col = store.context("graphy").unwrap().columnar().expect("graph");
     assert_eq!(col.node_count(), 4);
     assert_eq!(col.edge_count(), 3);
+    assert_eq!(store.content_id(), snapshot::content_id(&store.to_doc()));
 
     // Edges can create a graph on a context that had none.
     let rev = store.add_edge("wordy", 0, "m", 1).expect("edge");
@@ -118,6 +124,8 @@ fn mutations_bump_revision_and_invalidate_only_that_context() {
             .edge_count(),
         1
     );
+    assert_eq!(store.content_id(), snapshot::content_id(&store.to_doc()));
+    assert_eq!(store.to_bytes(), snapshot::encode(&store.to_doc()));
 
     // Mutators reject unknown contexts, bad constraint syntax and
     // out-of-range node ids, and a rejected mutation changes nothing:

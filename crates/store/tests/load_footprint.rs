@@ -9,25 +9,32 @@
 //! `ConstraintStore::open`, which streams it and holds no snapshot
 //! buffer, the load must stay within 2×. The hostile-input test checks
 //! that out-of-table label ids are rejected before any allocation sized
-//! by the id. The tests take one lock, so no test's allocations land in
-//! another's count.
+//! by the id. The resident-footprint test bounds what a loaded store
+//! keeps: about three words per edge and two per node. The refresh test
+//! checks that re-deriving the content id after a mutation allocates
+//! nothing the size of an edge column. The tests take one lock, so no
+//! test's allocations land in another's count.
 
 use pathcons_store::snapshot::{self, ContextRecord, GraphColumns, SnapshotDoc};
 use pathcons_store::{ColumnarGraph, ConstraintStore, SnapshotError};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Live heap bytes, as seen through the counting allocator.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 /// The high-water mark of `LIVE` since the last [`reset_peak`].
 static PEAK: AtomicIsize = AtomicIsize::new(0);
+/// The largest single allocation (or reallocation target) since the
+/// last [`reset_peak`].
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 /// Serializes the tests of this binary.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
 fn grow(bytes: usize) {
+    LARGEST.fetch_max(bytes, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes as isize, Ordering::Relaxed) + bytes as isize;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -59,6 +66,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let moved = System.realloc(ptr, layout, new_size);
         if !moved.is_null() {
+            LARGEST.fetch_max(new_size, Ordering::Relaxed);
             if new_size >= layout.size() {
                 grow(new_size - layout.size());
             } else {
@@ -72,10 +80,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Restarts peak tracking; returns the live bytes at this point.
+/// Restarts peak and largest-allocation tracking; returns the live
+/// bytes at this point.
 fn reset_peak() -> isize {
     let live = LIVE.load(Ordering::Relaxed);
     PEAK.store(live, Ordering::Relaxed);
+    LARGEST.store(0, Ordering::Relaxed);
     live
 }
 
@@ -84,6 +94,14 @@ const MAX_PEAK_PER_SNAPSHOT_BYTE: usize = 3;
 /// The bound for a load streamed from a file, which holds no snapshot
 /// buffer: load allocations per snapshot byte.
 const MAX_FILE_PEAK_PER_SNAPSHOT_BYTE: usize = 2;
+
+/// The bound on what a loaded store keeps resident: bytes per edge of
+/// its graph (the `label` and `dst` columns, the backward permutation
+/// and one source sample per 64 edges), bytes per node (the forward and
+/// backward offset tables), and a fixed allowance for everything else.
+const MAX_RESIDENT_PER_EDGE: f64 = 12.1;
+const MAX_RESIDENT_PER_NODE: f64 = 8.0;
+const RESIDENT_SLACK: f64 = 64.0 * 1024.0;
 
 const LABELS: [&str; 7] = ["book", "person", "author", "wrote", "ref", "title", "name"];
 const SIGMA: [&str; 5] = [
@@ -254,4 +272,75 @@ fn hostile_label_ids_are_rejected_without_id_sized_allocations() {
     );
     assert!(ConstraintStore::from_bytes(&bytes).is_err());
     assert!(PEAK.load(Ordering::Relaxed) - before < MAX_GROWTH);
+}
+
+#[test]
+fn a_loaded_store_keeps_three_words_per_edge() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (bytes, _) = fixture();
+    let path =
+        std::env::temp_dir().join(format!("pathcons-load-resident-{}.pcs", std::process::id()));
+    std::fs::write(&path, &bytes).expect("write the fixture snapshot");
+
+    let before = reset_peak();
+    let loaded = ConstraintStore::open(&path);
+    let resident = (LIVE.load(Ordering::Relaxed) - before) as f64;
+    std::fs::remove_file(&path).expect("remove the fixture snapshot");
+    let store = loaded.expect("snapshot file loads");
+    let graph = store
+        .context("archive")
+        .and_then(|c| c.columnar())
+        .expect("archive graph resident");
+    let (edges, nodes) = (graph.edge_count() as f64, graph.node_count() as f64);
+    let bound = MAX_RESIDENT_PER_EDGE * edges + MAX_RESIDENT_PER_NODE * nodes + RESIDENT_SLACK;
+    eprintln!(
+        "resident {resident} bytes for {edges} edges and {nodes} nodes \
+         ({:.2} B/edge net of 8 B/node), graph {} bytes",
+        (resident - 8.0 * nodes) / edges,
+        graph.heap_bytes()
+    );
+    assert!(
+        resident <= bound,
+        "a loaded store keeps {resident} bytes, over the {bound} byte bound"
+    );
+    assert!(graph.heap_bytes() as f64 <= resident);
+}
+
+#[test]
+fn refreshing_the_content_id_copies_no_column() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (bytes, _) = fixture();
+    let mut store = ConstraintStore::from_bytes(&bytes).expect("snapshot loads");
+    let edges = store
+        .context("archive")
+        .and_then(|c| c.columnar())
+        .expect("archive graph resident")
+        .edge_count();
+
+    reset_peak();
+    store
+        .add_constraint("archive", "book.title -> title")
+        .expect("constraint added");
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        largest < 4 * edges,
+        "a mutation allocated {largest} bytes at once, an edge column is {} bytes",
+        4 * edges
+    );
+    assert_eq!(store.content_id(), snapshot::content_id(&store.to_doc()));
+}
+
+#[test]
+fn resident_encoding_reproduces_the_normalized_snapshot() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (shuffled, _) = fixture();
+    let normalized = ConstraintStore::from_bytes(&shuffled)
+        .expect("snapshot loads")
+        .to_bytes();
+    assert_ne!(normalized, shuffled, "loading sorts the shuffled columns");
+    let store = ConstraintStore::from_bytes(&normalized).expect("normalized snapshot loads");
+    assert!(snapshot::encode(&store.to_doc()) == normalized);
+    assert!(store.to_bytes() == normalized);
+    let (_, id) = snapshot::decode(&normalized[..], normalized.len() as u64).expect("decodes");
+    assert_eq!(store.content_id(), id);
 }
