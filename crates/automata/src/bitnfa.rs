@@ -15,11 +15,17 @@
 //!
 //! A state set is a bitset of `⌈states / 64⌉` `u64`s: state `q` is bit
 //! `q % 64` of word `q / 64`.
+//!
+//! A saturated automaton also keeps its provenance: a positive stamp
+//! per transition the saturation added for a rule (its breadth-first
+//! generation; `0` for the fixed ones), stored per row in the order of
+//! the row's bits, and the rule that added it. [`BitNfa::run`] finds a
+//! run through the transitions stamped below a bound, which is how
+//! [`crate::PrefixRewriteSystem::derivation`] reads a rewrite
+//! derivation off the automaton.
 
-use crate::dfa::Dfa;
 use crate::nfa::StateId;
 use pathcons_graph::Label;
-use std::collections::{HashMap, VecDeque};
 
 /// A [`BitNfa`] under construction: transitions are added one at a time
 /// and read back while they are, and [`Self::freeze`] packs the result.
@@ -34,6 +40,8 @@ pub(crate) struct BitNfaBuilder {
     rows: Vec<u64>,
     accepting: Box<[u64]>,
     epsilon: bool,
+    /// The stamped transitions as `(row in rows, target, stamp, rule)`.
+    stamped: Vec<(u32, u32, u32, u32)>,
 }
 
 impl BitNfaBuilder {
@@ -48,6 +56,7 @@ impl BitNfaBuilder {
             rows: Vec::new(),
             accepting: vec![0; states.div_ceil(64)].into(),
             epsilon: false,
+            stamped: Vec::new(),
         }
     }
 
@@ -68,8 +77,15 @@ impl BitNfaBuilder {
 
     /// Adds `from --column--> to` (column [`Self::epsilon_column`] for
     /// ε), allocating the row on its first transition; returns whether
-    /// the transition is new.
-    pub(crate) fn insert(&mut self, from: usize, column: usize, to: usize) -> bool {
+    /// the transition is new. A new transition a rule added keeps its
+    /// `provenance`, a positive stamp and the rule.
+    pub(crate) fn insert(
+        &mut self,
+        from: usize,
+        column: usize,
+        to: usize,
+        provenance: Option<(u32, usize)>,
+    ) -> bool {
         let w = self.set_words();
         let entries = &mut self.index[from];
         let r = match entries.binary_search_by_key(&(column as u32), |&(c, _)| c) {
@@ -86,6 +102,10 @@ impl BitNfaBuilder {
         let new = *word & bit == 0;
         *word |= bit;
         self.epsilon |= column == self.labels.len();
+        if let Some((stamp, rule)) = provenance.filter(|_| new) {
+            debug_assert!(stamp > 0);
+            self.stamped.push((r as u32, to as u32, stamp, rule as u32));
+        }
         new
     }
 
@@ -104,7 +124,8 @@ impl BitNfaBuilder {
     }
 
     /// The finished automaton, its rows laid out by column and source
-    /// state (a counting sort over the columns).
+    /// state (a counting sort over the columns), and the stamps of every
+    /// row with a stamped transition in the order of the row's bits.
     pub(crate) fn freeze(self) -> BitNfa {
         let w = self.set_words();
         let columns = self.labels.len() + 1;
@@ -119,13 +140,48 @@ impl BitNfaBuilder {
         let mut next = col_start[..columns].to_vec();
         let mut sources = vec![0u32; count];
         let mut rows = vec![0u64; count * w];
+        let mut moved = vec![0u32; count];
         for (q, entries) in self.index.iter().enumerate() {
             for &(c, r) in entries {
                 let i = next[c as usize] as usize;
                 next[c as usize] += 1;
                 sources[i] = q as u32;
+                moved[r as usize] = i as u32;
                 rows[i * w..(i + 1) * w]
                     .copy_from_slice(&self.rows[r as usize * w..(r as usize + 1) * w]);
+            }
+        }
+        // Rows with a stamped transition keep a stamp per bit, the start
+        // state's rows first: their bits also keep the rule.
+        let mut stamped = vec![false; count];
+        for &(r, ..) in &self.stamped {
+            stamped[moved[r as usize] as usize] = true;
+        }
+        let bits = |i: usize| {
+            rows[i * w..(i + 1) * w]
+                .iter()
+                .map(|x| x.count_ones() as usize)
+        };
+        let (start, exits): (Vec<usize>, Vec<usize>) = (0..count)
+            .filter(|&i| stamped[i])
+            .partition(|&i| sources[i] == 0);
+        let mut stamp_at = vec![UNSTAMPED; count];
+        let mut offset = 0;
+        for &i in start.iter().chain(&exits) {
+            stamp_at[i] = offset as u32;
+            offset += bits(i).sum::<usize>();
+        }
+        let start_bits = start.iter().flat_map(|&i| bits(i)).sum();
+        let mut stamps = vec![0u32; offset];
+        let mut rules = vec![0u32; start_bits];
+        let mut exit_rule = vec![0u32; self.states];
+        for &(r, t, stamp, rule) in &self.stamped {
+            let i = moved[r as usize] as usize;
+            let at = stamp_at[i] as usize + rank(&rows[i * w..(i + 1) * w], t as usize);
+            stamps[at] = stamp;
+            match sources[i] {
+                0 => rules[at] = rule,
+                from => exit_rule[from as usize] = rule,
             }
         }
         BitNfa {
@@ -136,9 +192,63 @@ impl BitNfaBuilder {
             rows: rows.into(),
             accepting: self.accepting,
             epsilon: self.epsilon,
+            stamp_at: stamp_at.into(),
+            stamps: Packed::new(stamps),
+            start_rules: Packed::new(rules),
+            exit_rule: Packed::new(exit_rule),
         }
     }
 }
+
+/// The `stamp_at` of a row without stamps.
+const UNSTAMPED: u32 = u32::MAX;
+
+/// Integers stored in as few little-endian bytes each as the largest
+/// needs: one or two for the stamps and rules of most automata.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Packed {
+    width: usize,
+    bytes: Box<[u8]>,
+}
+
+impl Packed {
+    fn new(values: Vec<u32>) -> Packed {
+        let max = values.iter().copied().max().unwrap_or(0);
+        let width = (4 - max.leading_zeros() as usize / 8).max(1);
+        let bytes = values
+            .iter()
+            .flat_map(|v| v.to_le_bytes().into_iter().take(width));
+        Packed {
+            width,
+            bytes: bytes.collect(),
+        }
+    }
+
+    fn get(&self, i: usize) -> u32 {
+        let bytes = &self.bytes[i * self.width..(i + 1) * self.width];
+        bytes.iter().rev().fold(0, |v, &b| v << 8 | u32::from(b))
+    }
+}
+
+/// One transition of a run, `from --column--> to` (the ε column for
+/// ε); see [`BitNfa::run`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Move {
+    pub(crate) from: u32,
+    pub(crate) column: u32,
+    pub(crate) to: u32,
+}
+
+/// A state a run search reached, the least stamp sum of a run to it,
+/// and that run's last move.
+type Reached = (u32, u64, Move);
+
+/// The last move of the empty run.
+const NO_MOVE: Move = Move {
+    from: u32::MAX,
+    column: u32::MAX,
+    to: u32::MAX,
+};
 
 /// An NFA with ε-transitions over a fixed, sorted alphabet, stored as one
 /// target bitset per non-empty `(state, label)` and `(state, ε)` row.
@@ -157,6 +267,17 @@ pub struct BitNfa {
     accepting: Box<[u64]>,
     /// Whether any ε-transition exists (closures are no-ops otherwise).
     epsilon: bool,
+    /// Row `i`'s stamps start at `stamps[stamp_at[i]]`, one per target
+    /// in ascending order, unless the row has none (`UNSTAMPED`):
+    /// stamped transitions leave the start state (a rule's direct or
+    /// ε-transition) or the last state of a rule's rhs chain (its exit).
+    stamp_at: Box<[u32]>,
+    stamps: Packed,
+    /// The rule that added each of the start state's stamped
+    /// transitions, laid out as their stamps, which come first.
+    start_rules: Packed,
+    /// Per state, the rule whose exits leave it, if any do.
+    exit_rule: Packed,
 }
 
 impl BitNfa {
@@ -204,15 +325,19 @@ impl BitNfa {
             + std::mem::size_of_val::<[u32]>(&self.sources)
             + std::mem::size_of_val::<[u64]>(&self.rows)
             + std::mem::size_of_val::<[u64]>(&self.accepting)
+            + std::mem::size_of_val::<[u32]>(&self.stamp_at)
+            + self.stamps.bytes.len()
+            + self.start_rules.bytes.len()
+            + self.exit_rule.bytes.len()
     }
 
     /// The column that reads `label`, if it is in the alphabet.
-    fn column(&self, label: Label) -> Option<usize> {
+    pub(crate) fn column(&self, label: Label) -> Option<usize> {
         self.labels.binary_search(&label).ok()
     }
 
     /// The ε column.
-    fn epsilon_column(&self) -> usize {
+    pub(crate) fn epsilon_column(&self) -> usize {
         self.labels.len()
     }
 
@@ -232,12 +357,192 @@ impl BitNfa {
         (lo..hi).map(move |i| (self.sources[i] as usize, self.row_at(i)))
     }
 
-    /// The targets of `state` under `column`, unless there are none.
-    fn row(&self, state: usize, column: usize) -> Option<&[u64]> {
+    /// The index of the row of `state` under `column`, if it has one.
+    fn row_index(&self, state: usize, column: usize) -> Option<usize> {
         let lo = self.col_start[column] as usize;
         let hi = self.col_start[column + 1] as usize;
         let i = self.sources[lo..hi].binary_search(&(state as u32)).ok()?;
-        Some(self.row_at(lo + i))
+        Some(lo + i)
+    }
+
+    /// The targets of `state` under `column`, unless there are none.
+    fn row(&self, state: usize, column: usize) -> Option<&[u64]> {
+        self.row_index(state, column).map(|i| self.row_at(i))
+    }
+
+    /// The stamp of the transition `m` and the rule that added it, when
+    /// the saturation added it for a rule (stamps are positive); `m`
+    /// must exist.
+    pub(crate) fn provenance(&self, m: Move) -> Option<(u32, usize)> {
+        let i = self
+            .row_index(m.from as usize, m.column as usize)
+            .expect("a run's transitions exist");
+        if self.stamp_at[i] == UNSTAMPED {
+            return None;
+        }
+        let at = self.stamp_at[i] as usize + rank(self.row_at(i), m.to as usize);
+        let stamp = self.stamps.get(at);
+        let rule = match m.from {
+            0 => self.start_rules.get(at),
+            from => self.exit_rule.get(from as usize),
+        };
+        (stamp > 0).then_some((stamp, rule as usize))
+    }
+
+    /// A run reading `word` from the start state to `target` through
+    /// transitions stamped below `bound`, or `None` when there is none.
+    ///
+    /// Of all such runs it takes one whose stamps have the least sum,
+    /// so it leans on the oldest transitions; ties go to the move found
+    /// first, trying states and each row's targets in ascending order.
+    /// So the run is a function of the automaton, `word`, `target` and
+    /// `bound` alone. The search assumes what a saturation guarantees:
+    /// every ε-transition leaves the start state.
+    pub(crate) fn run(&self, word: &[Label], target: usize, bound: u32) -> Option<Vec<Move>> {
+        let (eps, w, n) = (self.epsilon_column(), self.set_words(), word.len());
+        let columns = word
+            .iter()
+            .map(|&l| self.column(l))
+            .collect::<Option<Vec<_>>>()?;
+        // `useful[i * w..][..w]`: the states reached by `word[..i]` from
+        // which `word[i..]` reaches `target`, stamps aside; the search
+        // looks nowhere else.
+        let mut useful = self.initial();
+        let mut next = Vec::new();
+        for (i, &c) in columns.iter().enumerate() {
+            self.step_into(&useful[i * w..], c, &mut next);
+            useful.extend_from_slice(&next);
+        }
+        let mut kept = self.empty_set();
+        for i in (0..=n).rev() {
+            kept.fill(0);
+            let (now, later) = useful.split_at_mut((i + 1) * w);
+            let reached = &mut now[i * w..];
+            match columns.get(i) {
+                None => insert(&mut kept, StateId::from_index(target)),
+                Some(&c) => self.rows_from(c, reached, |q, row| {
+                    if intersects(row, &later[..w]) {
+                        insert(&mut kept, StateId::from_index(q));
+                    }
+                }),
+            }
+            // The start state also leads on through an ε-move.
+            if self.row(0, eps).is_some_and(|row| intersects(row, &kept)) {
+                insert(&mut kept, self.start());
+            }
+            reached.iter_mut().zip(&kept).for_each(|(r, k)| *r &= k);
+        }
+        // `layers[at[i]..at[i + 1]]`: each useful state a run reading
+        // `word[..i]` reaches, the least stamp sum of such a run and its
+        // last move, by state.
+        let (mut layers, mut at) = (Vec::new(), vec![0]);
+        let (mut layer, mut slot) = (Vec::new(), vec![u32::MAX; self.states]);
+        for i in 0..=n {
+            let useful = &useful[i * w..(i + 1) * w];
+            if i == 0 {
+                if contains(useful, self.start()) {
+                    slot[0] = 0;
+                    layer.push((0, 0, NO_MOVE));
+                }
+            } else {
+                for &(p, cost, _) in &layers[at[i - 1]..at[i]] {
+                    let Some(r) = self.row_index(p as usize, columns[i - 1]) else {
+                        continue;
+                    };
+                    self.relax(
+                        &mut layer,
+                        &mut slot,
+                        useful,
+                        (r, columns[i - 1]),
+                        cost,
+                        bound,
+                    );
+                }
+            }
+            if let (Some(r), k) = (self.row_index(0, eps), slot[0]) {
+                if k != u32::MAX {
+                    let cost = layer[k as usize].1;
+                    self.relax(&mut layer, &mut slot, useful, (r, eps), cost, bound);
+                }
+            }
+            for &(t, ..) in &layer {
+                slot[t as usize] = u32::MAX;
+            }
+            layer.sort_unstable_by_key(|&(t, ..)| t);
+            layers.append(&mut layer);
+            at.push(layers.len());
+        }
+        let entry = |i: usize, state: u32| {
+            let layer: &[Reached] = &layers[at[i]..at[i + 1]];
+            let k = layer.binary_search_by_key(&state, |&(t, ..)| t).ok()?;
+            Some(layer[k].2)
+        };
+        let mut run = Vec::with_capacity(n);
+        let (mut i, mut m) = (n, entry(n, target as u32)?);
+        while m != NO_MOVE {
+            run.push(m);
+            i -= usize::from(m.column as usize != eps);
+            m = entry(i, m.from).expect("a run's states are reached");
+        }
+        run.reverse();
+        Some(run)
+    }
+
+    /// Calls `f` on each row of `column` whose source is in `set`, as
+    /// `(source, targets)` by source: found from the set's members or by
+    /// a scan of the column, whichever is shorter.
+    fn rows_from(&self, column: usize, set: &[u64], mut f: impl FnMut(usize, &[u64])) {
+        let rows = (self.col_start[column + 1] - self.col_start[column]) as usize;
+        if set.iter().map(|w| w.count_ones() as usize).sum::<usize>() < rows {
+            for q in members(set).map(StateId::index) {
+                if let Some(row) = self.row(q, column) {
+                    f(q, row);
+                }
+            }
+        } else {
+            for (q, row) in self.column_rows(column) {
+                if contains(set, StateId::from_index(q)) {
+                    f(q, row);
+                }
+            }
+        }
+    }
+
+    /// Lowers each `useful` target of row `r` (of `column`) stamped below
+    /// `bound` to `cost` plus its stamp in `layer`, adding it if it is
+    /// new; an ε-loop is no move. `slot` indexes `layer` by state.
+    fn relax(
+        &self,
+        layer: &mut Vec<Reached>,
+        slot: &mut [u32],
+        useful: &[u64],
+        (r, column): (usize, usize),
+        cost: u64,
+        bound: u32,
+    ) {
+        let (from, row, at) = (self.sources[r], self.row_at(r), self.stamp_at[r]);
+        let column = column as u32;
+        for (w, (&bits, &u)) in row.iter().zip(useful).enumerate() {
+            push_bits(w, bits & u, |t| {
+                let stamp = match at {
+                    UNSTAMPED => 0,
+                    at => self.stamps.get(at as usize + rank(row, t)),
+                };
+                let to = t as u32;
+                if stamp >= bound || (column as usize == self.labels.len() && to == from) {
+                    return;
+                }
+                let reached = (to, cost + u64::from(stamp), Move { from, column, to });
+                match slot[t] {
+                    u32::MAX => {
+                        slot[t] = layer.len() as u32;
+                        layer.push(reached);
+                    }
+                    k if reached.1 < layer[k as usize].1 => layer[k as usize] = reached,
+                    _ => {}
+                }
+            });
+        }
     }
 
     /// Every labeled transition `(from, label, to)`, by label, then
@@ -287,12 +592,6 @@ impl BitNfa {
         }
         self.close(out);
         any
-    }
-
-    /// The ε-closed `column`-image of `set`; `None` when it is empty.
-    fn step(&self, set: &[u64], column: usize) -> Option<Vec<u64>> {
-        let mut next = Vec::new();
-        self.step_into(set, column, &mut next).then_some(next)
     }
 
     /// The ε-closed start set.
@@ -385,75 +684,6 @@ impl BitNfa {
             }
         }
     }
-
-    /// Every accepted word of length at most `max_len` over `alphabet`,
-    /// in length-lexicographic order of exploration. For tests.
-    pub fn accepted_up_to(&self, alphabet: &[Label], max_len: usize) -> Vec<Vec<Label>> {
-        let mut result = Vec::new();
-        let mut frontier: Vec<(Vec<Label>, Vec<u64>)> = vec![(Vec::new(), self.initial())];
-        for len in 0..=max_len {
-            let mut next = Vec::new();
-            for (word, set) in &frontier {
-                if self.any_accepting(set) {
-                    result.push(word.clone());
-                }
-                if len == max_len {
-                    continue;
-                }
-                for &label in alphabet {
-                    if let Some(image) = self.column(label).and_then(|c| self.step(set, c)) {
-                        let mut w = word.clone();
-                        w.push(label);
-                        next.push((w, image));
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        result
-    }
-
-    /// Determinizes the automaton by the subset construction over its
-    /// alphabet; `None` when it would pass `max_states` subset states.
-    /// The DFA is an accelerator for repeated membership, and the subset
-    /// construction is exponential in the worst case.
-    ///
-    /// Subsets are explored breadth-first, labels in alphabet order, and
-    /// the dead subset is never materialized — the same exploration as
-    /// [`crate::determinize`] over an [`crate::Nfa`] with the same
-    /// transitions, so the same DFA, state numbering included.
-    pub fn determinize_capped(&self, max_states: usize) -> Option<Dfa> {
-        let mut dfa = Dfa::new();
-        let start = self.initial();
-        dfa.set_accepting(dfa.start(), self.any_accepting(&start));
-        let mut subsets: HashMap<Vec<u64>, StateId> = HashMap::from([(start.clone(), dfa.start())]);
-        let mut queue: VecDeque<(Vec<u64>, StateId)> = VecDeque::from([(start, dfa.start())]);
-        while let Some((set, state)) = queue.pop_front() {
-            for (c, &label) in self.labels.iter().enumerate() {
-                let Some(next) = self.step(&set, c) else {
-                    continue;
-                };
-                let target = match subsets.get(&next) {
-                    Some(&s) => s,
-                    None => {
-                        if dfa.state_count() >= max_states {
-                            return None;
-                        }
-                        let s = dfa.add_state();
-                        dfa.set_accepting(s, self.any_accepting(&next));
-                        subsets.insert(next.clone(), s);
-                        queue.push_back((next, s));
-                        s
-                    }
-                };
-                dfa.set_transition(state, label, target);
-            }
-        }
-        Some(dfa)
-    }
 }
 
 /// The states of a set, ascending.
@@ -494,6 +724,16 @@ fn or_into(set: &mut [u64], row: &[u64]) {
     }
 }
 
+/// The number of members of `set` below `state`.
+fn rank(set: &[u64], state: usize) -> usize {
+    let (word, bit) = (state / 64, state % 64);
+    set[..word]
+        .iter()
+        .map(|x| x.count_ones() as usize)
+        .sum::<usize>()
+        + (set[word] & ((1u64 << bit) - 1)).count_ones() as usize
+}
+
 fn intersects(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
@@ -501,7 +741,7 @@ fn intersects(a: &[u64], b: &[u64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{determinize, Nfa, PrefixRewriteSystem};
+    use crate::PrefixRewriteSystem;
 
     #[test]
     fn a_wide_automaton_is_stored_in_less_than_a_byte_per_state_and_label() {
@@ -524,48 +764,5 @@ mod tests {
             "{} heap bytes for {pairs} (state, label) pairs",
             nfa.heap_bytes()
         );
-    }
-
-    #[test]
-    fn capped_determinization_falls_back_or_matches_the_nfa_one() {
-        let (a, b) = (Label::from_index(0), Label::from_index(1));
-        // (a|b)* a, with an ε-detour: needs 2 subset states.
-        let mut bits = BitNfaBuilder::new(vec![a, b], 3);
-        let mut nfa = Nfa::new();
-        nfa.add_state();
-        let accepting = nfa.add_state();
-        for (from, label, to) in [
-            (0, Some(a), 0),
-            (0, Some(b), 0),
-            (0, Some(a), 1),
-            (1, None, 2),
-        ] {
-            let (f, t) = (StateId::from_index(from), StateId::from_index(to));
-            match label {
-                Some(l) => {
-                    bits.insert(from, bits.column(l).unwrap(), to);
-                    nfa.add_transition(f, l, t);
-                }
-                None => {
-                    bits.insert(from, bits.epsilon_column(), to);
-                    nfa.add_epsilon(f, t);
-                }
-            }
-        }
-        bits.set_accepting(2);
-        let bits = bits.freeze();
-        nfa.set_accepting(accepting, true);
-
-        assert!(bits.determinize_capped(1).is_none());
-        let capped = bits.determinize_capped(2).expect("2 subsets suffice");
-        let reference = determinize(&nfa, &[a, b]);
-        assert_eq!(capped.state_count(), reference.state_count());
-        for q in (0..capped.state_count()).map(StateId::from_index) {
-            assert!(capped.transitions(q).eq(reference.transitions(q)));
-            assert_eq!(capped.is_accepting(q), reference.is_accepting(q));
-        }
-        for word in [vec![], vec![a], vec![b, a], vec![a, b]] {
-            assert_eq!(bits.accepts(&word), nfa.accepts(&word), "word {word:?}");
-        }
     }
 }

@@ -233,16 +233,6 @@ impl Nfa {
         current
     }
 
-    /// States reachable from the start reading `word`, as ids.
-    pub fn read_states(&self, word: &[Label]) -> Vec<StateId> {
-        self.read(word)
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| StateId::from_index(i))
-            .collect()
-    }
-
     /// Whether the automaton accepts `word`.
     pub fn accepts(&self, word: &[Label]) -> bool {
         self.read(word)
@@ -324,50 +314,6 @@ impl Nfa {
         }
         word.reverse();
         Some(word)
-    }
-
-    /// Enumerates all accepted words of length at most `max_len`, in
-    /// length-lexicographic order of exploration. Intended for tests and
-    /// small-model extraction, not for production-size automata.
-    pub fn accepted_up_to(&self, alphabet: &[Label], max_len: usize) -> Vec<Vec<Label>> {
-        let mut result = Vec::new();
-        let mut frontier: Vec<(Vec<Label>, Vec<bool>)> =
-            vec![(Vec::new(), self.epsilon_closure(&[self.start]))];
-        for len in 0..=max_len {
-            let mut next = Vec::new();
-            for (word, states) in &frontier {
-                let accepting = states
-                    .iter()
-                    .enumerate()
-                    .any(|(i, &b)| b && self.states[i].accepting);
-                if accepting {
-                    result.push(word.clone());
-                }
-                if len == max_len {
-                    continue;
-                }
-                for &label in alphabet {
-                    let mut seed = Vec::new();
-                    for (i, &active) in states.iter().enumerate() {
-                        if active {
-                            seed.extend(self.successors(StateId::from_index(i), label));
-                        }
-                    }
-                    if seed.is_empty() {
-                        continue;
-                    }
-                    let closure = self.epsilon_closure(&seed);
-                    let mut w = word.clone();
-                    w.push(label);
-                    next.push((w, closure));
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        result
     }
 }
 
@@ -463,19 +409,6 @@ mod tests {
         assert!(nfa.is_empty());
         nfa.set_accepting(s1, true);
         assert!(!nfa.is_empty());
-    }
-
-    #[test]
-    fn accepted_up_to_enumerates_language_slice() {
-        let (a, b) = ab();
-        // Language: a* b
-        let mut nfa = Nfa::new();
-        let s1 = nfa.add_state();
-        nfa.add_transition(nfa.start(), a, nfa.start());
-        nfa.add_transition(nfa.start(), b, s1);
-        nfa.set_accepting(s1, true);
-        let words = nfa.accepted_up_to(&[a, b], 3);
-        assert_eq!(words, vec![vec![b], vec![a, b], vec![a, a, b]]);
     }
 
     #[test]

@@ -23,12 +23,18 @@
 //! saturation: reading layers hang off the nodes of one trie of Σ's
 //! left-hand sides (rules sharing a prefix share its layers), layers
 //! and transition rows are bitsets over the fixed state space, and the
-//! result is frozen as a [`BitNfa`].
-//! [`PrefixRewriteSystem::post_star_rounds`] is the round-based
-//! reference it is tested against, transition for transition.
+//! result is frozen as a [`BitNfa`]. Its tests hold a round-based
+//! reference it must match, transition for transition.
+//!
+//! The saturation stamps every transition it adds for a rule with its
+//! breadth-first generation and the rule, and
+//! [`PrefixRewriteSystem::derivation`] reads a rewrite derivation
+//! `α ⇒* β` back off those stamps: the witness generation of pushdown
+//! `post*` (Schwoon, *Model-Checking Pushdown Systems*, 2002; Reps,
+//! Schwoon, Jha and Melski, SCP 2005). Deciding and certifying then
+//! share one saturation.
 
-use crate::bitnfa::{push_bits, BitNfa, BitNfaBuilder};
-use crate::nfa::{Nfa, StateId};
+use crate::bitnfa::{push_bits, BitNfa, BitNfaBuilder, Move};
 use pathcons_graph::Label;
 use std::collections::HashSet;
 
@@ -93,52 +99,15 @@ impl PrefixRewriteSystem {
     /// added (through the rule's interior chain; for `|v| = 1` a direct
     /// transition; for `v = ε` an ε-transition). States are never added
     /// during saturation, so the transition count — and hence the running
-    /// time — is polynomial in the input size.
+    /// time — is polynomial in the input size. The transition into the
+    /// anchor (chain exit, direct or ε) keeps the rule and a stamp for
+    /// [`Self::derivation`] (see `Saturation`).
     ///
     /// This is the worklist saturation over the trie of Σ's left-hand
-    /// sides (see `Saturation`). It computes the least fixpoint on the
-    /// same state space as [`Self::post_star_rounds`], so both produce
-    /// the same states and the same transitions.
+    /// sides (see `Saturation`), so it computes the least fixpoint on
+    /// that state space.
     pub fn post_star(&self, initial: &[Label]) -> BitNfa {
         Saturation::run(self, initial, false)
-    }
-
-    /// The round-based reference implementation of [`Self::post_star`]:
-    /// recomputes every rule's reading set from scratch each round until
-    /// nothing changes, on an [`Nfa`]. Kept as a test oracle for the
-    /// worklist version, which must match it state for state and
-    /// transition for transition.
-    pub fn post_star_rounds(&self, initial: &[Label]) -> Nfa {
-        let mut nfa = Nfa::from_word(initial);
-        let start = nfa.start();
-
-        // Pre-allocate interior chains, one per rule with a long RHS.
-        let chains: Vec<Vec<StateId>> = self
-            .rules
-            .iter()
-            .map(|rule| {
-                if rule.rhs.len() >= 2 {
-                    (0..rule.rhs.len() - 1).map(|_| nfa.add_state()).collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-
-        loop {
-            let mut changed = false;
-            for (rule_idx, rule) in self.rules.iter().enumerate() {
-                // Anchors: states reachable from the start by reading lhs.
-                let anchors = nfa.read_states(&rule.lhs);
-                for q in anchors {
-                    changed |= add_rhs_path(&mut nfa, start, &rule.rhs, &chains[rule_idx], q);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        nfa
     }
 
     /// Computes an automaton accepting `pre*({target})` — every word
@@ -146,6 +115,69 @@ impl PrefixRewriteSystem {
     /// iff `w ∈ post*(β)` under the rules reversed (`rhs ⇒ lhs`).
     pub fn pre_star(&self, target: &[Label]) -> BitNfa {
         Saturation::run(self, target, true)
+    }
+
+    /// Reads a derivation `initial ⇒* target` off `post`, which must be
+    /// [`Self::post_star`]`(initial)`: the rewrite steps in order, each
+    /// as the applied rule's index and the word it yields. `None` when
+    /// `target ∉ post`, or when the derivation read passes `max_size`,
+    /// counting each step and each label of the words it yields
+    /// (witnesses can be exponentially long in the rules, and their
+    /// words long).
+    ///
+    /// The walk starts from an accepting run of `target` and works back
+    /// to `initial`. The run's first segment ends at its first stamped
+    /// transition, which the saturation added for a rule `u ⇒ v`: the
+    /// segment is that rule's rhs chain into the anchor `q` the rule
+    /// fired on, or the rule's direct transition or ε-transition to
+    /// `q`. Then `q` is reachable by `u` through transitions stamped
+    /// below that one, and swapping such a run in undoes one step
+    /// `u·w ⇒ v·w`. Each swap trades one stamp for smaller ones, so the
+    /// multiset of stamps on the run falls and the walk ends, at a run
+    /// with no stamps: `initial`'s own chain. Runs take the least
+    /// stamps they can (see [`BitNfa::run`]) and stamps are
+    /// breadth-first generations, so the derivations read are short,
+    /// though not always shortest. The walk is a function of the
+    /// system, `initial` and `target`: a memoized automaton and a fresh
+    /// one give the same derivation.
+    pub fn derivation(
+        &self,
+        post: &BitNfa,
+        initial: &[Label],
+        target: &[Label],
+        max_size: usize,
+    ) -> Option<Vec<(usize, Vec<Label>)>> {
+        if target.len() >= max_size {
+            return (target == initial).then(Vec::new);
+        }
+        // The run and the word it reads, both reversed: the walk
+        // rewrites their fronts.
+        let mut run = post.run(target, initial.len(), u32::MAX)?;
+        run.reverse();
+        let mut word: Vec<Label> = target.iter().rev().copied().collect();
+        let (mut steps, mut size) = (Vec::new(), 0);
+        let first_segment = |run: &[Move]| {
+            run.iter()
+                .rev()
+                .enumerate()
+                .find_map(|(i, &m)| post.provenance(m).map(|p| (i + 1, m.to, p)))
+        };
+        while let Some((len, anchor, (stamp, rule))) = first_segment(&run) {
+            size += 1 + word.len();
+            if size > max_size {
+                return None;
+            }
+            let RewriteRule { lhs, rhs } = &self.rules[rule];
+            let prefix = post.run(lhs, anchor as usize, stamp)?;
+            steps.push((rule, word.iter().rev().copied().collect()));
+            run.truncate(run.len() - len);
+            run.extend(prefix.into_iter().rev());
+            word.truncate(word.len() - rhs.len());
+            word.extend(lhs.iter().rev());
+        }
+        debug_assert!(word.iter().rev().eq(initial));
+        steps.reverse();
+        Some(steps)
     }
 
     /// Whether `to` is reachable from `from` (i.e. the word constraint
@@ -214,6 +246,12 @@ struct TrieNode {
 /// source. Rules sharing an lhs prefix share its layers, and the
 /// automaton's rows are bitsets, so one propagation step is a
 /// word-parallel OR.
+///
+/// The worklist runs by generations: 0 for the start state's root
+/// membership, and `g + 1` for the memberships, and the stamps of the
+/// transitions added for rules, that propagating generation `g` adds.
+/// So a rule firing on an anchor adds a transition stamped above every
+/// transition of some run of its lhs to the anchor.
 struct Saturation {
     nfa: BitNfaBuilder,
     /// Every rule's rhs as columns, back to back: rule `r`'s is
@@ -228,8 +266,12 @@ struct Saturation {
     /// `layers[node * words..][..words]` is `L_node`.
     layers: Vec<u64>,
     words: usize,
-    /// Layer memberships awaiting propagation: `(node, state)`.
+    /// Layer memberships awaiting propagation, `(node, state)`: those of
+    /// the generation being propagated, and those of the next.
     queue: Vec<(usize, usize)>,
+    next: Vec<(usize, usize)>,
+    /// The generation of `next`, and the stamp of transitions added now.
+    generation: u32,
 }
 
 impl Saturation {
@@ -267,7 +309,7 @@ impl Saturation {
             nfa.column(label).expect("every label is in the alphabet")
         };
         for (i, &label) in initial.iter().enumerate() {
-            nfa.insert(i, column(&nfa, label), i + 1);
+            nfa.insert(i, column(&nfa, label), i + 1, None);
         }
         nfa.set_accepting(initial.len());
 
@@ -305,6 +347,8 @@ impl Saturation {
             edges_by_column,
             words,
             queue: Vec::new(),
+            next: Vec::new(),
+            generation: 0,
         };
         sat.add_member(0, 0);
         sat.drain();
@@ -317,7 +361,7 @@ impl Saturation {
         let bit = 1u64 << (state % 64);
         if *word & bit == 0 {
             *word |= bit;
-            self.queue.push((node, state));
+            self.next.push((node, state));
         }
     }
 
@@ -331,7 +375,7 @@ impl Saturation {
         for (i, (l, &r)) in layer.iter_mut().zip(row).enumerate() {
             let new = r & !*l;
             *l |= new;
-            push_bits(i, new, |state| self.queue.push((node, state)));
+            push_bits(i, new, |state| self.next.push((node, state)));
         }
     }
 
@@ -339,10 +383,12 @@ impl Saturation {
         self.layers[node * self.words + state / 64] & (1 << (state % 64)) != 0
     }
 
-    /// Installs `from --column--> to` and propagates it through every
-    /// layer holding `from` whose node reads `column`.
-    fn add_transition(&mut self, from: usize, column: usize, to: usize) {
-        if !self.nfa.insert(from, column, to) {
+    /// Installs `from --column--> to` — stamped for `rule` when one is
+    /// given — and propagates it through every layer holding `from`
+    /// whose node reads `column`.
+    fn add_transition(&mut self, from: usize, column: usize, to: usize, rule: Option<usize>) {
+        let provenance = rule.map(|rule| (self.generation, rule));
+        if !self.nfa.insert(from, column, to, provenance) {
             return;
         }
         for i in 0..self.edges_by_column[column].len() {
@@ -353,10 +399,14 @@ impl Saturation {
         }
     }
 
-    /// Installs `from --ε--> to` and propagates it through every layer
-    /// holding `from`.
-    fn add_epsilon(&mut self, from: usize, to: usize) {
-        if !self.nfa.insert(from, self.nfa.epsilon_column(), to) {
+    /// Installs `from --ε--> to`, stamped for `rule`, and propagates it
+    /// through every layer holding `from`.
+    fn add_epsilon(&mut self, from: usize, to: usize, rule: usize) {
+        let eps = self.nfa.epsilon_column();
+        if !self
+            .nfa
+            .insert(from, eps, to, Some((self.generation, rule)))
+        {
             return;
         }
         for node in 0..self.trie.len() {
@@ -368,56 +418,37 @@ impl Saturation {
 
     fn drain(&mut self) {
         let eps = self.nfa.epsilon_column();
-        while let Some((node, state)) = self.queue.pop() {
-            for i in 0..self.trie[node].rules.len() {
-                let rule = self.trie[node].rules[i];
-                self.install_rhs(rule, state);
-            }
-            self.flow(state, eps, node);
-            for i in 0..self.trie[node].children.len() {
-                let (column, child) = self.trie[node].children[i];
-                self.flow(state, column, child);
+        while !self.next.is_empty() {
+            std::mem::swap(&mut self.queue, &mut self.next);
+            self.generation += 1;
+            while let Some((node, state)) = self.queue.pop() {
+                for i in 0..self.trie[node].rules.len() {
+                    let rule = self.trie[node].rules[i];
+                    self.install_rhs(rule, state);
+                }
+                self.flow(state, eps, node);
+                for i in 0..self.trie[node].children.len() {
+                    let (column, child) = self.trie[node].children[i];
+                    self.flow(state, column, child);
+                }
             }
         }
     }
 
     /// Adds the rhs path of `rule` from the start to anchor `q`, through
-    /// the rule's interior chain.
+    /// the rule's interior chain. The transition into `q` is stamped;
+    /// the chain's fixed transitions are not.
     fn install_rhs(&mut self, rule: usize, q: usize) {
         let start = 0;
         let (at, len) = (self.rhs_at[rule], self.rhs_at[rule + 1] - self.rhs_at[rule]);
         if len == 0 {
-            return self.add_epsilon(start, q);
+            return self.add_epsilon(start, q, rule);
         }
         let chain = self.chain[rule];
         for i in 0..len {
             let from = if i == 0 { start } else { chain + i - 1 };
             let to = if i + 1 == len { q } else { chain + i };
-            self.add_transition(from, self.rhs[at + i], to);
-        }
-    }
-}
-
-/// Adds a path spelling `rhs` from `start` to anchor `q`, reusing the
-/// rule's interior `chain`. Returns whether anything was added.
-fn add_rhs_path(
-    nfa: &mut Nfa,
-    start: StateId,
-    rhs: &[Label],
-    chain: &[StateId],
-    q: StateId,
-) -> bool {
-    match rhs.len() {
-        0 => nfa.add_epsilon(start, q),
-        1 => nfa.add_transition(start, rhs[0], q),
-        _ => {
-            debug_assert_eq!(chain.len(), rhs.len() - 1);
-            let mut changed = nfa.add_transition(start, rhs[0], chain[0]);
-            for i in 1..rhs.len() - 1 {
-                changed |= nfa.add_transition(chain[i - 1], rhs[i], chain[i]);
-            }
-            changed |= nfa.add_transition(chain[rhs.len() - 2], rhs[rhs.len() - 1], q);
-            changed
+            self.add_transition(from, self.rhs[at + i], to, (i + 1 == len).then_some(rule));
         }
     }
 }
@@ -574,7 +605,70 @@ mod tests {
 #[cfg(test)]
 mod worklist_tests {
     use super::*;
+    use crate::nfa::{Nfa, StateId};
     use pathcons_graph::LabelInterner;
+
+    /// The round-based reference for [`PrefixRewriteSystem::post_star`]:
+    /// recomputes every rule's reading set from scratch each round until
+    /// nothing changes, on an [`Nfa`]. The worklist version must match
+    /// it state for state and transition for transition.
+    fn post_star_rounds(system: &PrefixRewriteSystem, initial: &[Label]) -> Nfa {
+        let mut nfa = Nfa::from_word(initial);
+        let start = nfa.start();
+
+        // Pre-allocate interior chains, one per rule with a long RHS.
+        let chains: Vec<Vec<StateId>> = system
+            .rules
+            .iter()
+            .map(|rule| {
+                if rule.rhs.len() >= 2 {
+                    (0..rule.rhs.len() - 1).map(|_| nfa.add_state()).collect()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+
+        loop {
+            let mut changed = false;
+            for (rule_idx, rule) in system.rules.iter().enumerate() {
+                // Anchors: states reachable from the start by reading lhs.
+                let anchors = nfa.read(&rule.lhs);
+                for q in (0..anchors.len()).filter(|&q| anchors[q]) {
+                    let q = StateId::from_index(q);
+                    changed |= add_rhs_path(&mut nfa, start, &rule.rhs, &chains[rule_idx], q);
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        nfa
+    }
+
+    /// Adds a path spelling `rhs` from `start` to anchor `q`, reusing the
+    /// rule's interior `chain`. Returns whether anything was added.
+    fn add_rhs_path(
+        nfa: &mut Nfa,
+        start: StateId,
+        rhs: &[Label],
+        chain: &[StateId],
+        q: StateId,
+    ) -> bool {
+        match rhs.len() {
+            0 => nfa.add_epsilon(start, q),
+            1 => nfa.add_transition(start, rhs[0], q),
+            _ => {
+                debug_assert_eq!(chain.len(), rhs.len() - 1);
+                let mut changed = nfa.add_transition(start, rhs[0], chain[0]);
+                for i in 1..rhs.len() - 1 {
+                    changed |= nfa.add_transition(chain[i - 1], rhs[i], chain[i]);
+                }
+                changed |= nfa.add_transition(chain[rhs.len() - 2], rhs[rhs.len() - 1], q);
+                changed
+            }
+        }
+    }
 
     fn alphabet(n: usize) -> Vec<Label> {
         let names: Vec<String> = (0..n).map(|i| format!("l{i}")).collect();
@@ -650,7 +744,7 @@ mod worklist_tests {
                 .map(|i| ab[(seed as usize + i) % ab.len()])
                 .collect();
             let fast = system.post_star(&initial);
-            let slow = system.post_star_rounds(&initial);
+            let slow = post_star_rounds(&system, &initial);
             assert_eq!(fast.state_count(), slow.state_count(), "seed {seed}");
             assert_eq!(
                 edges_of_worklist(&fast),
@@ -664,6 +758,85 @@ mod worklist_tests {
             }
         }
         assert!(epsilon_lhs > 0 && epsilon_rhs > 0, "ε rules exercised");
+    }
+
+    /// Every word over `alphabet` of length at most `max_len` that `nfa`
+    /// accepts.
+    fn accepted_up_to(nfa: &BitNfa, alphabet: &[Label], max_len: usize) -> Vec<Vec<Label>> {
+        let mut words = vec![Vec::new()];
+        let mut longest = vec![Vec::new()];
+        for _ in 0..max_len {
+            longest = longest
+                .iter()
+                .flat_map(|w: &Vec<Label>| alphabet.iter().map(move |&l| [&w[..], &[l]].concat()))
+                .collect();
+            words.extend(longest.iter().cloned());
+        }
+        words.retain(|w| nfa.accepts(w));
+        words
+    }
+
+    /// Applies `steps` to `initial`, checking each is a prefix rewrite
+    /// by the rule it names; returns the final word.
+    fn replay(
+        system: &PrefixRewriteSystem,
+        initial: &[Label],
+        steps: &[(usize, Vec<Label>)],
+    ) -> Vec<Label> {
+        let mut word = initial.to_vec();
+        for (rule, result) in steps {
+            let RewriteRule { lhs, rhs } = &system.rules()[*rule];
+            assert!(
+                word.starts_with(lhs),
+                "rule {rule} does not apply to {word:?}"
+            );
+            word = [&rhs[..], &word[lhs.len()..]].concat();
+            assert_eq!(&word, result, "rule {rule} yields another word");
+        }
+        word
+    }
+
+    #[test]
+    fn derivations_replay_on_random_systems() {
+        let ab = alphabet(3);
+        let mut derived = 0;
+        for seed in 0..400u64 {
+            let system = pseudo_system(seed, &ab, 4, 3);
+            let initial: Vec<Label> = (0..(seed as usize % 4))
+                .map(|i| ab[(seed as usize + i) % ab.len()])
+                .collect();
+            let post = system.post_star(&initial);
+            for target in accepted_up_to(&post, &ab, 4) {
+                let steps = system
+                    .derivation(&post, &initial, &target, 100_000)
+                    .unwrap_or_else(|| panic!("seed {seed}: no derivation of {target:?}"));
+                assert_eq!(replay(&system, &initial, &steps), target, "seed {seed}");
+                derived += 1;
+            }
+            let outside = [ab[0]; 5];
+            if !post.accepts(&outside) {
+                assert!(system
+                    .derivation(&post, &initial, &outside, 100_000)
+                    .is_none());
+            }
+        }
+        assert!(derived > 1000, "{derived} derivations");
+    }
+
+    #[test]
+    fn derivations_past_the_size_cap_are_refused() {
+        let ab = alphabet(2);
+        let (a, b) = (ab[0], ab[1]);
+        let mut system = PrefixRewriteSystem::new();
+        system.add_rule(vec![a], vec![b, b]);
+        system.add_rule(vec![b], vec![a]);
+        let post = system.post_star(&[a]);
+        // a ⇒ b·b ⇒ a·b: two steps yielding two labels each.
+        let steps = system.derivation(&post, &[a], &[a, b], 6).unwrap();
+        assert_eq!(replay(&system, &[a], &steps), vec![a, b]);
+        assert!(system.derivation(&post, &[a], &[a, b], 5).is_none());
+        // A reflexive derivation is empty, whatever the cap.
+        assert_eq!(system.derivation(&post, &[a], &[a], 0), Some(Vec::new()));
     }
 
     #[test]

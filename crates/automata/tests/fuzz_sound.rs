@@ -6,7 +6,7 @@
 //! kept as a regression net for the workspace's most safety-critical
 //! algorithm.)
 
-use pathcons_automata::PrefixRewriteSystem;
+use pathcons_automata::{BitNfa, PrefixRewriteSystem};
 use pathcons_graph::{Label, LabelInterner};
 use std::collections::HashSet;
 
@@ -78,6 +78,22 @@ fn full_closure(
 /// exhaustive closure cannot reach. Derivations for words of length ≤ 3
 /// over these rule sizes stay within length 12, so the reference is exact
 /// on the compared slice.
+/// Every word over `alphabet` of length at most `max_len` that `nfa`
+/// accepts.
+fn accepted_up_to(nfa: &BitNfa, alphabet: &[Label], max_len: usize) -> Vec<Vec<Label>> {
+    let mut words = vec![Vec::new()];
+    let mut longest = vec![Vec::new()];
+    for _ in 0..max_len {
+        longest = longest
+            .iter()
+            .flat_map(|w: &Vec<Label>| alphabet.iter().map(move |&l| [&w[..], &[l]].concat()))
+            .collect();
+        words.extend(longest.iter().cloned());
+    }
+    words.retain(|w| nfa.accepts(w));
+    words
+}
+
 #[test]
 fn post_star_no_over_acceptance() {
     let ab = alphabet(3);
@@ -88,7 +104,7 @@ fn post_star_no_over_acceptance() {
             .collect();
         let auto = system.post_star(&initial);
         let reached = full_closure(&system, &initial, 12);
-        for word in auto.accepted_up_to(&ab, 3) {
+        for word in accepted_up_to(&auto, &ab, 3) {
             assert!(
                 reached.contains(&word),
                 "seed {seed}: post* accepts {word:?} from {initial:?} but the \

@@ -123,8 +123,8 @@ fn gen_workload(constraints: usize, clients: usize, per_client: usize) -> Worklo
         ball.len()
     );
     // Keep the shallowest `total` (BFS order), then shuffle the client
-    // assignment: certificate extraction cost grows with derivation
-    // depth in both modes, and the shallow cone is where the per-job
+    // assignment: a derivation costs more to read the deeper it is,
+    // in both modes, and the shallow cone is where the per-job
     // work is dominated by the saturation being amortized.
     ball.truncate(total);
     for i in (1..ball.len()).rev() {

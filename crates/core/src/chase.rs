@@ -124,7 +124,10 @@ pub fn chase_implication(
 /// The chase is *prefix-first*: goal-independent rounds over the bare
 /// root graph run before the ¬φ pattern is grafted (only constraints
 /// with an empty hypothesis can fire there, so for most Σ the prefix is
-/// empty and this is the classic pattern-first chase). Because the
+/// empty and this is the classic pattern-first chase). The prefix may
+/// spend half of `chase_rounds`; one stopped short of a fixpoint is
+/// discarded, and the query runs pattern-first with the whole budget,
+/// as the reference chase does. Because the
 /// prefix is a deterministic function of `(Σ, chase_rounds,
 /// chase_max_nodes)` alone, a [`SharedChase`] snapshot of it can be
 /// resumed by every query against the same context — producing the
@@ -154,26 +157,31 @@ fn chase_incremental<R: Recorder + ?Sized>(
     shared: Option<&SharedChase>,
 ) -> Outcome {
     let _span = SpanGuard::enter(rec, "chase");
-    let mut metrics;
-    let mut state;
+    let mut metrics = ChaseMetrics::default();
+    let mut state = ChaseState::bare(sigma);
     match shared.filter(|sc| sc.compatible(sigma, budget)) {
-        Some(sc) => {
+        Some(sc) if sc.end == PrefixEnd::Fixpoint => {
             state = sc.state.clone();
             metrics = sc.metrics;
             if rec.enabled() {
                 rec.counter("chase.prefix.reused_rounds", metrics.rounds_used);
             }
         }
-        None => {
-            metrics = ChaseMetrics::default();
-            state = ChaseState::bare(sigma);
-            if let PrefixEnd::Deadline = run_prefix(sigma, budget, rec, &mut metrics, &mut state) {
+        Some(_) => {}
+        None => match run_prefix(sigma, budget, rec, &mut metrics, &mut state) {
+            PrefixEnd::Fixpoint => {}
+            PrefixEnd::Deadline => {
                 let outcome = Outcome::Unknown(UnknownReason::DeadlineExceeded);
                 state.flush_scan_telemetry(rec);
                 emit_chase_attribution(rec, "chase", budget, &metrics, &outcome);
                 return outcome;
             }
-        }
+            PrefixEnd::RoundsExhausted | PrefixEnd::NodeCap => {
+                state.flush_scan_telemetry(rec);
+                metrics = ChaseMetrics::default();
+                state = ChaseState::bare(sigma);
+            }
+        },
     }
     state.graft_pattern(phi);
     let outcome = chase_pattern_loop(sigma, phi, budget, rec, &mut metrics, &mut state);
@@ -187,11 +195,9 @@ fn chase_incremental<R: Recorder + ?Sized>(
 pub enum PrefixEnd {
     /// Every constraint scanned clean: the prefix graph models Σ.
     Fixpoint,
-    /// The round budget was consumed before a fixpoint.
+    /// The prefix's half of the round budget ran out before a fixpoint.
     RoundsExhausted,
-    /// The node budget was exceeded; the state stops at the violating
-    /// repair (with every constraint re-marked dirty, so no reported
-    /// violation is lost) and the pattern phase re-detects the cap.
+    /// The node budget was exceeded before a fixpoint.
     NodeCap,
     /// The wall-clock deadline expired. A deadline-truncated prefix is
     /// nondeterministic and must never be shared.
@@ -199,10 +205,11 @@ pub enum PrefixEnd {
 }
 
 /// Runs the goal-independent Σ-only rounds of a prefix-first chase over
-/// `state` (which must be [`ChaseState::bare`]). Rounds are counted
-/// against `metrics.rounds_used` only when they repair something, so
-/// for Σ without empty-hypothesis constraints this is one clean scan
-/// that consumes no budget.
+/// `state` (which must be [`ChaseState::bare`]), at most half of
+/// `budget.chase_rounds`. Rounds are counted against
+/// `metrics.rounds_used` only when they repair something, so for Σ
+/// without empty-hypothesis constraints this is one clean scan that
+/// consumes no budget.
 fn run_prefix<R: Recorder + ?Sized>(
     sigma: &[PathConstraint],
     budget: &Budget,
@@ -215,7 +222,7 @@ fn run_prefix<R: Recorder + ?Sized>(
         if armed && budget.deadline.expired() {
             return PrefixEnd::Deadline;
         }
-        if metrics.rounds_used >= budget.chase_rounds as u64 {
+        if metrics.rounds_used >= budget.chase_rounds as u64 / 2 {
             return PrefixEnd::RoundsExhausted;
         }
         let round = metrics.rounds_used;
@@ -234,10 +241,7 @@ fn run_prefix<R: Recorder + ?Sized>(
             if state.live_node_count() > budget.chase_max_nodes {
                 // Stop the prefix *without* failing the query: the goal
                 // has not even been built yet, and a pattern-true φ must
-                // still answer Implied. Re-mark everything dirty so the
-                // reported-but-unrepaired remainder of this batch is
-                // re-reported by the next scan.
-                state.dirty.fill(true);
+                // still answer Implied.
                 return PrefixEnd::NodeCap;
             }
             if armed && budget.deadline.expired() {
@@ -252,10 +256,11 @@ fn run_prefix<R: Recorder + ?Sized>(
 }
 
 /// A snapshot of the Σ-only chase prefix, shared across every query
-/// against the same context. Built once (ideally at a fixpoint) and
-/// resumed by [`chase_implication_with`]: the warm continuation executes
-/// exactly the rounds a cold run would after its inline prefix, so
-/// verdicts, traces, and countermodels are byte-identical.
+/// against the same context. Built once and, when it ended at a
+/// fixpoint, resumed by [`chase_implication_with`]: the warm
+/// continuation executes exactly the rounds a cold run would after its
+/// inline prefix, so verdicts, traces, and countermodels are
+/// byte-identical. Any other prefix is discarded, warm and cold alike.
 ///
 /// Build with an *unarmed* deadline: a deadline-truncated prefix is
 /// refused by [`SharedChase::compatible`] (it is not a deterministic
@@ -488,7 +493,8 @@ impl ChaseState {
         self.goal_done = false;
         // The pattern edges can create hypothesis pairs only for
         // constraints whose hypothesis mentions one of their labels
-        // (empty-hypothesis constraints already fired in the prefix).
+        // (empty-hypothesis constraints ran in the prefix, and any
+        // violation it left unrepaired is still on the worklist).
         let pattern_labels = sorted_labels(phi.prefix().labels().iter().chain(phi.lhs().labels()));
         self.mark_dirty_for(&pattern_labels);
     }

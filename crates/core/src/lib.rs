@@ -57,7 +57,7 @@ pub use search::{
 };
 pub use solver::{Answer, DataContext, Method, Problem, SchemaContext, Solver, SolverError};
 pub use typed_m::{m_implies, m_satisfiable, MSatisfiability, NotAnMSchema};
-pub use word::{word_implication_naive, NotAWordConstraint, WordEngine};
+pub use word::{word_implication_naive, NotAWordConstraint, WordEngine, MAX_DERIVATION_SIZE};
 
 mod word_evidence;
-pub use word_evidence::{derivation_guided, quotient_countermodel, Derivation, DerivationStep};
+pub use word_evidence::{quotient_countermodel, Derivation, DerivationStep};

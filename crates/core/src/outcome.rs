@@ -237,8 +237,11 @@ pub enum RefutationBasis {
 #[derive(Clone, Debug)]
 pub enum Evidence {
     /// Decided by the PTIME word-constraint procedure (`post*`
-    /// saturation): `β ∈ post*(α)` under the rules read from Σ.
-    WordDerivation,
+    /// saturation): `β ∈ post*(α)` under the rules read from Σ. Carries
+    /// the derivation read off the saturation (rule indices into Σ);
+    /// `None` past [`crate::MAX_DERIVATION_SIZE`], and in a
+    /// cached answer, whose certificate holds the steps.
+    WordDerivation(Option<crate::word_evidence::Derivation>),
     /// Decided by the Theorem 5.1 reduction: the stripped `P_w` instance
     /// was implied.
     LocalExtentReduction(Box<Evidence>),
@@ -263,8 +266,8 @@ pub enum Evidence {
         /// solver-independent `pathcons-cert` checker. Empty when the
         /// engine could not record a replayable trace (the reference
         /// chase renumbers node ids on merge, so only the incremental
-        /// engine records one); `trace.steps.len() == steps` marks a
-        /// complete trace.
+        /// engine records one) and in a cached answer, whose certificate
+        /// holds them; `trace.steps.len() == steps` marks a complete trace.
         trace: pathcons_cert::ChaseTrace,
     },
     /// Implication over all (untyped) structures, transferred to the

@@ -19,15 +19,18 @@
 //! left-hand side, as a [`BitNfa`], for up to `MEMO_CAPACITY` left-hand
 //! sides (so a [`crate::SharedContext`] that keeps an engine answers
 //! repeat queries as automaton membership), and [`WordEngine::decide`]
-//! is the one word decision. The solver's word tier and the Theorem 5.1
-//! local-extent reduction both call it, and both hand an ε-collapsing
-//! negative to the chase.
+//! is the one word decision. An `Implied` answer carries the rewrite
+//! derivation read off the same automaton's stamps
+//! ([`PrefixRewriteSystem::derivation`]), so certifying it needs no
+//! second saturation or search. The solver's word tier and the
+//! Theorem 5.1 local-extent reduction both call it, and both hand an
+//! ε-collapsing negative to the chase.
 
 use crate::outcome::{
     CounterModel, CounterModelProvenance, Deadline, Evidence, Outcome, Refutation,
 };
-use crate::word_evidence::quotient_countermodel;
-use pathcons_automata::{BitNfa, Dfa, PrefixRewriteSystem};
+use crate::word_evidence::{quotient_countermodel, Derivation, DerivationStep};
+use pathcons_automata::{BitNfa, PrefixRewriteSystem};
 use pathcons_constraints::{Path, PathConstraint};
 use pathcons_graph::Label;
 use std::collections::HashMap;
@@ -54,16 +57,18 @@ impl fmt::Display for NotAWordConstraint {
 
 impl std::error::Error for NotAWordConstraint {}
 
-/// Subset-state ceiling for the determinized `post*` memo: the DFA is
-/// an accelerator for repeated membership, and an automaton that blows
-/// this up determinizing is served by NFA membership instead.
-const POST_DFA_STATE_CAP: usize = 4_096;
-
-/// Most left-hand sides an engine keeps saturated (and, separately,
-/// determinized). Past it the least recently used one is evicted, and a
-/// later query on it saturates again; a resident context's traffic
-/// reuses far fewer.
+/// Most left-hand sides an engine keeps saturated. Past it the least
+/// recently used one is evicted, and a later query on it saturates
+/// again; a resident context's traffic reuses far fewer.
 const MEMO_CAPACITY: usize = 256;
+
+/// The largest derivation an `Implied` answer carries, counting each
+/// step and each label of the words the steps yield: a bound on
+/// certificate size, not a search budget. Witnesses can be
+/// exponentially long in Σ (a binary counter's `0…0 ⇒* 1…1`), and each
+/// step's word can be long. A larger derivation leaves the answer
+/// `Implied` without one.
+pub const MAX_DERIVATION_SIZE: usize = 1 << 16;
 
 /// A memo from left-hand side to automaton holding at most
 /// [`MEMO_CAPACITY`] entries, least recently used evicted first.
@@ -143,11 +148,6 @@ pub struct WordEngine {
     /// alone; the automaton is immutable once built, so clones of the
     /// `Arc` are handed out under a short lock.
     post: Mutex<Memo<Arc<BitNfa>>>,
-    /// Determinized `post*(lhs)` per lhs, for callers that test many
-    /// memberships against one saturation (certificate extraction).
-    /// `None` records that determinization blew the state cap for this
-    /// lhs, so it is not retried.
-    post_dfa: Mutex<Memo<Option<Arc<Dfa>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -167,7 +167,6 @@ impl WordEngine {
             system,
             collapse: OnceLock::new(),
             post: Mutex::new(Memo::new()),
-            post_dfa: Mutex::new(Memo::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
@@ -212,7 +211,9 @@ impl WordEngine {
     /// Decides `Σ ⊨ φ` for a word query, where `sigma` is the theory
     /// this engine was built from:
     ///
-    /// - `β ∈ post*(α)` → `Implied` (the rules are sound);
+    /// - `β ∈ post*(α)` → `Implied` (the rules are sound), carrying the
+    ///   derivation read off `post*(α)` unless it has more than
+    ///   [`MAX_DERIVATION_SIZE`];
     /// - otherwise, when Σ has an ε-collapse, `None`: the rules may miss
     ///   a semantic consequence, so the caller must ask a semi-decider;
     /// - otherwise `NotImplied`, carrying the `post*` quotient
@@ -231,7 +232,17 @@ impl WordEngine {
         }
         let post = self.consequences(phi.lhs());
         if post.accepts(phi.rhs()) {
-            return Some(Outcome::Implied(Evidence::WordDerivation));
+            let derivation = self
+                .system
+                .derivation(&post, phi.lhs(), phi.rhs(), MAX_DERIVATION_SIZE)
+                .map(|steps| Derivation {
+                    start: phi.lhs().to_vec(),
+                    steps: steps
+                        .into_iter()
+                        .map(|(rule, result)| DerivationStep { rule, result })
+                        .collect(),
+                });
+            return Some(Outcome::Implied(Evidence::WordDerivation(derivation)));
         }
         if self.has_epsilon_collapse() {
             return None;
@@ -271,32 +282,6 @@ impl WordEngine {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get_or_insert(alpha, nfa)
-    }
-
-    /// The memoized *determinized* `post*(alpha)` automaton — same
-    /// language as [`Self::consequences`], O(|word|) membership — or
-    /// `None` when determinization blew the state cap for this alpha.
-    /// Built once per lhs (subset construction is deterministic, so
-    /// every caller sees the same automaton).
-    pub fn consequences_dfa(&self, alpha: &[Label]) -> Option<Arc<Dfa>> {
-        if let Some(cached) = self
-            .post_dfa
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(alpha)
-        {
-            return cached;
-        }
-        // Determinize outside the lock: the construction can be slow and
-        // a racing builder computes the identical automaton anyway.
-        let dfa = self
-            .consequences(alpha)
-            .determinize_capped(POST_DFA_STATE_CAP)
-            .map(Arc::new);
-        self.post_dfa
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get_or_insert(alpha, dfa)
     }
 
     /// Pre-saturates `post*` for each of `words` (e.g. the left-hand

@@ -1,15 +1,14 @@
-//! Evidence extraction for the word-constraint engine: concrete rewrite
-//! derivations for positive answers and residual-quotient countermodels
-//! for negative ones.
+//! Evidence for the word-constraint engine: rewrite derivations for
+//! positive answers and residual-quotient countermodels for negative
+//! ones.
 //!
 //! The `post*` decision procedure is complete but opaque; this module
 //! turns its verdicts into artifacts a skeptic can replay:
 //!
-//! - [`derivation_guided`] — a step-by-step prefix-rewrite sequence
-//!   from `α` to `β`, checkable by [`Derivation::check`] (found by a
-//!   backward BFS pruned to `post*(α)`, the automaton the decision
-//!   already saturated; shortest derivations can be long, so extraction
-//!   is fuel-bounded and optional — the decision itself never is);
+//! - [`Derivation`] — a step-by-step prefix-rewrite sequence from `α`
+//!   to `β`, checkable by [`Derivation::check`]. The engine reads it
+//!   off the stamps of the `post*(α)` saturation that decided the query
+//!   (see `PrefixRewriteSystem::derivation`), so it costs no search;
 //! - [`quotient_countermodel`] — a finite model of `Σ ∧ ¬(α → β)` read
 //!   off the automata the decision already built: one node per distinct
 //!   residual of `post*(ε)` and of `post*(α)`, so a word reaches a node
@@ -20,10 +19,10 @@
 //!   its node ceiling or the deadline, or Σ collapses a word to `ε`.
 
 use crate::outcome::Deadline;
-use pathcons_automata::{BitNfa, PrefixRewriteSystem};
-use pathcons_constraints::{all_hold, holds, Path, PathConstraint};
+use pathcons_automata::BitNfa;
+use pathcons_constraints::{all_hold, holds, PathConstraint};
 use pathcons_graph::{Graph, Label};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 /// One prefix-rewrite step: rule `index` applied to the current word's
 /// prefix, yielding `result`.
@@ -77,111 +76,6 @@ impl Derivation {
         }
         Ok(())
     }
-}
-
-/// Extracts a derivation of `Σ ⊢ α → β` by *backward* BFS from `β`,
-/// pruned to words reachable from `α` — `member` must answer membership
-/// in `post*(α)`, which is exactly the language the decision procedure
-/// already saturated to answer the query. A shared context hands in
-/// (the determinized form of) its memoized automaton, so extraction
-/// costs membership queries, not a further saturation.
-///
-/// Every word on a forward derivation `α ⇒* β` lies in `post*(α)`, so
-/// the pruning keeps the search complete while confining it to the cone
-/// between `α` and `β`. The result is a function of `(Σ, α, β)` alone
-/// (candidates scan in Σ index order, FIFO queue) for any `member`
-/// deciding the same language: callers that share the saturation and
-/// callers that rebuild it extract the identical derivation.
-pub fn derivation_guided(
-    sigma: &[PathConstraint],
-    alpha: &Path,
-    beta: &Path,
-    fuel: usize,
-    mut member: impl FnMut(&[Label]) -> bool,
-) -> Option<Derivation> {
-    let mut system = PrefixRewriteSystem::new();
-    for c in sigma {
-        if !c.is_word() {
-            return None;
-        }
-        system.add_rule(c.lhs().to_vec(), c.rhs().to_vec());
-    }
-    let start: Vec<Label> = alpha.to_vec();
-    let target: Vec<Label> = beta.to_vec();
-    if start == target {
-        return Some(Derivation {
-            start,
-            steps: Vec::new(),
-        });
-    }
-    if !member(&target) {
-        return None;
-    }
-    // A backward step requires the rule's rhs to be a prefix of the
-    // current word, so bucketing rules by the rhs' first label cuts the
-    // per-word scan to the bucket (plus the everywhere-applicable
-    // empty-rhs rules). Candidates stay in Σ index order, so the
-    // derivation found does not depend on the bucketing.
-    let mut by_first: HashMap<Label, Vec<usize>> = HashMap::new();
-    let mut empty_rhs: Vec<usize> = Vec::new();
-    for (i, rule) in system.rules().iter().enumerate() {
-        match rule.rhs.first() {
-            Some(l) => by_first.entry(*l).or_default().push(i),
-            None => empty_rhs.push(i),
-        }
-    }
-
-    // Backward step: a word `r·t` un-rewrites to `l·t` for each rule
-    // `l → r`. `next_hop` records the forward edge each discovery
-    // witnesses, so reaching `α` leaves a ready-made forward chain.
-    let mut next_hop: HashMap<Vec<Label>, (Vec<Label>, usize)> = HashMap::new();
-    let mut queue: VecDeque<Vec<Label>> = VecDeque::new();
-    let mut seen: HashSet<Vec<Label>> = HashSet::new();
-    seen.insert(target.clone());
-    queue.push_back(target.clone());
-    let mut found = false;
-    let mut candidates: Vec<usize> = Vec::new();
-    'bfs: while let Some(word) = queue.pop_front() {
-        if seen.len() > fuel {
-            return None;
-        }
-        candidates.clear();
-        if let Some(bucket) = word.first().and_then(|l| by_first.get(l)) {
-            candidates.extend_from_slice(bucket);
-        }
-        candidates.extend_from_slice(&empty_rhs);
-        candidates.sort_unstable();
-        for &rule_idx in &candidates {
-            let rule = &system.rules()[rule_idx];
-            if word.len() >= rule.rhs.len() && word[..rule.rhs.len()] == rule.rhs[..] {
-                let mut pred: Vec<Label> = rule.lhs.clone();
-                pred.extend_from_slice(&word[rule.rhs.len()..]);
-                if !seen.contains(&pred) && member(&pred) {
-                    seen.insert(pred.clone());
-                    next_hop.insert(pred.clone(), (word.clone(), rule_idx));
-                    if pred == start {
-                        found = true;
-                        break 'bfs;
-                    }
-                    queue.push_back(pred);
-                }
-            }
-        }
-    }
-    if !found {
-        return None;
-    }
-    let mut steps = Vec::new();
-    let mut cursor = start.clone();
-    while cursor != target {
-        let (succ, rule) = next_hop.get(&cursor).expect("BFS next-hop");
-        steps.push(DerivationStep {
-            rule: *rule,
-            result: succ.clone(),
-        });
-        cursor = succ.clone();
-    }
-    Some(Derivation { start, steps })
 }
 
 /// Ceiling on countermodel nodes, over both quotients together. A residual
@@ -306,50 +200,57 @@ mod tests {
     use pathcons_constraints::parse_constraints;
     use pathcons_graph::LabelInterner;
 
-    /// A `post*(α)` membership oracle, as the engine supplies to
-    /// [`derivation_guided`] (possibly in determinized form — same
-    /// language either way).
-    fn post_member(sigma: &[PathConstraint], alpha: &Path) -> impl FnMut(&[Label]) -> bool {
-        let post = crate::WordEngine::new(sigma).unwrap().consequences(alpha);
-        move |w: &[Label]| post.accepts(w)
+    /// The derivation `decide` attaches to an `Implied` answer.
+    fn derivation(sigma: &[PathConstraint], phi: &PathConstraint) -> Option<Derivation> {
+        let engine = crate::WordEngine::new(sigma).unwrap();
+        match engine.decide(sigma, phi, &Deadline::none())? {
+            crate::Outcome::Implied(crate::Evidence::WordDerivation(d)) => d,
+            _ => None,
+        }
     }
 
     #[test]
     fn derivation_for_chained_rules() {
         let mut labels = LabelInterner::new();
         let sigma = parse_constraints("a -> b\nb.g -> c", &mut labels).unwrap();
-        let alpha = Path::parse("a.g", &mut labels).unwrap();
-        let beta = Path::parse("c", &mut labels).unwrap();
-        let d = derivation_guided(&sigma, &alpha, &beta, 10_000, post_member(&sigma, &alpha))
-            .expect("derivable");
+        let phi = PathConstraint::parse("a.g -> c", &mut labels).unwrap();
+        let d = derivation(&sigma, &phi).expect("derivable");
         assert_eq!(d.steps.len(), 2);
         d.check(&sigma).unwrap();
-        assert_eq!(d.start, alpha.to_vec());
-        assert_eq!(d.end(), beta.labels());
+        assert_eq!(d.start, phi.lhs().to_vec());
+        assert_eq!(d.end(), phi.rhs().labels());
     }
 
     #[test]
     fn reflexive_derivation_is_empty() {
         let mut labels = LabelInterner::new();
-        let alpha = Path::parse("a.b", &mut labels).unwrap();
-        let d = derivation_guided(&[], &alpha, &alpha, 100, |_: &[Label]| {
-            panic!("reflexive case must not consult the oracle")
-        })
-        .unwrap();
+        let sigma = parse_constraints("a -> b", &mut labels).unwrap();
+        let phi = PathConstraint::parse("a.b -> a.b", &mut labels).unwrap();
+        let d = derivation(&sigma, &phi).unwrap();
         assert!(d.steps.is_empty());
-        d.check(&[]).unwrap();
+        d.check(&sigma).unwrap();
     }
 
     #[test]
-    fn underivable_returns_none() {
+    fn epsilon_rules_derive_through_both_sides() {
+        let mut labels = LabelInterner::new();
+        // ε on the left prepends; ε on the right strips.
+        let sigma = parse_constraints("() -> K\nK.a -> ()\nb -> K.a", &mut labels).unwrap();
+        for text in ["b -> ()", "b.b -> b", "() -> K.K", "K.a.b -> K.a"] {
+            let phi = PathConstraint::parse(text, &mut labels).unwrap();
+            let d = derivation(&sigma, &phi).unwrap_or_else(|| panic!("no derivation for {text}"));
+            d.check(&sigma).unwrap();
+            assert_eq!(d.start, phi.lhs().to_vec(), "{text}");
+            assert_eq!(d.end(), phi.rhs().labels(), "{text}");
+        }
+    }
+
+    #[test]
+    fn underivable_has_no_derivation() {
         let mut labels = LabelInterner::new();
         let sigma = parse_constraints("a -> b", &mut labels).unwrap();
-        let alpha = Path::parse("b", &mut labels).unwrap();
-        let beta = Path::parse("a", &mut labels).unwrap();
-        assert_eq!(
-            derivation_guided(&sigma, &alpha, &beta, 10_000, post_member(&sigma, &alpha)),
-            None
-        );
+        let phi = PathConstraint::parse("b -> a", &mut labels).unwrap();
+        assert_eq!(derivation(&sigma, &phi), None);
     }
 
     #[test]
@@ -383,7 +284,7 @@ mod tests {
         let engine = crate::WordEngine::new(sigma).unwrap();
         let post = engine.consequences(phi.lhs());
         assert!(!post.accepts(phi.rhs()), "{phi:?} is implied");
-        let empty = engine.consequences(&Path::empty());
+        let empty = engine.consequences(&[]);
         quotient_countermodel(sigma, phi, &empty, &post, &Deadline::none())
     }
 
@@ -428,13 +329,13 @@ mod tests {
         let phi = PathConstraint::parse("b -> a", &mut labels).unwrap();
         let engine = crate::WordEngine::new(&sigma).unwrap();
         let post = engine.consequences(phi.lhs());
-        let empty = engine.consequences(&Path::empty());
+        let empty = engine.consequences(&[]);
         let expired = Deadline::within(std::time::Duration::ZERO);
         assert!(quotient_countermodel(&sigma, &phi, &empty, &post, &expired).is_none());
         // `a^k` has k + 1 residuals (`ε`, `a`, …, `a^k`): a fresh
         // graph holds them up to the node ceiling, counting its root.
         let a = labels.get("a").unwrap();
-        let chain = |n: usize| PrefixRewriteSystem::new().post_star(&vec![a; n]);
+        let chain = |n: usize| pathcons_automata::PrefixRewriteSystem::new().post_star(&vec![a; n]);
         let fits = chain(MAX_QUOTIENT_NODES - 2);
         let mut graph = Graph::new();
         add_quotient(&mut graph, &fits, &[a], false, &Deadline::none()).unwrap();

@@ -69,8 +69,70 @@ fn shape(outcome: &Outcome) -> String {
     }
 }
 
+/// A cascade in the shape of the `P_w(K)` encoding (Section 4.1.2):
+/// label 0 is `K`, labels 1 and 2 are letters. Σ holds `ε → K`, the
+/// letter closures `K·l → K`, the equation `K: ε ↔ w` with `|w| = 2`
+/// (which gives every `K`-node a fresh `w`-cycle, so the Σ-only prefix
+/// never reaches a fixpoint), and up to one further equation; φ is a
+/// word query over the letters.
+fn arb_cascade() -> impl Strategy<Value = (Vec<PathConstraint>, PathConstraint)> {
+    let letters = |max_len: usize| {
+        prop::collection::vec(1..3usize, 0..=max_len)
+            .prop_map(|ixs| Path::from_labels(ixs.into_iter().map(Label::from_index)))
+    };
+    (
+        prop::collection::vec(1..3usize, 2..=2)
+            .prop_map(|ixs| Path::from_labels(ixs.into_iter().map(Label::from_index))),
+        prop::collection::vec((letters(2), letters(2)), 0..=1),
+        letters(3),
+        letters(3),
+    )
+        .prop_map(|(w, extra, alpha, beta)| {
+            let k = Path::from_labels([Label::from_index(0)]);
+            let mut sigma = vec![PathConstraint::word(Path::empty(), k.clone())];
+            for l in 1..3 {
+                sigma.push(PathConstraint::word(
+                    k.push(Label::from_index(l)),
+                    k.clone(),
+                ));
+            }
+            for (gamma, delta) in std::iter::once((Path::empty(), w)).chain(extra) {
+                sigma.push(PathConstraint::forward(
+                    k.clone(),
+                    gamma.clone(),
+                    delta.clone(),
+                ));
+                sigma.push(PathConstraint::forward(k.clone(), delta, gamma));
+            }
+            (sigma, PathConstraint::word(alpha, beta))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A Σ-only prefix that never reaches a fixpoint must not spend the
+    /// whole round budget: whenever the pattern-first reference chase
+    /// is conclusive at a budget, the production chase reaches the same
+    /// verdict at that budget.
+    #[test]
+    fn cascading_prefixes_leave_rounds_for_the_pattern(
+        case in arb_cascade(),
+    ) {
+        let (sigma, phi) = case;
+        let budget = budget();
+        let reference = chase_implication_reference(&sigma, &phi, &budget);
+        if !reference.is_unknown() {
+            let inc = chase_implication(&sigma, &phi, &budget);
+            prop_assert_eq!(
+                shape(&inc),
+                shape(&reference),
+                "engines disagree on Σ = {:?}, φ = {:?}",
+                sigma,
+                phi
+            );
+        }
+    }
 
     #[test]
     fn incremental_agrees_with_reference(

@@ -242,9 +242,7 @@ impl BatchEngine {
         }
         let answer = solver.implies(sigma, phi)?;
         // Emission is self-checking: `certify` runs the trusted checker
-        // and returns `None` rather than an invalid certificate. The
-        // shared state is threaded through so word-derivation extraction
-        // reuses the context's cached `post*` saturation.
+        // and returns `None` rather than an invalid certificate.
         let certificate = certify(&canon, sigma, phi, &answer, shared.as_deref());
         if cacheable(&answer) {
             self.cache_guard().insert(
@@ -736,7 +734,7 @@ pub fn unknown_reason_wire(reason: &UnknownReason) -> (&'static str, Option<&'st
 /// A stable name for an evidence constructor.
 pub fn evidence_kind(evidence: &Evidence) -> &'static str {
     match evidence {
-        Evidence::WordDerivation => "word-derivation",
+        Evidence::WordDerivation(_) => "word-derivation",
         Evidence::LocalExtentReduction(_) => "local-extent-reduction",
         Evidence::IrProof(_) => "ir-proof",
         Evidence::VacuousOverSchema => "vacuous-over-schema",

@@ -11,9 +11,11 @@
 //! Entries are stored packed (see `PackedEntry`): the answer *in the
 //! label space of the query that inserted it*, that query's renaming
 //! into the canonical space as a sorted slice, and the certificate as
-//! one LEB128 buffer. A refutation's countermodel is kept once, in the
-//! certificate's canonical space; the answer's copy is rebuilt from it
-//! on a hit. [`AnswerCache::lookup`] unpacks a fresh [`CachedEntry`],
+//! one LEB128 buffer. What a certificate carries is kept once, in its
+//! canonical space: a refutation's countermodel is rebuilt from it on a
+//! hit, and an `Implied` answer's steps (a chase trace, a word
+//! derivation) are dropped, since the wire prints only the evidence
+//! kind. [`AnswerCache::lookup`] unpacks a fresh [`CachedEntry`],
 //! and a later alpha-variant hit composes the two renamings to map
 //! evidence (countermodel graphs) into its own label space — see
 //! [`crate::BatchEngine`] for the adaptation step.
@@ -24,7 +26,7 @@ use pathcons_cert::{
     RewriteStep,
 };
 use pathcons_constraints::{Kind, PathConstraint};
-use pathcons_core::{Answer, CounterModel, CounterModelProvenance, Outcome};
+use pathcons_core::{Answer, CounterModel, CounterModelProvenance, Evidence, Outcome};
 use pathcons_graph::{Graph, Label, NodeId};
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
@@ -221,7 +223,9 @@ fn leb128(out: &mut Vec<u8>, mut n: u64) {
 /// the inverse of `renaming`, to exactly the answer's countermodel
 /// (same node count, root and edges) stores that countermodel once: the
 /// answer keeps `countermodel: None` and `folded` holds the provenance.
-/// Every other answer is stored whole.
+/// An `Implied` answer drops its steps (`drop_steps`): they are in the
+/// inserting query's Σ order and labels, and the certificate holds them
+/// in canonical space. Every other answer is stored whole.
 struct PackedEntry {
     answer: Answer,
     folded: Option<CounterModelProvenance>,
@@ -250,6 +254,9 @@ impl PackedEntry {
             if rebuilds {
                 folded = refutation.countermodel.take().map(|cm| cm.provenance);
             }
+        }
+        if let Outcome::Implied(evidence) = &mut answer.outcome {
+            drop_steps(evidence);
         }
         PackedEntry {
             answer,
@@ -287,6 +294,19 @@ impl PackedEntry {
             renaming,
             certificate,
         })
+    }
+}
+
+/// Empties the steps of an `Implied` answer's evidence, wrapped or not:
+/// a chase trace or a word derivation.
+fn drop_steps(evidence: &mut Evidence) {
+    match evidence {
+        Evidence::ChaseForced { trace, .. } => *trace = ChaseTrace::default(),
+        Evidence::WordDerivation(derivation) => *derivation = None,
+        Evidence::UntypedImplication(inner) | Evidence::LocalExtentReduction(inner) => {
+            drop_steps(inner)
+        }
+        _ => {}
     }
 }
 
@@ -874,7 +894,7 @@ mod tests {
     fn entry() -> CachedEntry {
         CachedEntry {
             answer: Answer {
-                outcome: Outcome::Implied(Evidence::WordDerivation),
+                outcome: Outcome::Implied(Evidence::WordDerivation(None)),
                 method: Method::WordAutomaton,
             },
             renaming: Renaming::new(),

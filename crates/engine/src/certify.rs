@@ -14,11 +14,13 @@
 //!   pattern has the same shape under renaming) and constraint indices
 //!   into the *original* Σ; the indices are remapped by renaming the
 //!   original constraint and locating it in the canonical Σ.
-//! - **Word derivations** are extracted over the *original* Σ/φ, guided
-//!   by `post*(α)` (the context's memoized saturation, or a cold
-//!   engine's fresh one), then renamed into canonical space with their rule
-//!   indices remapped like the chase's (the solver's `WordDerivation`
-//!   evidence carries no steps).
+//! - **Word derivations** come with the solver's `WordDerivation`
+//!   evidence, read off the `post*(α)` saturation that decided the
+//!   query (memoized and fresh automata are identical, so the steps do
+//!   not depend on cache temperature). They are renamed into canonical
+//!   space with their rule indices remapped like the chase's. An answer
+//!   whose derivation passed the size cap carries none and is not
+//!   certified.
 //! - **Countermodels** are renamed edge-by-edge into canonical labels.
 //!   Typed countermodels are skipped: they carry `Φ(σ)` obligations the
 //!   untyped checker cannot audit.
@@ -36,22 +38,16 @@ use pathcons_cert::{
     ImpliedCert, RewriteStep,
 };
 use pathcons_constraints::PathConstraint;
-use pathcons_core::{derivation_guided, Answer, Evidence, Outcome, SharedContext, WordEngine};
+use pathcons_core::{Answer, Derivation, Evidence, Outcome, SharedContext};
 use pathcons_graph::Label;
 
-/// Visited-word budget for re-extracting a word derivation. Shortest
-/// derivations can be exponentially long; extraction is best-effort (a
-/// `None` just means the hit is served unchecked).
-const WORD_DERIVATION_FUEL: usize = 20_000;
-
 /// Builds the canonical-space certificate for `answer`, or `None` when
-/// the evidence has no certificate form. `original_sigma` and
-/// `original_phi` are the query the solver actually ran on (chase trace
-/// indices point into that Σ; word derivations are extracted in its
-/// label space and renamed). `shared` is the per-context amortization
-/// state, when the query ran against one: word-derivation extraction
-/// reuses its cached `post*` saturation instead of re-saturating per
-/// certificate.
+/// the evidence has no certificate form. `original_sigma` is the Σ the
+/// solver actually ran on: chase trace and word derivation rule indices
+/// point into it. The evidence carries every step a certificate needs,
+/// so the query's `_original_phi` and the `_shared` context it ran
+/// against are not consulted; they stay in the signature for the
+/// callers that pass them.
 ///
 /// The returned certificate has already passed the trusted checker
 /// against the canonical query — emission is self-checking, so an
@@ -60,19 +56,15 @@ const WORD_DERIVATION_FUEL: usize = 20_000;
 pub fn certify(
     canonical: &CanonicalQuery,
     original_sigma: &[PathConstraint],
-    original_phi: &PathConstraint,
+    _original_phi: &PathConstraint,
     answer: &Answer,
-    shared: Option<&SharedContext>,
+    _shared: Option<&SharedContext>,
 ) -> Option<Certificate> {
     let snapshot = canon::snapshot_id(&canonical.key);
     let body = match &answer.outcome {
-        Outcome::Implied(evidence) => CertificateBody::Implied(implied_cert(
-            canonical,
-            original_sigma,
-            original_phi,
-            evidence,
-            shared,
-        )?),
+        Outcome::Implied(evidence) => {
+            CertificateBody::Implied(implied_cert(canonical, original_sigma, evidence)?)
+        }
         Outcome::NotImplied(refutation) => {
             let cm = refutation.countermodel.as_ref()?;
             if cm.types.is_some() {
@@ -105,9 +97,7 @@ pub fn certify(
 fn implied_cert(
     canonical: &CanonicalQuery,
     original_sigma: &[PathConstraint],
-    original_phi: &PathConstraint,
     evidence: &Evidence,
-    shared: Option<&SharedContext>,
 ) -> Option<ImpliedCert> {
     match evidence {
         // Only complete traces certify: the reference chase emits an
@@ -116,11 +106,8 @@ fn implied_cert(
         Evidence::ChaseForced { steps, trace } if trace.steps.len() == *steps => {
             let mut remapped = Vec::with_capacity(trace.steps.len());
             for step in &trace.steps {
-                let original = original_sigma.get(step.constraint)?;
-                let renamed = canon::rename_constraint(original, &canonical.renaming)?;
-                let index = canonical.key.sigma.iter().position(|c| *c == renamed)?;
                 remapped.push(ChaseStep {
-                    constraint: index,
+                    constraint: canonical_index(canonical, original_sigma, step.constraint)?,
                     a: step.a,
                     b: step.b,
                 });
@@ -130,69 +117,44 @@ fn implied_cert(
                 pattern_at: trace.pattern_at,
             }))
         }
-        Evidence::WordDerivation => {
-            word_rewrite_cert(canonical, original_sigma, original_phi, shared)
+        Evidence::WordDerivation(Some(derivation)) => {
+            word_rewrite_cert(canonical, original_sigma, derivation)
         }
         // The untyped-transfer wrapper is sound to strip: the inner
         // evidence certifies implication over all structures, which
         // the checker's semantics already are.
-        Evidence::UntypedImplication(inner) => {
-            implied_cert(canonical, original_sigma, original_phi, inner, shared)
-        }
+        Evidence::UntypedImplication(inner) => implied_cert(canonical, original_sigma, inner),
         _ => None,
     }
 }
 
-/// Extracts the word-rewrite derivation in the *original* label space —
-/// where the context's cached `post*(α)` saturation lives — then renames
-/// it into canonical space, step indices included, exactly like the
-/// chase branch. Cold callers rebuild the same saturation the decision
-/// procedure used, so the extracted derivation (and hence the
-/// certificate bytes) is identical across cache temperature.
+/// Renames the solver's derivation, in the *original* label space and
+/// Σ order, into canonical space, step indices included, exactly like
+/// the chase branch.
 fn word_rewrite_cert(
     canonical: &CanonicalQuery,
     original_sigma: &[PathConstraint],
-    original_phi: &PathConstraint,
-    shared: Option<&SharedContext>,
+    derivation: &Derivation,
 ) -> Option<ImpliedCert> {
-    let owned;
-    let word = match shared.and_then(|s| s.word_for(original_sigma)) {
-        Some(w) => w,
-        None => {
-            owned = WordEngine::new(original_sigma).ok()?;
-            &owned
-        }
-    };
-    // Determinized membership when the subset construction stays small
-    // (cached per lhs, O(|word|) per query); NFA membership against the
-    // same saturation otherwise. Either way the guide decides the same
-    // language, so the extracted derivation does not depend on which
-    // form answered.
-    let dfa = word.consequences_dfa(original_phi.lhs().labels());
-    let nfa = word.consequences(original_phi.lhs().labels());
-    let member = |w: &[Label]| match &dfa {
-        Some(d) => d.accepts(w),
-        None => nfa.accepts(w),
-    };
-    let d = derivation_guided(
-        original_sigma,
-        original_phi.lhs(),
-        original_phi.rhs(),
-        WORD_DERIVATION_FUEL,
-        member,
-    )?;
-    let start = rename_word(&d.start, canonical)?;
-    let mut steps = Vec::with_capacity(d.steps.len());
-    for s in &d.steps {
-        let original = original_sigma.get(s.rule)?;
-        let renamed = canon::rename_constraint(original, &canonical.renaming)?;
-        let rule = canonical.key.sigma.iter().position(|c| *c == renamed)?;
+    let start = rename_word(&derivation.start, canonical)?;
+    let mut steps = Vec::with_capacity(derivation.steps.len());
+    for s in &derivation.steps {
         steps.push(RewriteStep {
-            rule,
+            rule: canonical_index(canonical, original_sigma, s.rule)?,
             result: rename_word(&s.result, canonical)?,
         });
     }
     Some(ImpliedCert::WordRewrite { start, steps })
+}
+
+/// The index in the canonical Σ of the original Σ's constraint `index`.
+fn canonical_index(
+    canonical: &CanonicalQuery,
+    original_sigma: &[PathConstraint],
+    index: usize,
+) -> Option<usize> {
+    let renamed = canon::rename_constraint(original_sigma.get(index)?, &canonical.renaming)?;
+    canonical.key.sigma.iter().position(|c| *c == renamed)
 }
 
 fn rename_word(word: &[Label], canonical: &CanonicalQuery) -> Option<Vec<Label>> {

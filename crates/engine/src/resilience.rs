@@ -333,7 +333,7 @@ mod tests {
     fn implied_entry(renaming: Renaming) -> CachedEntry {
         CachedEntry {
             answer: Answer {
-                outcome: Outcome::Implied(Evidence::WordDerivation),
+                outcome: Outcome::Implied(Evidence::WordDerivation(None)),
                 method: Method::WordAutomaton,
             },
             renaming,

@@ -12,11 +12,18 @@
 //! - with a distinct 2-rule Σ per key — the wire shape, whose short Σ
 //!   stay inline in their keys and pay nothing for interning.
 //!
+//! It then fills the cache with `Implied` entries whose certificates
+//! carry their steps — a chase trace and a word derivation — and bounds
+//! them too: the steps are stored once, in the packed certificate.
+//!
 //! Keeping this binary to a single `#[test]` keeps other tests'
 //! allocations out of the count.
 
+use pathcons_cert::{
+    Certificate, CertificateBody, ChaseStep, ChaseTrace, ImpliedCert, RewriteStep,
+};
 use pathcons_constraints::{Path, PathConstraint};
-use pathcons_core::{Answer, DataContext, Evidence, Method, Outcome};
+use pathcons_core::{Answer, DataContext, Derivation, DerivationStep, Evidence, Method, Outcome};
 use pathcons_engine::{canonicalize, AnswerCache, CachedEntry, QueryKey};
 use pathcons_graph::Label;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,6 +97,19 @@ const INLINE_DISTINCT_ALLOCS: isize = 2;
 /// such Σ measured 395 bytes and 3 allocations.
 const MAX_SHORT_BYTES_PER_ENTRY: isize = 352;
 const MAX_SHORT_ALLOCS_PER_ENTRY: isize = 2;
+/// Live heap and allocations per entry over a short Σ for an `Implied`
+/// chase entry with a 12-step trace and its certificate: 376 bytes and
+/// 3 allocations measured (x86-64 Linux, release and debug alike), plus
+/// 16 bytes of slack. Keeping the trace in the answer as well measured
+/// 664 bytes and 4 allocations.
+const MAX_CHASE_BYTES_PER_ENTRY: isize = 392;
+const MAX_CHASE_ALLOCS_PER_ENTRY: isize = 3;
+/// The same for an `Implied` word entry with a 6-step derivation and
+/// its certificate: 380 bytes and 3 allocations, what the entry cost
+/// when word evidence carried no steps at all. Keeping the derivation
+/// in the answer would add its allocations.
+const MAX_WORD_BYTES_PER_ENTRY: isize = 380;
+const MAX_WORD_ALLOCS_PER_ENTRY: isize = 3;
 
 fn path(labels: &[u64]) -> Path {
     Path::from_labels(labels.iter().map(|&l| Label::from_index(l as usize)))
@@ -158,7 +178,7 @@ fn cached_entries_stay_small() {
     assert_eq!(canon.key.sigma.len(), RULES);
     let entry = CachedEntry {
         answer: Answer {
-            outcome: Outcome::Implied(Evidence::WordDerivation),
+            outcome: Outcome::Implied(Evidence::WordDerivation(None)),
             method: Method::WordAutomaton,
         },
         renaming: canon.renaming.clone(),
@@ -215,4 +235,88 @@ fn cached_entries_stay_small() {
         allocs <= MAX_SHORT_ALLOCS_PER_ENTRY,
         "{allocs} live allocations per entry over short Σ (bound {MAX_SHORT_ALLOCS_PER_ENTRY})"
     );
+    drop(cache);
+
+    // Implied entries whose certificates carry their steps.
+    let short = |i: usize| key(&sigma(i as u64, 2), i);
+    let snapshot = 7;
+    let trace = ChaseTrace {
+        steps: (0..12)
+            .map(|i| ChaseStep {
+                constraint: i % 2,
+                a: i,
+                b: i + 1,
+            })
+            .collect(),
+        pattern_at: 0,
+    };
+    let chase = CachedEntry {
+        answer: Answer {
+            outcome: Outcome::Implied(Evidence::ChaseForced {
+                steps: trace.steps.len(),
+                trace: trace.clone(),
+            }),
+            method: Method::Chase,
+        },
+        renaming: canon.renaming.clone(),
+        certificate: Some(Certificate {
+            snapshot,
+            body: CertificateBody::Implied(ImpliedCert::ChaseReplay(trace)),
+        }),
+    };
+    let words: Vec<Vec<Label>> = (0..7u64)
+        .map(|i| path(&[i, i + 1, 0, 1]).to_vec())
+        .collect();
+    let word = CachedEntry {
+        answer: Answer {
+            outcome: Outcome::Implied(Evidence::WordDerivation(Some(Derivation {
+                start: words[0].clone(),
+                steps: (1..7)
+                    .map(|i| DerivationStep {
+                        rule: i % 2,
+                        result: words[i].clone(),
+                    })
+                    .collect(),
+            }))),
+            method: Method::WordAutomaton,
+        },
+        renaming: canon.renaming.clone(),
+        certificate: Some(Certificate {
+            snapshot,
+            body: CertificateBody::Implied(ImpliedCert::WordRewrite {
+                start: words[0].clone(),
+                steps: (1..7)
+                    .map(|i| RewriteStep {
+                        rule: i % 2,
+                        result: words[i].clone(),
+                    })
+                    .collect(),
+            }),
+        }),
+    };
+    for (kind, entry, max_bytes, max_allocs) in [
+        (
+            "chase",
+            &chase,
+            MAX_CHASE_BYTES_PER_ENTRY,
+            MAX_CHASE_ALLOCS_PER_ENTRY,
+        ),
+        (
+            "word",
+            &word,
+            MAX_WORD_BYTES_PER_ENTRY,
+            MAX_WORD_ALLOCS_PER_ENTRY,
+        ),
+    ] {
+        let (cache, bytes, allocs) = fill(short, entry);
+        assert_eq!(cache.len(), CAPACITY);
+        assert!(
+            bytes <= max_bytes,
+            "{bytes} live bytes per Implied {kind} entry (bound {max_bytes})"
+        );
+        assert!(
+            allocs <= max_allocs,
+            "{allocs} live allocations per Implied {kind} entry (bound {max_allocs})"
+        );
+    }
 }

@@ -1,14 +1,18 @@
 //! Property tests for the PTIME word-constraint engine: soundness and
 //! completeness against independent references.
 
-use pathcons::automata::{Nfa, PrefixRewriteSystem, StateId};
+use pathcons::automata::{BitNfa, Nfa, PrefixRewriteSystem, StateId};
 use pathcons::constraints::{all_hold, holds, Path, PathConstraint};
 use pathcons::core::{
-    chase_implication, quotient_countermodel, Budget, Deadline, Outcome, WordEngine,
+    chase_implication, quotient_countermodel, Answer, Budget, DataContext, Deadline, Evidence,
+    Method, Outcome, SharedContext, Solver, WordEngine, MAX_DERIVATION_SIZE,
 };
 use pathcons::graph::{Graph, Label};
+use pathcons_cert as cert;
+use pathcons_engine::{canonicalize, certificate_to_json, certify, snapshot_id};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn arb_word(alphabet: usize, max_len: usize) -> impl Strategy<Value = Vec<Label>> {
     prop::collection::vec(0..alphabet, 0..=max_len)
@@ -30,9 +34,9 @@ fn arb_sigma(alphabet: usize, max_rules: usize) -> impl Strategy<Value = Vec<Pat
 
 /// The residual quotient countermodel as it was computed before `post*`
 /// was frozen into bitsets: the same construction as
-/// `quotient_countermodel`, over sorted state vectors of the round-based
-/// saturation's [`Nfa`]s. A reference for the bitset version, which must
-/// build the identical graph.
+/// `quotient_countermodel`, over sorted state vectors of [`Nfa`]s with
+/// the saturations' transitions. A reference for the bitset version,
+/// which must build the identical graph.
 fn reference_quotient(sigma: &[PathConstraint], phi: &PathConstraint) -> Option<Graph> {
     let mut system = PrefixRewriteSystem::new();
     for c in sigma {
@@ -47,16 +51,35 @@ fn reference_quotient(sigma: &[PathConstraint], phi: &PathConstraint) -> Option<
     alphabet.sort_unstable();
     alphabet.dedup();
     let mut graph = Graph::new();
-    reference_add(&mut graph, &system.post_star_rounds(&[]), &alphabet, true)?;
+    reference_add(&mut graph, &as_nfa(&system.post_star(&[])), &alphabet, true)?;
     if !phi.lhs().is_empty() {
         reference_add(
             &mut graph,
-            &system.post_star_rounds(phi.lhs()),
+            &as_nfa(&system.post_star(phi.lhs())),
             &alphabet,
             false,
         )?;
     }
     (all_hold(&graph, sigma) && !holds(&graph, phi)).then_some(graph)
+}
+
+/// An [`Nfa`] with the states, transitions and accepting states of
+/// `bits`.
+fn as_nfa(bits: &BitNfa) -> Nfa {
+    let mut nfa = Nfa::new();
+    for _ in 1..bits.state_count() {
+        nfa.add_state();
+    }
+    for q in (0..bits.state_count()).map(StateId::from_index) {
+        nfa.set_accepting(q, bits.is_accepting(q));
+    }
+    for (from, label, to) in bits.transitions() {
+        nfa.add_transition(from, label, to);
+    }
+    for (from, to) in bits.epsilon_transitions() {
+        nfa.add_epsilon(from, to);
+    }
+    nfa
 }
 
 fn reference_add(graph: &mut Graph, nfa: &Nfa, alphabet: &[Label], at_root: bool) -> Option<()> {
@@ -136,8 +159,168 @@ fn graph_shape(g: &Graph) -> (usize, usize, Vec<(usize, Label, usize)>) {
     (g.node_count(), g.root().index(), edges)
 }
 
+/// Every word over `alphabet` of length at most `max_len` that `nfa`
+/// accepts.
+fn accepted_up_to(nfa: &BitNfa, alphabet: &[Label], max_len: usize) -> Vec<Vec<Label>> {
+    let mut words = vec![Vec::new()];
+    let mut longest = vec![Vec::new()];
+    for _ in 0..max_len {
+        longest = longest
+            .iter()
+            .flat_map(|w: &Vec<Label>| alphabet.iter().map(move |&l| [&w[..], &[l]].concat()))
+            .collect();
+        words.extend(longest.iter().cloned());
+    }
+    words.retain(|w| nfa.accepts(w));
+    words
+}
+
+/// Solves `φ` over `sigma`, cold or against a shared context, and
+/// certifies the answer; returns it with the certificate's wire text.
+fn certified(sigma: &[PathConstraint], phi: &PathConstraint, shared: bool) -> (Answer, String) {
+    let mut solver = Solver::new(DataContext::Semistructured);
+    let context = shared.then(|| Arc::new(SharedContext::build(sigma, &Budget::default())));
+    if let Some(context) = &context {
+        solver = solver.with_shared(Arc::clone(context));
+    }
+    let answer = solver.implies(sigma, phi).unwrap();
+    let canonical = canonicalize(&DataContext::Semistructured, sigma, phi);
+    let certificate = certify(&canonical, sigma, phi, &answer, context.as_deref());
+    if let Some(c) = &certificate {
+        let check = cert::CheckContext {
+            snapshot: snapshot_id(&canonical.key),
+            sigma: &canonical.key.sigma,
+            phi: &canonical.key.phi,
+        };
+        assert!(cert::check(c, &check).is_valid(), "{c:?}");
+    }
+    let wire = certificate.map_or(String::new(), |c| certificate_to_json(&c).to_string());
+    (answer, wire)
+}
+
+/// `Σ` and `φ` over labels `0..`, each constraint `lhs -> rhs`.
+fn word_query(
+    rules: &[(&[usize], &[usize])],
+    phi: (&[usize], &[usize]),
+) -> (Vec<PathConstraint>, PathConstraint) {
+    let path = |w: &[usize]| Path::from_labels(w.iter().map(|&i| Label::from_index(i)));
+    let sigma = rules
+        .iter()
+        .map(|(l, r)| PathConstraint::word(path(l), path(r)))
+        .collect();
+    (sigma, PathConstraint::word(path(phi.0), path(phi.1)))
+}
+
+/// The derivation an `Implied` word decision carries.
+fn decided_derivation(
+    sigma: &[PathConstraint],
+    phi: &PathConstraint,
+) -> Option<pathcons::core::Derivation> {
+    let engine = WordEngine::new(sigma).unwrap();
+    match engine.decide(sigma, phi, &Deadline::none()) {
+        Some(Outcome::Implied(Evidence::WordDerivation(d))) => d,
+        other => panic!("not a word-tier Implied answer: {other:?}"),
+    }
+}
+
+/// Σ lets any word gain or lose a leading `a` or `b`, so a search
+/// backward from `β = a¹⁶·c` meets about `2ᵈ` words within `d` steps
+/// and more than 20 000 before `α = c`, sixteen steps away. Read off
+/// the saturation, the derivation costs sixteen run searches, and the
+/// answer is certified.
+#[test]
+fn implied_answers_far_from_alpha_are_certified() {
+    let a16c: Vec<usize> = [0; 16].into_iter().chain([2]).collect();
+    let (sigma, phi) = word_query(
+        &[(&[], &[0]), (&[], &[1]), (&[0], &[]), (&[1], &[])],
+        (&[2], &a16c),
+    );
+    let d = decided_derivation(&sigma, &phi).expect("a derivation within the size cap");
+    d.check(&sigma).unwrap();
+    assert_eq!(d.end(), phi.rhs().labels());
+    let (answer, cold) = certified(&sigma, &phi, false);
+    assert!(matches!(answer.outcome, Outcome::Implied(_)));
+    assert!(cold.contains("word-rewrite"), "{cold}");
+    assert_eq!(cold, certified(&sigma, &phi, true).1);
+}
+
+/// A binary counter, low bit first: `1ʲ·0 ⇒ 0ʲ·1` adds one, and no
+/// other rule applies, so `0ⁿ·#·tⁿ ⇒* 1ⁿ·#·tᵐ` takes exactly `2ⁿ − 1`
+/// steps, each yielding a word of `n + 1 + m` labels.
+fn counter(bits: usize, tail: usize) -> (Vec<PathConstraint>, PathConstraint) {
+    let (zero, one, end, t) = (0, 1, 2, 3);
+    let rules: Vec<(Vec<usize>, Vec<usize>)> = (0..bits)
+        .map(|j| {
+            let lhs = [vec![one; j], vec![zero]].concat();
+            let rhs = [vec![zero; j], vec![one]].concat();
+            (lhs, rhs)
+        })
+        .collect();
+    let rules: Vec<(&[usize], &[usize])> = rules.iter().map(|(l, r)| (&l[..], &r[..])).collect();
+    let from = [vec![zero; bits], vec![end], vec![t; tail]].concat();
+    let to = [vec![one; bits], vec![end], vec![t; tail]].concat();
+    word_query(&rules, (&from, &to))
+}
+
+/// The size of the counter's derivation: each step plus its word.
+fn counter_size(bits: usize, tail: usize) -> usize {
+    ((1 << bits) - 1) * (1 + bits + 1 + tail)
+}
+
+#[test]
+fn large_witnesses_stop_at_the_size_cap_and_stay_implied() {
+    let (sigma, phi) = counter(10, 0);
+    let d = decided_derivation(&sigma, &phi).expect("1 023 steps fit under the cap");
+    assert_eq!(d.steps.len(), 1023);
+    d.check(&sigma).unwrap();
+    // Past the cap by the number of steps, then by the length of the
+    // words: a 6-bit counter next to 2 000 labels that no step touches.
+    let bits = (1..)
+        .find(|&n| counter_size(n, 0) > MAX_DERIVATION_SIZE)
+        .unwrap();
+    assert!(counter_size(6, 2000) > MAX_DERIVATION_SIZE);
+    for (sigma, phi) in [counter(bits, 0), counter(6, 2000)] {
+        assert_eq!(decided_derivation(&sigma, &phi), None);
+        let (answer, certificate) = certified(&sigma, &phi, false);
+        assert!(matches!(
+            answer.outcome,
+            Outcome::Implied(Evidence::WordDerivation(None))
+        ));
+        assert_eq!(certificate, "");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every `Implied` word decision carries a derivation from `α` to
+    /// `β` that replays against Σ, ε-lhs and ε-rhs rules included; and
+    /// certifying the answer cold or against a shared context gives the
+    /// same checked certificate bytes.
+    #[test]
+    fn implied_decisions_carry_replayable_derivations(
+        sigma in arb_sigma(3, 4),
+        lhs in arb_word(3, 3),
+        rhs in arb_word(3, 3),
+    ) {
+        let phi = PathConstraint::word(Path::from_labels(lhs), Path::from_labels(rhs));
+        let engine = WordEngine::new(&sigma).unwrap();
+        if let Some(Outcome::Implied(evidence)) = engine.decide(&sigma, &phi, &Deadline::none()) {
+            let Evidence::WordDerivation(Some(d)) = evidence else {
+                panic!("no derivation: {evidence:?}");
+            };
+            prop_assert!(d.check(&sigma).is_ok(), "{:?}", d);
+            prop_assert_eq!(&d.start, &phi.lhs().to_vec());
+            prop_assert_eq!(d.end(), phi.rhs().labels());
+        }
+        let (cold_answer, cold) = certified(&sigma, &phi, false);
+        let (warm_answer, warm) = certified(&sigma, &phi, true);
+        prop_assert_eq!(&cold, &warm);
+        prop_assert_eq!(cold_answer.method, warm_answer.method);
+        if cold_answer.method == Method::WordAutomaton && cold_answer.outcome.is_implied() {
+            prop_assert!(cold.contains("word-rewrite"), "{}", cold);
+        }
+    }
 
     /// The quotient countermodel read off the bitset `post*` automata is
     /// the graph the round-based automata give, node for node and edge
@@ -190,7 +373,7 @@ proptest! {
         let automaton = system.post_star(&start);
         let reachable = system.bounded_post(&start, 14, 60_000);
         let alphabet: Vec<Label> = (0..2).map(Label::from_index).collect();
-        for word in automaton.accepted_up_to(&alphabet, 3) {
+        for word in accepted_up_to(&automaton, &alphabet, 3) {
             prop_assert!(
                 reachable.contains(&word),
                 "automaton accepts {word:?} but bounded BFS (len ≤ 14) cannot reach it"

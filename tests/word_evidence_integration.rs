@@ -2,7 +2,7 @@
 //! derivations and countermodels must tell one consistent story.
 
 use pathcons::constraints::{all_hold, holds, parse_constraints, PathConstraint};
-use pathcons::core::{derivation_guided, Deadline, Derivation, WordEngine};
+use pathcons::core::{Deadline, Derivation, Evidence, Outcome, WordEngine};
 use pathcons::graph::{Graph, LabelInterner};
 use proptest::prelude::*;
 
@@ -25,15 +25,16 @@ fn word_sigma(
     (labels, sigma)
 }
 
-/// A derivation guided by the engine's own `post*(α)`.
+/// The derivation the word decision attaches to an `Implied` answer.
 fn derivation(
     engine: &WordEngine,
     sigma: &[PathConstraint],
     phi: &PathConstraint,
-    fuel: usize,
 ) -> Option<Derivation> {
-    let post = engine.consequences(phi.lhs());
-    derivation_guided(sigma, phi.lhs(), phi.rhs(), fuel, |w| post.accepts(w))
+    match engine.decide(sigma, phi, &Deadline::none())? {
+        Outcome::Implied(Evidence::WordDerivation(d)) => d,
+        _ => None,
+    }
 }
 
 /// The countermodel the word decision attaches to a refutation.
@@ -62,8 +63,8 @@ fn derivations_exist_and_replay_for_paper_style_rules() {
     ] {
         let phi = PathConstraint::parse(text, &mut labels).unwrap();
         assert!(engine.implies(&phi).unwrap(), "{text} should be implied");
-        let derivation = derivation(&engine, &sigma, &phi, 100_000)
-            .unwrap_or_else(|| panic!("no derivation for {text}"));
+        let derivation =
+            derivation(&engine, &sigma, &phi).unwrap_or_else(|| panic!("no derivation for {text}"));
         derivation.check(&sigma).unwrap();
         assert_eq!(derivation.end(), phi.rhs().labels());
     }
@@ -91,8 +92,8 @@ fn countermodels_exist_and_verify_for_refuted_queries() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(80))]
 
-    /// Derivation existence matches the decision (within generous fuel on
-    /// small instances), and every derivation replays.
+    /// Derivation existence matches the decision, and every derivation
+    /// replays from `α` to `β`.
     #[test]
     fn derivations_match_decisions(
         rules in prop::collection::vec(
@@ -111,15 +112,15 @@ proptest! {
             pathcons::constraints::Path::from_labels(rhs.iter().map(|&i| all[i])),
         );
         let decided = engine.implies(&phi).unwrap();
-        match derivation(&engine, &sigma, &phi, 50_000) {
+        match derivation(&engine, &sigma, &phi) {
             Some(d) => {
                 prop_assert!(decided, "derivation for a refuted constraint");
                 d.check(&sigma).unwrap();
+                prop_assert_eq!(&d.start, &phi.lhs().to_vec());
+                prop_assert_eq!(d.end(), phi.rhs().labels());
             }
             None => {
-                // Fuel exhaustion is possible in principle; on these tiny
-                // instances treat a missing derivation for an implied
-                // constraint as a bug.
+                // Tiny instances stay far below the size cap.
                 prop_assert!(!decided, "implied but no derivation found");
             }
         }
