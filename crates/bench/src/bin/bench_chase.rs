@@ -1,11 +1,20 @@
-//! Chase benchmark trajectory: measures the incremental chase engine
-//! against the retained full-rescan reference on the growing-graph
-//! cascade workload and writes the results to `BENCH_chase.json`.
+//! Chase benchmark trajectory: measures the production chase against
+//! the retained reference on three workload shapes and writes the
+//! results to `BENCH_chase.json`:
 //!
-//! Both engines scan with the same set-at-a-time `violations`, and on
-//! the cascade every constraint is dirty every round, so the two run
-//! close to level; the full run only requires the production engine to
-//! keep at least half the reference's speed at the headline point.
+//! - `cascade`: the growing graph of `gen_chase_instance`, where every
+//!   rule is violated every round until the round budget runs out;
+//! - `sparse`: the relay of `gen_sparse_chase_instance`, where one rule
+//!   of many fires per round (the shape a dirty-constraint worklist
+//!   would skip most scans on);
+//! - `merge`: the equalities of `gen_merge_chase_instance`, where every
+//!   round merges one node.
+//!
+//! Both engines graft the ¬φ pattern and rescan all of Σ every round
+//! with the same set-at-a-time `violations`; they differ in merges (in
+//! place vs a rebuild). The full run only requires the production
+//! engine to keep at least half the reference's speed at the cascade
+//! headline point.
 //!
 //! Usage:
 //!
@@ -27,50 +36,70 @@
 //! — the ceiling on what instrumentation can possibly cost, since the
 //! disabled path does strictly less work than the discard path.
 
-use pathcons_bench::{bench_meta, gen_chase_instance, median_time_ms, time_ms};
+use pathcons_bench::{
+    bench_meta, gen_chase_instance, gen_merge_chase_instance, gen_sparse_chase_instance,
+    median_time_ms, time_ms, ChaseInstance,
+};
 use pathcons_core::telemetry::{schema, DiscardRecorder, InMemoryRecorder};
 use pathcons_core::{chase_implication, chase_implication_reference, Budget, Outcome, Telemetry};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 struct Point {
+    shape: &'static str,
     rounds: usize,
     constraints: usize,
+    outcome: &'static str,
     reference_ms: f64,
-    incremental_ms: f64,
+    production_ms: f64,
 }
 
 impl Point {
     fn speedup(&self) -> f64 {
-        self.reference_ms / self.incremental_ms.max(1e-6)
+        self.reference_ms / self.production_ms.max(1e-6)
     }
 }
 
-fn measure(rounds: usize, constraints: usize, reps: usize) -> Point {
-    let inst = gen_chase_instance(constraints);
+fn verdict(outcome: &Outcome) -> &'static str {
+    match outcome {
+        Outcome::Implied(_) => "implied",
+        Outcome::NotImplied(_) => "not-implied",
+        Outcome::Unknown(_) => "unknown",
+    }
+}
+
+/// One row: `inst` under a budget of `rounds` rounds, which must end in
+/// `expected` under both engines.
+fn measure(
+    shape: &'static str,
+    inst: &ChaseInstance,
+    rounds: usize,
+    expected: &'static str,
+    reps: usize,
+) -> Point {
     let budget = Budget {
         chase_rounds: rounds,
         chase_max_nodes: 1 << 20,
         ..Budget::default()
     };
     // Both engines must agree on the verdict before timing means anything.
-    let inc = chase_implication(&inst.sigma, &inst.phi, &budget);
+    let production = chase_implication(&inst.sigma, &inst.phi, &budget);
     let reference = chase_implication_reference(&inst.sigma, &inst.phi, &budget);
-    assert!(
-        matches!(inc, Outcome::Unknown(_)) && matches!(reference, Outcome::Unknown(_)),
-        "workload must exhaust the round budget under both engines"
-    );
-    let incremental_ms = median_time_ms(reps, || {
+    assert_eq!(verdict(&production), expected, "{shape}: production chase");
+    assert_eq!(verdict(&reference), expected, "{shape}: reference chase");
+    let production_ms = median_time_ms(reps, || {
         std::hint::black_box(chase_implication(&inst.sigma, &inst.phi, &budget))
     });
     let reference_ms = median_time_ms(reps, || {
         std::hint::black_box(chase_implication_reference(&inst.sigma, &inst.phi, &budget))
     });
     Point {
+        shape,
         rounds,
-        constraints,
+        constraints: inst.sigma.len(),
+        outcome: expected,
         reference_ms,
-        incremental_ms,
+        production_ms,
     }
 }
 
@@ -173,33 +202,58 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_chase.json".to_owned());
 
-    let (grid, reps): (&[(usize, usize)], usize) = if smoke {
-        (&[(8, 4), (16, 8)], 3)
+    // Cascade rows are (rounds, constraints); a sparse relay of k rules
+    // decides in k + 1 rounds, and a merge path (length L, k rules) in L.
+    let reps = if smoke { 3 } else { 5 };
+    let cascade: &[(usize, usize)] = if smoke {
+        &[(8, 4), (16, 8)]
     } else {
-        (
-            &[(16, 16), (32, 16), (64, 16), (64, 4), (64, 8), (128, 16)],
-            5,
-        )
+        &[(16, 16), (32, 16), (64, 16), (64, 4), (64, 8), (128, 16)]
+    };
+    let sparse: &[usize] = if smoke { &[16] } else { &[64, 256] };
+    let merge: &[(usize, usize)] = if smoke {
+        &[(16, 4)]
+    } else {
+        &[(64, 16), (256, 16)]
     };
 
     let mut points = Vec::new();
-    for &(rounds, constraints) in grid {
-        let p = measure(rounds, constraints, reps);
+    for &(rounds, constraints) in cascade {
+        let inst = gen_chase_instance(constraints);
+        points.push(measure("cascade", &inst, rounds, "unknown", reps));
+    }
+    for &constraints in sparse {
+        let inst = gen_sparse_chase_instance(constraints);
+        points.push(measure(
+            "sparse",
+            &inst,
+            constraints + 1,
+            "not-implied",
+            reps,
+        ));
+    }
+    for &(len, constraints) in merge {
+        let inst = gen_merge_chase_instance(constraints, len);
+        points.push(measure("merge", &inst, len, "implied", reps));
+    }
+    for p in &points {
         println!(
-            "chase {:>4} rounds x {:>2} constraints: reference {:>9.3} ms, incremental {:>8.3} ms, speedup {:>7.1}x",
+            "{:<7} {:>4} rounds x {:>3} constraints ({:<11}): reference {:>9.3} ms, production {:>8.3} ms, speedup {:>7.2}x",
+            p.shape,
             p.rounds,
             p.constraints,
+            p.outcome,
             p.reference_ms,
-            p.incremental_ms,
+            p.production_ms,
             p.speedup()
         );
-        points.push(p);
     }
 
-    // The acceptance headline: >= 64 rounds, >= 16 constraints.
+    // The acceptance headline: the cascade at >= 64 rounds, >= 16
+    // constraints.
     let headline = points
         .iter()
-        .filter(|p| p.rounds >= 64 && p.constraints >= 16)
+        .filter(|p| p.shape == "cascade" && p.rounds >= 64 && p.constraints >= 16)
         .max_by(|a, b| a.speedup().partial_cmp(&b.speedup()).unwrap());
     if let Some(h) = headline {
         println!(
@@ -211,7 +265,7 @@ fn main() {
         if !smoke {
             assert!(
                 h.speedup() >= 0.5,
-                "incremental chase fell below half the reference's speed: {:.2}x",
+                "production chase fell below half the reference's speed: {:.2}x",
                 h.speedup()
             );
         }
@@ -244,7 +298,7 @@ fn main() {
         None
     };
 
-    let workload = "cascade l0 -> l_i.l0 (never-terminating growth), phi = l0 -> q (never implied)";
+    let workload = "cascade l0 -> l_i.l0, phi = l0 -> q (never-terminating growth); sparse s_i -> s_i+1, phi = s0 -> q (one rule fires per round); merge p_i -> (), phi = (p_0..p_k-1)^* -> () (one merge per round)";
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"meta\": {},", bench_meta(workload));
@@ -259,11 +313,13 @@ fn main() {
     for (i, p) in points.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"rounds\": {}, \"constraints\": {}, \"reference_ms\": {:.3}, \"incremental_ms\": {:.3}, \"speedup\": {:.2}}}{}",
+            "    {{\"shape\": \"{}\", \"rounds\": {}, \"constraints\": {}, \"outcome\": \"{}\", \"reference_ms\": {:.3}, \"production_ms\": {:.3}, \"speedup\": {:.2}}}{}",
+            p.shape,
             p.rounds,
             p.constraints,
+            p.outcome,
             p.reference_ms,
-            p.incremental_ms,
+            p.production_ms,
             p.speedup(),
             if i + 1 == points.len() { "" } else { "," }
         );

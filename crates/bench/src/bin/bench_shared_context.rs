@@ -1,12 +1,9 @@
 //! Shared-context amortization trajectory: a resident server answering
 //! many queries against one context, cold (per-context amortization
-//! disabled — every job re-saturates `post*` and re-runs the Σ-only
-//! chase) vs warm (shared chase prefix + cached automata), at 1, 8 and
-//! 64 concurrent clients. Verdicts must be identical between the two
-//! modes — the speedup is only admissible because the answers are.
-//! A direct-engine attribution pass (PR 5 telemetry) shows *where* the
-//! cold path spends the work the warm path amortizes away. Results go
-//! to `BENCH_shared_context.json`.
+//! disabled — every job re-saturates `post*`) vs warm (cached
+//! automata), at 1, 8 and 64 concurrent clients. Verdicts must be
+//! identical between the two modes — the speedup is only admissible
+//! because the answers are. Results go to `BENCH_shared_context.json`.
 //!
 //! Usage:
 //!
@@ -20,11 +17,7 @@
 //! warm jobs/sec at least 5x cold at 64 clients.
 
 use pathcons_bench::bench_meta;
-use pathcons_constraints::PathConstraint;
-use pathcons_core::telemetry::InMemoryRecorder;
-use pathcons_core::{Budget, SharedContext, Telemetry};
-use pathcons_engine::{build_context, BatchEngine, EngineConfig, Json, PreparedJob};
-use pathcons_graph::LabelInterner;
+use pathcons_engine::{BatchEngine, EngineConfig, Json};
 use pathcons_store::{Client, ConstraintStore, Endpoint, Server};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -244,105 +237,6 @@ fn run_mode(
     (wall_ms, verdicts)
 }
 
-struct Attribution {
-    jobs: usize,
-    cold_ms: f64,
-    warm_ms: f64,
-    cold_chase_rounds: u64,
-    warm_chase_rounds: u64,
-    prefix_rounds: u64,
-    chase_reuses: u64,
-}
-
-/// Direct-engine attribution on a chase-tier workload (backward queries
-/// against a cascading word theory, so every query runs the chase to
-/// its round budget): the telemetry span counts show the cold path
-/// re-running the Σ-only rounds per query while the warm path resumes
-/// the shared prefix.
-fn measure_attribution(queries: usize) -> Attribution {
-    let mut labels = LabelInterner::new();
-    // Grounded at the root (`() -> l0`) so the Σ-only prefix has real
-    // work: the cascade grows every round until the round/node budget,
-    // which is exactly the per-query cost the shared prefix amortizes.
-    let sigma_text: String = std::iter::once("() -> l0\n".to_owned())
-        .chain((0..8).map(|i| format!("l0 -> l{i}.l0\n")))
-        .collect();
-    let sigma: Vec<PathConstraint> = sigma_text
-        .lines()
-        .map(|l| PathConstraint::parse(l, &mut labels).expect("fixed text"))
-        .collect();
-    // Distinct rhs *lengths* keep the queries out of each other's
-    // alpha-equivalence classes — structurally identical backward
-    // queries would canonicalize to one cache entry and the later ones
-    // would never reach the solver (cache hits resume nothing).
-    let phis: Vec<PathConstraint> = (0..queries)
-        .map(|i| {
-            let rhs = vec!["q"; i + 1].join(".");
-            PathConstraint::parse(&format!("l{} <- {rhs}", i % 8), &mut labels).expect("fixed text")
-        })
-        .collect();
-    let context = build_context("semistructured", &mut labels).expect("builtin context");
-
-    let run =
-        |shared: Option<&Arc<SharedContext>>, rec: &Arc<InMemoryRecorder>| -> (f64, Vec<String>) {
-            let engine = BatchEngine::new(EngineConfig::default());
-            let budget = Budget::default().with_telemetry(Telemetry::new(rec.clone()));
-            // Built before the timer starts: the attribution measures
-            // solving, not cloning Σ into each job.
-            let jobs: Vec<PreparedJob> = phis
-                .iter()
-                .map(|phi| PreparedJob {
-                    context: context.clone(),
-                    sigma: sigma.clone(),
-                    phi: phi.clone(),
-                    shared: shared.cloned(),
-                    revision: 0,
-                })
-                .collect();
-            let start = Instant::now();
-            let answers = jobs
-                .iter()
-                .map(|job| {
-                    let (answer, _, cert) = engine.solve(job, budget.clone()).expect("solve");
-                    format!("{answer:?} / {cert:?}")
-                })
-                .collect();
-            (start.elapsed().as_secs_f64() * 1e3, answers)
-        };
-
-    let cold_rec = Arc::new(InMemoryRecorder::new());
-    let (cold_ms, cold_answers) = run(None, &cold_rec);
-
-    // The prefix is built once, outside the recorded region — that is
-    // the point: its rounds are paid at warm-up, not per query.
-    let shared = Arc::new(SharedContext::build(&sigma, &Budget::default()));
-    let warm_rec = Arc::new(InMemoryRecorder::new());
-    let (warm_ms, warm_answers) = run(Some(&shared), &warm_rec);
-
-    assert_eq!(
-        cold_answers, warm_answers,
-        "warm attribution run diverged from cold"
-    );
-    let stats = shared.stats();
-    assert_eq!(stats.chase_reuses as usize, queries, "every query resumed");
-
-    let rounds = |rec: &InMemoryRecorder| {
-        rec.snapshot()
-            .spans
-            .get("chase.round")
-            .map_or(0, |b| b.enters)
-    };
-    Attribution {
-        jobs: queries,
-        cold_ms,
-        warm_ms,
-        cold_chase_rounds: rounds(&cold_rec),
-        warm_chase_rounds: rounds(&warm_rec),
-        prefix_rounds: stats.prefix_rounds,
-        chase_reuses: stats.chase_reuses,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -352,8 +246,7 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_shared_context.json".to_owned());
 
-    let (constraints, per_client, attribution_queries) =
-        if smoke { (128, 4, 4) } else { (128, 16, 16) };
+    let (constraints, per_client) = if smoke { (128, 4) } else { (128, 16) };
     let workload = gen_workload(constraints, 64, per_client);
 
     let mut points = Vec::new();
@@ -397,14 +290,8 @@ fn main() {
         );
     }
 
-    let att = measure_attribution(attribution_queries);
-    println!(
-        "attribution ({} chase-tier jobs): cold {:.3} ms / {} chase rounds, warm {:.3} ms / {} rounds (+{} prefix rounds paid once, {} resumes)",
-        att.jobs, att.cold_ms, att.cold_chase_rounds, att.warm_ms, att.warm_chase_rounds, att.prefix_rounds, att.chase_reuses
-    );
-
     let workload = format!(
-        "one resident word context ({constraints} constraints over {ALPHABET} labels), {per_client} jobs/client, fixed lhs w0.w1 with globally distinct rhs, pipeline window 32; attribution: {attribution_queries} backward queries on a cascading theory"
+        "one resident word context ({constraints} constraints over {ALPHABET} labels), {per_client} jobs/client, fixed lhs w0.w1 with globally distinct rhs, pipeline window 32"
     );
     let mut json = String::new();
     json.push_str("{\n");
@@ -431,19 +318,7 @@ fn main() {
             if i + 1 == points.len() { "" } else { "," }
         );
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"attribution\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"jobs\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3},",
-        att.jobs, att.cold_ms, att.warm_ms
-    );
-    let _ = writeln!(
-        json,
-        "    \"cold_chase_rounds\": {}, \"warm_chase_rounds\": {}, \"prefix_rounds_paid_once\": {}, \"chase_reuses\": {}",
-        att.cold_chase_rounds, att.warm_chase_rounds, att.prefix_rounds, att.chase_reuses
-    );
-    json.push_str("  }\n}\n");
+    json.push_str("  ]\n}\n");
     std::fs::write(&out, &json).expect("write results");
     println!("wrote {out}");
 }

@@ -60,15 +60,15 @@ pub fn gen_word_instance(
     WordInstance { labels, sigma, phi }
 }
 
-/// A generated chase-scaling instance: a constraint set whose chase grows
-/// the graph every round without ever terminating or forcing the goal.
+/// A generated chase-scaling instance (see the `gen_*chase_instance`
+/// generators for the shapes).
 #[derive(Clone, Debug)]
 pub struct ChaseInstance {
-    /// The labels used (`l0..l{k-1}` plus the never-implied goal `q`).
+    /// The labels used.
     pub labels: LabelInterner,
-    /// Σ: the cascade `l0 → l_i·l0` for each `i < k`.
+    /// Σ.
     pub sigma: Vec<PathConstraint>,
-    /// φ: `l0 → q`, never implied (no rule mentions `q`).
+    /// φ.
     pub phi: PathConstraint,
 }
 
@@ -99,6 +99,50 @@ pub fn gen_chase_instance(constraints: usize) -> ChaseInstance {
         })
         .collect();
     let phi = PathConstraint::word(Path::single(alpha[0]), Path::single(q));
+    ChaseInstance { labels, sigma, phi }
+}
+
+/// Generates the sparse chase workload: the relay `s_i → s_{i+1}` for
+/// each `i < constraints`, with φ = `s0 → q`.
+///
+/// Each rule's hypothesis alphabet `{s_i}` is disjoint from every other
+/// rule's, and round `i` violates rule `i` alone: its repair adds the one
+/// `s_{i+1}` edge that rule `i + 1` fires on next. The chase reaches a
+/// fixpoint after `constraints` repairs (`constraints + 1` rounds) and
+/// refutes φ, while a full rescan scans all of Σ in every round.
+pub fn gen_sparse_chase_instance(constraints: usize) -> ChaseInstance {
+    assert!(constraints >= 1);
+    let mut names: Vec<String> = (0..=constraints).map(|i| format!("s{i}")).collect();
+    names.push("q".to_owned());
+    let labels = LabelInterner::with_labels(&names);
+    let s: Vec<Label> = labels.labels().take(constraints + 1).collect();
+    let q = labels.get("q").unwrap();
+    let sigma = (0..constraints)
+        .map(|i| PathConstraint::word(Path::single(s[i]), Path::single(s[i + 1])))
+        .collect();
+    let phi = PathConstraint::word(Path::single(s[0]), Path::single(q));
+    ChaseInstance { labels, sigma, phi }
+}
+
+/// Generates the merge-heavy chase workload: the equalities `p_i → ε`
+/// for each `i < constraints`, with φ = `w → ε` for the word `w` of
+/// length `len` that cycles through `p_0 … p_{k-1}`.
+///
+/// The ¬φ pattern is the path `w` from the root. Each round merges the
+/// root's one non-root successor into the root (which ends the round),
+/// so the chase applies `len` merges in `len` rounds, after which the
+/// pattern's end is the root and φ is `Implied`.
+pub fn gen_merge_chase_instance(constraints: usize, len: usize) -> ChaseInstance {
+    assert!(constraints >= 1);
+    let names: Vec<String> = (0..constraints).map(|i| format!("p{i}")).collect();
+    let labels = LabelInterner::with_labels(&names);
+    let p: Vec<Label> = labels.labels().collect();
+    let sigma = p
+        .iter()
+        .map(|&l| PathConstraint::word(Path::single(l), Path::empty()))
+        .collect();
+    let w = Path::from_labels((0..len).map(|i| p[i % constraints]));
+    let phi = PathConstraint::word(w, Path::empty());
     ChaseInstance { labels, sigma, phi }
 }
 
@@ -637,6 +681,34 @@ mod tests {
                 matches!(outcome, Outcome::Unknown(_)),
                 "workload must exhaust the round budget, got {outcome:?}"
             );
+        }
+    }
+
+    #[test]
+    fn sparse_and_merge_instances_decide_in_the_expected_rounds() {
+        use pathcons_core::{Budget, Outcome};
+        let budget = |rounds| Budget {
+            chase_rounds: rounds,
+            chase_max_nodes: 1 << 20,
+            ..Budget::default()
+        };
+        let sparse = gen_sparse_chase_instance(8);
+        let merge = gen_merge_chase_instance(3, 8);
+        for (inst, rounds, implied) in [(&sparse, 9, false), (&merge, 8, true)] {
+            for outcome in [
+                pathcons_core::chase_implication(&inst.sigma, &inst.phi, &budget(rounds)),
+                pathcons_core::chase_implication_reference(&inst.sigma, &inst.phi, &budget(rounds)),
+            ] {
+                match outcome {
+                    Outcome::Implied(_) => assert!(implied, "{:?}", inst.phi),
+                    Outcome::NotImplied(_) => assert!(!implied, "{:?}", inst.phi),
+                    other => panic!("{:?}: expected a decision, got {other:?}", inst.phi),
+                }
+            }
+            // One round fewer leaves both shapes undecided.
+            let short =
+                pathcons_core::chase_implication(&inst.sigma, &inst.phi, &budget(rounds - 1));
+            assert!(matches!(short, Outcome::Unknown(_)), "{short:?}");
         }
     }
 

@@ -71,12 +71,6 @@ pub struct ChaseStep {
 pub struct ChaseTrace {
     /// The applied steps, in application order.
     pub steps: Vec<ChaseStep>,
-    /// How many leading steps were applied *before* the ¬φ pattern was
-    /// grafted (the goal-independent Σ-only prefix of a prefix-first
-    /// chase). Replay applies `steps[..pattern_at]` to the bare root
-    /// graph, then builds the pattern, then applies the rest. `0` is the
-    /// legacy pattern-first layout.
-    pub pattern_at: usize,
 }
 
 /// One prefix-rewrite step: rule `rule` of Σ applied to the current
@@ -214,31 +208,54 @@ pub fn check(certificate: &Certificate, context: &CheckContext<'_>) -> CheckResu
 
 /// Replays a chase trace, verifying each step's hypothesis before
 /// applying its (sound) repair, then re-checks the goal on the pattern
-/// witnesses. The first `pattern_at` steps replay against the bare root
-/// graph (the goal-independent Σ-only prefix of a prefix-first chase);
-/// the ¬φ pattern is grafted after them, exactly where the engine built
-/// it, so recorded node ids line up in both phases.
+/// witnesses. Replay starts from the canonical ¬φ pattern, built exactly
+/// as the engine builds it, so recorded node ids line up.
 fn replay_chase(sigma: &[PathConstraint], phi: &PathConstraint, trace: &ChaseTrace) -> CheckResult {
-    if trace.pattern_at > trace.steps.len() {
-        return invalid("pattern_at exceeds the number of recorded steps");
-    }
     let mut graph = Graph::new();
+    let x = graph.add_path(graph.root(), phi.prefix());
+    let y = graph.add_path(x, phi.lhs());
     let mut uf = UnionFind::new();
     uf.ensure(graph.node_count());
 
-    for (i, step) in trace.steps[..trace.pattern_at].iter().enumerate() {
-        if let Some(err) = replay_step(sigma, &mut graph, &mut uf, i, step) {
-            return err;
+    for (i, step) in trace.steps.iter().enumerate() {
+        let Some(c) = sigma.get(step.constraint) else {
+            return invalid(format!("step {i}: constraint index out of range"));
+        };
+        if step.a >= graph.node_count() || step.b >= graph.node_count() {
+            return invalid(format!("step {i}: witness node does not exist"));
         }
-    }
-    // Graft the ¬φ pattern exactly where the prefix-first chase did:
-    // after the Σ-only prefix, hanging off the (canonical) root.
-    let x = graph.add_path(graph.root(), phi.prefix());
-    let y = graph.add_path(x, phi.lhs());
-    uf.ensure(graph.node_count());
-    for (i, step) in trace.steps.iter().enumerate().skip(trace.pattern_at) {
-        if let Some(err) = replay_step(sigma, &mut graph, &mut uf, i, step) {
-            return err;
+        let a = uf.find(NodeId::from_index(step.a));
+        let b = uf.find(NodeId::from_index(step.b));
+        // Hypothesis: a is a prefix witness, b an lhs witness from a.
+        // This is what makes replay sound — a repair applied to a true
+        // hypothesis instance is a consequence of Σ on any model
+        // containing the pattern (the standard chase homomorphism
+        // argument); a repair with a false hypothesis proves nothing.
+        let root = uf.find(graph.root());
+        if !word_holds(&graph, root, c.prefix(), a) {
+            return invalid(format!("step {i}: prefix hypothesis fails"));
+        }
+        if !word_holds(&graph, a, c.lhs(), b) {
+            return invalid(format!("step {i}: lhs hypothesis fails"));
+        }
+        // Apply the identical repair the chase would: append the
+        // conclusion path, or merge when the conclusion is empty.
+        let (from, to) = match c.kind() {
+            Kind::Forward => (a, b),
+            Kind::Backward => (b, a),
+        };
+        match c.rhs().split_last() {
+            None => {
+                if from != to {
+                    graph.merge_nodes(from, to);
+                    uf.ensure(graph.node_count());
+                    uf.union_into(from, to);
+                }
+            }
+            Some((init, last)) => {
+                let pen = graph.add_path(from, &init);
+                graph.add_edge(pen, last, to);
+            }
         }
     }
 
@@ -252,58 +269,6 @@ fn replay_chase(sigma: &[PathConstraint], phi: &PathConstraint, trace: &ChaseTra
     } else {
         invalid("replayed trace does not force the goal")
     }
-}
-
-/// Replays one recorded chase step against the current graph, verifying
-/// its hypothesis before applying the repair. Returns `Some(err)` when
-/// the step is rejected.
-fn replay_step(
-    sigma: &[PathConstraint],
-    graph: &mut Graph,
-    uf: &mut UnionFind,
-    i: usize,
-    step: &ChaseStep,
-) -> Option<CheckResult> {
-    let Some(c) = sigma.get(step.constraint) else {
-        return Some(invalid(format!("step {i}: constraint index out of range")));
-    };
-    if step.a >= graph.node_count() || step.b >= graph.node_count() {
-        return Some(invalid(format!("step {i}: witness node does not exist")));
-    }
-    let a = uf.find(NodeId::from_index(step.a));
-    let b = uf.find(NodeId::from_index(step.b));
-    // Hypothesis: a is a prefix witness, b an lhs witness from a.
-    // This is what makes replay sound — a repair applied to a true
-    // hypothesis instance is a consequence of Σ on any model
-    // containing the pattern (the standard chase homomorphism
-    // argument); a repair with a false hypothesis proves nothing.
-    let root = uf.find(graph.root());
-    if !word_holds(graph, root, c.prefix(), a) {
-        return Some(invalid(format!("step {i}: prefix hypothesis fails")));
-    }
-    if !word_holds(graph, a, c.lhs(), b) {
-        return Some(invalid(format!("step {i}: lhs hypothesis fails")));
-    }
-    // Apply the identical repair the chase would: append the
-    // conclusion path, or merge when the conclusion is empty.
-    let (from, to) = match c.kind() {
-        Kind::Forward => (a, b),
-        Kind::Backward => (b, a),
-    };
-    match c.rhs().split_last() {
-        None => {
-            if from != to {
-                graph.merge_nodes(from, to);
-                uf.ensure(graph.node_count());
-                uf.union_into(from, to);
-            }
-        }
-        Some((init, last)) => {
-            let pen = graph.add_path(from, &init);
-            graph.add_edge(pen, last, to);
-        }
-    }
-    None
 }
 
 /// Verifies a prefix-rewrite derivation `φ.lhs ⇒* φ.rhs` step by step
@@ -437,7 +402,6 @@ mod tests {
                 a: 0,
                 b: 1,
             }],
-            pattern_at: 0,
         };
         let body = CertificateBody::Implied(ImpliedCert::ChaseReplay(trace));
         assert_eq!(check(&cert(body), &ctx(&sigma, &phi)), CheckResult::Valid);
@@ -455,7 +419,6 @@ mod tests {
                 a: 0,
                 b: 2,
             }],
-            pattern_at: 0,
         };
         let body = CertificateBody::Implied(ImpliedCert::ChaseReplay(forged));
         assert!(!check(&cert(body), &ctx(&sigma, &phi)).is_valid());
@@ -467,7 +430,6 @@ mod tests {
                 a: 0,
                 b: 1,
             }],
-            pattern_at: 0,
         };
         let body2 = CertificateBody::Implied(ImpliedCert::ChaseReplay(honest));
         assert!(!check(&cert(body2), &ctx(&sigma, &phi2)).is_valid());
@@ -497,72 +459,9 @@ mod tests {
                     b: 3,
                 },
             ],
-            pattern_at: 0,
         };
         let body = CertificateBody::Implied(ImpliedCert::ChaseReplay(trace));
         assert_eq!(check(&cert(body), &ctx(&sigma, &phi)), CheckResult::Valid);
-    }
-
-    #[test]
-    fn prefix_first_replay_accepts_prefix_steps() {
-        let mut labels = LabelInterner::new();
-        // σ = () -> k fires on the bare root (empty prefix, empty lhs),
-        // adding a k-self-loop *before* the pattern exists. With
-        // pattern_at = 1 the checker replays that step against the bare
-        // root graph, then grafts the φ pattern, then checks the goal:
-        // k.k.m reaches y via root -k-> root -k-> n1 -m-> n2.
-        let sigma = parse_constraints("() -> k", &mut labels).unwrap();
-        let phi = PathConstraint::parse("k.m -> k.k.m", &mut labels).unwrap();
-        let trace = ChaseTrace {
-            steps: vec![ChaseStep {
-                constraint: 0,
-                a: 0,
-                b: 0,
-            }],
-            pattern_at: 1,
-        };
-        let body = CertificateBody::Implied(ImpliedCert::ChaseReplay(trace));
-        assert_eq!(check(&cert(body), &ctx(&sigma, &phi)), CheckResult::Valid);
-    }
-
-    #[test]
-    fn pattern_at_changes_witness_node_meaning() {
-        let mut labels = LabelInterner::new();
-        // Pattern-first layout: node 1 is the pattern's lhs witness, so
-        // the step (σ[1] on (0, 1)) replays. Declaring the same step a
-        // prefix step (pattern_at = 1) replays it against the bare root
-        // graph, where node 1 does not exist yet.
-        let sigma = parse_constraints("() -> k\nk -> m", &mut labels).unwrap();
-        let phi = PathConstraint::parse("k -> m", &mut labels).unwrap();
-        let step = ChaseStep {
-            constraint: 1,
-            a: 0,
-            b: 1,
-        };
-        let cold = ChaseTrace {
-            steps: vec![step],
-            pattern_at: 0,
-        };
-        let body = CertificateBody::Implied(ImpliedCert::ChaseReplay(cold));
-        assert_eq!(check(&cert(body), &ctx(&sigma, &phi)), CheckResult::Valid);
-        let misdeclared = ChaseTrace {
-            steps: vec![step],
-            pattern_at: 1,
-        };
-        let body = CertificateBody::Implied(ImpliedCert::ChaseReplay(misdeclared));
-        assert!(!check(&cert(body), &ctx(&sigma, &phi)).is_valid());
-    }
-
-    #[test]
-    fn pattern_at_beyond_steps_is_rejected() {
-        let mut labels = LabelInterner::new();
-        let phi = PathConstraint::parse("a -> a", &mut labels).unwrap();
-        let trace = ChaseTrace {
-            steps: Vec::new(),
-            pattern_at: 1,
-        };
-        let body = CertificateBody::Implied(ImpliedCert::ChaseReplay(trace));
-        assert!(!check(&cert(body), &ctx(&[], &phi)).is_valid());
     }
 
     #[test]

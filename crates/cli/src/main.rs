@@ -141,8 +141,7 @@ usage:
                      verdicts `pathcons batch` gives; control ops are
                      {\"op\": \"ping\"|\"stats\"|\"metrics\"|\"check\"|\"shutdown\"};
                      resident contexts amortize work across jobs —
-                     shared chase prefixes and cached post* automata —
-                     built lazily, or at startup with --warm; --no-shared
+                     cached post* automata — built lazily, or at startup with --warm; --no-shared
                      solves every job cold; --metrics-addr exposes
                      Prometheus text at /metrics; jobs slower than
                      --slow-ms are logged as JSONL to --slow-log (or
@@ -1139,11 +1138,7 @@ fn render_trace_profile(snap: &Snapshot, trace_path: &str) -> String {
 
     let rounds = snap.events_named(schema::EVENT_CHASE_ROUND).len();
     if rounds > 0 {
-        let _ = writeln!(
-            out,
-            "  chase: {rounds} rounds, {} dirty-constraint scans",
-            snap.counter("chase.scans"),
-        );
+        let _ = writeln!(out, "  chase: {rounds} rounds");
     }
     let samples = snap.counter("search.samples") + snap.counter("search.typed.samples");
     if samples > 0 {

@@ -33,9 +33,7 @@ mod typed_m;
 mod word;
 
 pub use amortize::{SharedContext, SharedStats};
-pub use chase::{
-    chase_implication, chase_implication_reference, chase_implication_with, PrefixEnd, SharedChase,
-};
+pub use chase::{chase_implication, chase_implication_reference};
 pub use ir::{Proof, ProofError, ProofStep};
 pub use local_extent::{
     figure3_structure, lift_countermodel, local_extent_implies, LocalExtentAnswer, LocalExtentError,

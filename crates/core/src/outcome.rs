@@ -265,7 +265,7 @@ pub enum Evidence {
         /// The applied steps themselves, replayable by the
         /// solver-independent `pathcons-cert` checker. Empty when the
         /// engine could not record a replayable trace (the reference
-        /// chase renumbers node ids on merge, so only the incremental
+        /// chase renumbers node ids on merge, so only the production
         /// engine records one) and in a cached answer, whose certificate
         /// holds them; `trace.steps.len() == steps` marks a complete trace.
         trace: pathcons_cert::ChaseTrace,

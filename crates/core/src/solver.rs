@@ -23,7 +23,7 @@
 //! never contradict the chase.
 
 use crate::amortize::SharedContext;
-use crate::chase::chase_implication_with;
+use crate::chase::chase_implication;
 use crate::local_extent::{local_extent_implies, LocalExtentError};
 use crate::outcome::{Budget, Evidence, Outcome, Refutation, UnknownReason};
 use crate::search::{search_countermodel, search_typed_countermodel};
@@ -154,9 +154,9 @@ impl Solver {
     }
 
     /// Attaches per-context shared state ([`SharedContext`]). Reuse is
-    /// guarded component-by-component (exact Σ and budget-cap match);
-    /// an attached context that does not match a query is ignored for
-    /// it, so answers are always those of a cold solver.
+    /// guarded by an exact Σ match; an attached context that does not
+    /// match a query is ignored for it, so answers are always those of a
+    /// cold solver.
     pub fn with_shared(mut self, shared: Arc<SharedContext>) -> Solver {
         self.shared = Some(shared);
         self
@@ -254,11 +254,7 @@ impl Solver {
     /// The general-`P_c` semi-decider stack: chase, then countermodel
     /// search (exhaustive while tiny, random beyond).
     fn solve_general_untyped(&self, sigma: &[PathConstraint], phi: &PathConstraint) -> Answer {
-        let shared_chase = self
-            .shared
-            .as_deref()
-            .and_then(|s| s.chase_for(sigma, &self.budget));
-        let chase = chase_implication_with(sigma, phi, &self.budget, shared_chase);
+        let chase = chase_implication(sigma, phi, &self.budget);
         if !chase.is_unknown() {
             return Answer {
                 outcome: chase,

@@ -1,15 +1,16 @@
-//! Property tests: the incremental chase engine agrees with the retained
-//! full-rescan reference implementation.
+//! Property tests: the production chase agrees with the retained
+//! reference implementation.
 //!
-//! The incremental engine ([`pathcons_core::chase_implication`]) rescans
-//! only constraints a new edge label can affect and merges nodes by
-//! splicing edges in place; the reference
-//! ([`pathcons_core::chase_implication_reference`]) recomputes every
-//! violation from scratch each round and rebuilds the graph on merge.
-//! Node ids diverge after the first merge (splice-in-place vs rebuild
-//! with fresh ids), so the comparison is at the level that matters:
-//! identical verdicts and evidence kinds, and independently *verified*
-//! countermodels on the `NotImplied` side.
+//! Both engines graft the ¬φ pattern and rescan every constraint each
+//! round. The production engine ([`pathcons_core::chase_implication`])
+//! merges nodes by splicing edges in place; the reference
+//! ([`pathcons_core::chase_implication_reference`]) rebuilds the graph
+//! on merge. Node ids diverge after the first merge (splice-in-place vs
+//! rebuild with fresh ids), so the comparison is at the level that
+//! matters: identical verdicts and evidence kinds, and independently
+//! *verified* countermodels on the `NotImplied` side. Without merges the
+//! two runs are step for step the same, so there the step counts and
+//! countermodel sizes must match too.
 
 use pathcons_constraints::{all_hold, holds, parse_constraints, Path, PathConstraint};
 use pathcons_core::{
@@ -35,6 +36,25 @@ fn arb_constraint(alphabet: usize) -> impl Strategy<Value = PathConstraint> {
         prop::bool::ANY,
     )
         .prop_map(|(prefix, lhs, rhs, backward)| {
+            if backward {
+                PathConstraint::backward(prefix, lhs, rhs)
+            } else {
+                PathConstraint::forward(prefix, lhs, rhs)
+            }
+        })
+}
+
+/// Random `P_c` constraints whose conclusion path is never empty: no
+/// repair merges.
+fn arb_merge_free_constraint(alphabet: usize) -> impl Strategy<Value = PathConstraint> {
+    (
+        arb_path(alphabet, 2),
+        arb_path(alphabet, 3),
+        prop::collection::vec(0..alphabet, 1..=3),
+        prop::bool::ANY,
+    )
+        .prop_map(|(prefix, lhs, rhs, backward)| {
+            let rhs = Path::from_labels(rhs.into_iter().map(Label::from_index));
             if backward {
                 PathConstraint::backward(prefix, lhs, rhs)
             } else {
@@ -72,9 +92,9 @@ fn shape(outcome: &Outcome) -> String {
 /// A cascade in the shape of the `P_w(K)` encoding (Section 4.1.2):
 /// label 0 is `K`, labels 1 and 2 are letters. Σ holds `ε → K`, the
 /// letter closures `K·l → K`, the equation `K: ε ↔ w` with `|w| = 2`
-/// (which gives every `K`-node a fresh `w`-cycle, so the Σ-only prefix
-/// never reaches a fixpoint), and up to one further equation; φ is a
-/// word query over the letters.
+/// (which gives every `K`-node a fresh `w`-cycle, so the chase of Σ
+/// alone never reaches a fixpoint), and up to one further equation; φ
+/// is a word query over the letters.
 fn arb_cascade() -> impl Strategy<Value = (Vec<PathConstraint>, PathConstraint)> {
     let letters = |max_len: usize| {
         prop::collection::vec(1..3usize, 0..=max_len)
@@ -111,9 +131,9 @@ fn arb_cascade() -> impl Strategy<Value = (Vec<PathConstraint>, PathConstraint)>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A Σ-only prefix that never reaches a fixpoint must not spend the
-    /// whole round budget: whenever the pattern-first reference chase
-    /// is conclusive at a budget, the production chase reaches the same
+    /// A root-grounded Σ whose chase alone never reaches a fixpoint
+    /// must not spend the round budget before the pattern: whenever
+    /// either engine is conclusive at a budget, both reach the same
     /// verdict at that budget.
     #[test]
     fn cascading_prefixes_leave_rounds_for_the_pattern(
@@ -122,8 +142,8 @@ proptest! {
         let (sigma, phi) = case;
         let budget = budget();
         let reference = chase_implication_reference(&sigma, &phi, &budget);
-        if !reference.is_unknown() {
-            let inc = chase_implication(&sigma, &phi, &budget);
+        let inc = chase_implication(&sigma, &phi, &budget);
+        if !reference.is_unknown() || !inc.is_unknown() {
             prop_assert_eq!(
                 shape(&inc),
                 shape(&reference),
@@ -151,7 +171,7 @@ proptest! {
         );
         // NotImplied answers must carry genuine countermodels; verify
         // both against the (independent) satisfaction checker.
-        for (engine, outcome) in [("incremental", &inc), ("reference", &reference)] {
+        for (engine, outcome) in [("production", &inc), ("reference", &reference)] {
             if let Outcome::NotImplied(r) = outcome {
                 let cm = r.countermodel.as_ref().expect("chase countermodel");
                 prop_assert!(
@@ -166,14 +186,44 @@ proptest! {
         }
     }
 
+    /// Without merges the engines apply the same repairs in the same
+    /// order: equal step counts on `Implied`, equal countermodel sizes
+    /// on `NotImplied`.
+    #[test]
+    fn merge_free_runs_agree_step_for_step(
+        sigma in prop::collection::vec(arb_merge_free_constraint(3), 0..=4),
+        phi in arb_constraint(3),
+    ) {
+        let budget = budget();
+        let inc = chase_implication(&sigma, &phi, &budget);
+        let reference = chase_implication_reference(&sigma, &phi, &budget);
+        prop_assert_eq!(shape(&inc), shape(&reference), "Σ = {:?}, φ = {:?}", sigma, phi);
+        match (&inc, &reference) {
+            (
+                Outcome::Implied(Evidence::ChaseForced { steps, trace }),
+                Outcome::Implied(Evidence::ChaseForced { steps: reference_steps, .. }),
+            ) => {
+                prop_assert_eq!(steps, reference_steps);
+                prop_assert_eq!(trace.steps.len(), *steps);
+            }
+            (Outcome::NotImplied(r), Outcome::NotImplied(reference_r)) => {
+                let cm = &r.countermodel.as_ref().expect("chase countermodel").graph;
+                let reference_cm =
+                    &reference_r.countermodel.as_ref().expect("chase countermodel").graph;
+                prop_assert_eq!(cm.node_count(), reference_cm.node_count());
+                prop_assert_eq!(cm.edge_count(), reference_cm.edge_count());
+            }
+            _ => {}
+        }
+    }
+
     #[test]
     fn merge_heavy_instances_agree(
         sigma in prop::collection::vec(
             (arb_path(2, 1), arb_path(2, 2), prop::bool::ANY).prop_map(
                 |(prefix, lhs, backward)| {
                     // Force an empty conclusion: every violation repair is
-                    // a merge — the hardest path through the incremental
-                    // engine (canonicalization + full worklist reset).
+                    // a merge, which ends its round.
                     if backward {
                         PathConstraint::backward(prefix, lhs, Path::empty())
                     } else {
@@ -207,8 +257,8 @@ proptest! {
 }
 
 /// Regression: a merge that fires mid-batch discards the rest of the
-/// enumerated batch. The worklist must re-enqueue every constraint, or
-/// the discarded violations would survive into a bogus "fixpoint".
+/// enumerated batch. The next round must find the discarded violations
+/// again, or they would survive into a bogus "fixpoint".
 ///
 /// Round 1's batch here is `[(c0: merge y into x), (c1: add b edge)]` in
 /// constraint order; the merge breaks out of the batch before c1's repair

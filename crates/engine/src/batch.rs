@@ -156,9 +156,8 @@ impl BatchEngine {
     /// trusted checker before the entry is served; an invalid one
     /// evicts the entry and the query is re-solved fresh.
     ///
-    /// `job.shared` (when given and Σ-compatible) lets the solver resume
-    /// the context's chase prefix and answer word implications against
-    /// cached saturated `post*` automata instead of solving cold; warm
+    /// `job.shared` (when given and Σ-compatible) lets the solver answer
+    /// word implications against cached saturated `post*` automata instead of solving cold; warm
     /// and cold answers are byte-identical (see
     /// [`pathcons_core::SharedContext`]). `job.revision` scopes the
     /// cache key: entries inserted under an earlier revision of a
@@ -782,8 +781,8 @@ pub struct PreparedJob {
     pub sigma: Vec<PathConstraint>,
     /// φ, parsed.
     pub phi: PathConstraint,
-    /// Per-context amortization state (chase prefix, `post*` cache) the
-    /// solver may resume instead of solving cold. `None` for cold jobs;
+    /// Per-context amortization state (the `post*` cache) the solver
+    /// may reuse instead of solving cold. `None` for cold jobs;
     /// a resident store attaches its context's state when the job's Σ
     /// is exactly the context's base Σ.
     pub shared: Option<Arc<SharedContext>>,
@@ -1721,10 +1720,9 @@ mod tests {
 
         let mut labels = LabelInterner::new();
         // A root-closure theory: the empty-hypothesis constraint fires
-        // on the bare root, so the shared prefix is non-trivial.
+        // on the root.
         let sigma = parse_constraints("() -> k\nk.m -> k", &mut labels).unwrap();
-        let shared = Arc::new(SharedContext::build(&sigma, &Budget::default()));
-        assert!(shared.chase().steps() > 0, "prefix did real work");
+        let shared = Arc::new(SharedContext::build(&sigma));
         for phi_text in ["k -> k.m", "k.m.m -> k", "k -> m", "(): m <- k"] {
             let phi = PathConstraint::parse(phi_text, &mut labels).unwrap();
             let cold_job = PreparedJob {
@@ -1754,6 +1752,5 @@ mod tests {
                 "warm and cold certificates must be byte-identical for {phi_text}"
             );
         }
-        assert!(shared.stats().chase_reuses > 0, "the prefix was resumed");
     }
 }

@@ -333,7 +333,7 @@ const BUDGET: u8 = 3;
 /// Packs a certificate body into one buffer: its tag byte, then LEB128
 /// integers and length-prefixed words and strings.
 ///
-/// - chase trace: `pattern_at`, the step count, then each step's
+/// - chase trace: the step count, then each step's
 ///   constraint, `a` and `b`;
 /// - word rewrite: the start word, the step count, then each step's
 ///   rule and result word;
@@ -345,7 +345,6 @@ fn pack_body(body: &CertificateBody) -> Box<[u8]> {
     match body {
         CertificateBody::Implied(ImpliedCert::ChaseReplay(trace)) => {
             out.push(CHASE_TRACE);
-            leb128(&mut out, trace.pattern_at as u64);
             leb128(&mut out, trace.steps.len() as u64);
             for step in &trace.steps {
                 for n in [step.constraint, step.a, step.b] {
@@ -403,7 +402,6 @@ fn unpack_body(bytes: &[u8]) -> Option<CertificateBody> {
     let mut r = Unpacker(bytes);
     let body = match r.byte()? {
         CHASE_TRACE => {
-            let pattern_at = r.index()?;
             let steps = (0..r.count()?)
                 .map(|_| {
                     Some(ChaseStep {
@@ -413,10 +411,7 @@ fn unpack_body(bytes: &[u8]) -> Option<CertificateBody> {
                     })
                 })
                 .collect::<Option<Vec<_>>>()?;
-            if pattern_at > steps.len() {
-                return None;
-            }
-            CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace { steps, pattern_at }))
+            CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace { steps }))
         }
         WORD_REWRITE => {
             let start = r.word()?;
@@ -1072,7 +1067,6 @@ mod tests {
             CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace::default())),
             CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace {
                 steps: vec![step(0, 1, 2), step(129, 300, 70_000), step(3, 0, 128)],
-                pattern_at: 2,
             })),
             CertificateBody::Implied(ImpliedCert::WordRewrite {
                 start: labels(&[0, 1]),

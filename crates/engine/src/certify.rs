@@ -112,10 +112,7 @@ fn implied_cert(
                     b: step.b,
                 });
             }
-            Some(ImpliedCert::ChaseReplay(ChaseTrace {
-                steps: remapped,
-                pattern_at: trace.pattern_at,
-            }))
+            Some(ImpliedCert::ChaseReplay(ChaseTrace { steps: remapped }))
         }
         Evidence::WordDerivation(Some(derivation)) => {
             word_rewrite_cert(canonical, original_sigma, derivation)

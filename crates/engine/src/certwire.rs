@@ -28,9 +28,6 @@ pub fn certificate_to_json(certificate: &Certificate) -> Json {
     match &certificate.body {
         CertificateBody::Implied(ImpliedCert::ChaseReplay(trace)) => {
             members.push(("kind".to_owned(), Json::Str("chase-trace".to_owned())));
-            if trace.pattern_at > 0 {
-                members.push(("pattern".to_owned(), Json::Num(trace.pattern_at as f64)));
-            }
             members.push((
                 "steps".to_owned(),
                 Json::Arr(
@@ -117,6 +114,15 @@ pub fn certificate_from_json(v: &Json) -> Result<Certificate, String> {
         .ok_or("certificate without string field `kind`")?;
     let body = match kind {
         "chase-trace" => {
+            // Traces replay from the ¬φ pattern. An older trace that
+            // began with Σ-only steps, counted by a `pattern` member,
+            // would replay them against the wrong node ids: refuse it.
+            if v.get("pattern").is_some() {
+                return Err(
+                    "chase-trace `pattern` (steps before the ¬φ pattern) is not supported"
+                        .to_owned(),
+                );
+            }
             let steps = v
                 .get("steps")
                 .and_then(Json::as_array)
@@ -141,22 +147,7 @@ pub fn certificate_from_json(v: &Json) -> Result<Certificate, String> {
                 })
                 .collect::<Result<Vec<_>, &str>>()
                 .map_err(str::to_owned)?;
-            // `pattern` (steps applied before the ¬φ pattern was built)
-            // is omitted for the legacy pattern-first layout.
-            let pattern_at = match v.get("pattern") {
-                None => 0,
-                Some(p) => p
-                    .as_u64()
-                    .map(|n| n as usize)
-                    .ok_or("chase-trace `pattern` must be a non-negative integer")?,
-            };
-            if pattern_at > steps.len() {
-                return Err(format!(
-                    "chase-trace `pattern` {pattern_at} exceeds {} steps",
-                    steps.len()
-                ));
-            }
-            CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace { steps, pattern_at }))
+            CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace { steps }))
         }
         "word-rewrite" => {
             let start = word_from_json(
@@ -283,7 +274,6 @@ mod tests {
                     a: 0,
                     b: 5,
                 }],
-                pattern_at: 0,
             })),
         };
         let back = round_trip(&certificate);
@@ -298,37 +288,23 @@ mod tests {
                         b: 5
                     }]
                 );
-                assert_eq!(trace.pattern_at, 0);
             }
             other => panic!("wrong body: {other:?}"),
         }
     }
 
     #[test]
-    fn prefix_first_chase_trace_round_trips_pattern_marker() {
-        let step = ChaseStep {
-            constraint: 0,
-            a: 0,
-            b: 0,
-        };
-        let certificate = Certificate {
-            snapshot: 3,
-            body: CertificateBody::Implied(ImpliedCert::ChaseReplay(ChaseTrace {
-                steps: vec![step, step],
-                pattern_at: 1,
-            })),
-        };
-        match round_trip(&certificate).body {
-            CertificateBody::Implied(ImpliedCert::ChaseReplay(trace)) => {
-                assert_eq!(trace.pattern_at, 1);
-                assert_eq!(trace.steps.len(), 2);
-            }
-            other => panic!("wrong body: {other:?}"),
+    fn chase_traces_with_a_pattern_marker_are_refused() {
+        // Traces written when the chase could run Σ-only steps before
+        // grafting the ¬φ pattern carry a `pattern` count; they decode
+        // to an error, whatever the count, never to a misread trace.
+        for pattern in ["0", "1", "3", "-1", "\"x\"", "1e300"] {
+            let line = format!(
+                r#"{{"snapshot":"0000000000000003","kind":"chase-trace","pattern":{pattern},"steps":[[0,0,0]]}}"#
+            );
+            let err = certificate_from_json(&Json::parse(&line).unwrap()).unwrap_err();
+            assert!(err.contains("pattern"), "{pattern}: {err}");
         }
-        // A marker past the end of the steps array is rejected at decode.
-        let torn =
-            r#"{"snapshot":"0000000000000003","kind":"chase-trace","pattern":3,"steps":[[0,0,0]]}"#;
-        assert!(certificate_from_json(&Json::parse(torn).unwrap()).is_err());
     }
 
     #[test]

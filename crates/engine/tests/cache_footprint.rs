@@ -248,7 +248,6 @@ fn cached_entries_stay_small() {
                 b: i + 1,
             })
             .collect(),
-        pattern_at: 0,
     };
     let chase = CachedEntry {
         answer: Answer {

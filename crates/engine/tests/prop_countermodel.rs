@@ -9,8 +9,7 @@
 use pathcons_constraints::{holds_naive, Path, PathConstraint};
 use pathcons_core::cert::{self, CertificateBody};
 use pathcons_core::{
-    Answer, Budget, CounterModelProvenance, DataContext, Method, Outcome, SharedContext, Solver,
-    WordEngine,
+    Answer, CounterModelProvenance, DataContext, Method, Outcome, SharedContext, Solver, WordEngine,
 };
 use pathcons_engine::{canonicalize, certify, snapshot_id};
 use pathcons_graph::{Graph, Label, NodeId};
@@ -88,7 +87,7 @@ proptest! {
         );
         let graph = checked_countermodel(&sigma, &phi, &cold);
 
-        let shared = Arc::new(SharedContext::build(&sigma, &Budget::small()));
+        let shared = Arc::new(SharedContext::build(&sigma));
         let warm = Solver::new(DataContext::Semistructured)
             .with_shared(shared)
             .implies(&sigma, &phi)
@@ -168,7 +167,7 @@ fn resident_sigma() -> Vec<PathConstraint> {
 #[test]
 fn resident_scale_refutations_reuse_cached_saturations() {
     let sigma = resident_sigma();
-    let shared = Arc::new(SharedContext::build(&sigma, &Budget::small()));
+    let shared = Arc::new(SharedContext::build(&sigma));
     let word = shared.word().expect("word theory");
     let queries: Vec<PathConstraint> = [
         (vec![0], vec![8]),

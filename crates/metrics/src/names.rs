@@ -106,12 +106,8 @@ pub const CONTEXT_JOBS_TOTAL_HELP: &str = "Jobs served per resident context";
 /// Per-context warm flag, labelled `context=` (gauge).
 pub const CONTEXT_WARM: &str = "pathcons_context_warm";
 /// Help for [`CONTEXT_WARM`].
-pub const CONTEXT_WARM_HELP: &str = "1 when the context's shared chase prefix is warm";
-
-/// Per-context shared-chase reuses, labelled `context=` (counter, set at scrape).
-pub const CONTEXT_CHASE_REUSES_TOTAL: &str = "pathcons_context_chase_reuses_total";
-/// Help for [`CONTEXT_CHASE_REUSES_TOTAL`].
-pub const CONTEXT_CHASE_REUSES_TOTAL_HELP: &str = "Shared chase-prefix reuses per context";
+pub const CONTEXT_WARM_HELP: &str =
+    "1 when the context's shared state is built at its current revision";
 
 /// Per-context word-automaton cache hits, labelled `context=` (counter, set at scrape).
 pub const CONTEXT_WORD_HITS_TOTAL: &str = "pathcons_context_word_hits_total";

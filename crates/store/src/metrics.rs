@@ -289,13 +289,6 @@ impl MetricsPlane {
                 g(if ctx.warm { 1.0 } else { 0.0 }),
             );
             snap.set(
-                names::CONTEXT_CHASE_REUSES_TOTAL,
-                Counter,
-                names::CONTEXT_CHASE_REUSES_TOTAL_HELP,
-                labels(),
-                c(ctx.shared.chase_reuses),
-            );
-            snap.set(
                 names::CONTEXT_WORD_HITS_TOTAL,
                 Counter,
                 names::CONTEXT_WORD_HITS_TOTAL_HELP,

@@ -634,10 +634,10 @@ impl ConnectionWorker {
                 let serve = self.stats.snapshot();
                 // Per-context amortization counters: how many jobs each
                 // resident context answered, its revision, and what its
-                // shared state has saved so far (chase-prefix resumes,
-                // saturated-`post*` hits). `warm: false` means no state
-                // is live at the current revision — never warmed, or
-                // invalidated by a mutation and not yet rebuilt.
+                // shared state has saved so far (saturated-`post*` hits).
+                // `warm: false` means no state is live at the current
+                // revision — never warmed, or invalidated by a mutation
+                // and not yet rebuilt.
                 let contexts_detail = self
                     .store
                     .context_stats()
@@ -649,9 +649,6 @@ impl ConnectionWorker {
                             ("revision", Json::Num(ctx.revision as f64)),
                             ("jobs", Json::Num(ctx.jobs as f64)),
                             ("warm", Json::Bool(ctx.warm)),
-                            ("chase_reuses", Json::Num(ctx.shared.chase_reuses as f64)),
-                            ("prefix_rounds", Json::Num(ctx.shared.prefix_rounds as f64)),
-                            ("prefix_steps", Json::Num(ctx.shared.prefix_steps as f64)),
                             ("word_hits", Json::Num(ctx.shared.word_hits as f64)),
                             ("word_misses", Json::Num(ctx.shared.word_misses as f64)),
                         ])

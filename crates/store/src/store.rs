@@ -102,14 +102,14 @@ impl ResidentContext {
     /// The shared amortization state at the current revision, building
     /// it on first use. A state cached at an earlier revision is
     /// replaced, so mutations can never leak stale reuse.
-    fn shared_state(&self, budget: &Budget) -> Arc<SharedContext> {
+    fn shared_state(&self) -> Arc<SharedContext> {
         let mut guard = self.shared.lock().unwrap_or_else(|e| e.into_inner());
         if let Some((revision, shared)) = guard.as_ref() {
             if *revision == self.revision {
                 return Arc::clone(shared);
             }
         }
-        let shared = Arc::new(SharedContext::build(&self.base_sigma, budget));
+        let shared = Arc::new(SharedContext::build(&self.base_sigma));
         *guard = Some((self.revision, Arc::clone(&shared)));
         shared
     }
@@ -149,10 +149,9 @@ pub struct ConstraintStore {
     labels: LabelInterner,
     contexts: BTreeMap<String, ResidentContext>,
     content_id: u64,
-    /// Budget caps the shared amortization state is built under. Must
-    /// match the engine budget jobs are solved with, or the guarded
-    /// reuse checks refuse the state and every job solves cold. `None`
-    /// disables amortization entirely (the bench's cold mode).
+    /// `Some` enables shared amortization state, `None` disables it
+    /// (the bench's cold mode). The state depends on Σ alone, so the
+    /// budget's caps are not consulted.
     shared_budget: Option<Budget>,
 }
 
@@ -343,11 +342,9 @@ impl ConstraintStore {
         format!("{:016x}", self.content_id)
     }
 
-    /// Sets the budget caps shared amortization state is built under,
-    /// or disables amortization with `None`. Call before serving, with
-    /// the engine's own budget: the guarded reuse checks require the
-    /// caps to match exactly, so a mismatched budget silently degrades
-    /// every job to cold solving.
+    /// Enables shared amortization state (`Some`, conventionally the
+    /// engine's own budget) or disables it (`None`), dropping any state
+    /// already built. Call before serving.
     pub fn set_shared_budget(&mut self, budget: Option<Budget>) {
         self.shared_budget = budget;
         for resident in self.contexts.values_mut() {
@@ -355,23 +352,22 @@ impl ConstraintStore {
         }
     }
 
-    /// The budget shared state is built under (`None`: amortization
-    /// disabled).
+    /// The budget amortization was enabled with (`None`: disabled).
     pub fn shared_budget(&self) -> Option<&Budget> {
         self.shared_budget.as_ref()
     }
 
     /// Eagerly builds the shared amortization state of every resident
-    /// context (`pathcons serve --warm`): the Σ-only chase prefixes and
-    /// word-engine saturation are paid at startup instead of on each
+    /// context (`pathcons serve --warm`): the word-engine saturation is
+    /// paid at startup instead of on each
     /// context's first job. Returns how many contexts were warmed; 0
     /// when amortization is disabled.
     pub fn warm_all(&self) -> usize {
-        let Some(budget) = &self.shared_budget else {
+        if self.shared_budget.is_none() {
             return 0;
-        };
+        }
         for resident in self.contexts.values() {
-            let _ = resident.shared_state(budget);
+            let _ = resident.shared_state();
         }
         self.contexts.len()
     }
@@ -501,11 +497,11 @@ impl ConstraintStore {
     ///
     /// Jobs that carry no sigma of their own (the shared-context hot
     /// path: every query runs against exactly the resident base Σ) are
-    /// handed the context's amortization state, so the solver resumes
-    /// the shared chase prefix and the cached `post*` automata instead
-    /// of solving cold. Jobs with extra constraints get `shared: None`
-    /// — their Σ differs from what the state was built from, and the
-    /// solver-side guards would refuse it anyway. Either way the
+    /// handed the context's amortization state, so the solver reuses
+    /// the cached `post*` automata instead of solving cold. Jobs with
+    /// extra constraints get `shared: None` — their Σ differs from what
+    /// the state was built from, and the solver-side guards would refuse
+    /// it anyway. Either way the
     /// prepared job carries the context's revision, scoping the
     /// engine's cache key.
     pub fn prepare(&self, job: &Job) -> Result<PreparedJob, String> {
@@ -529,10 +525,8 @@ impl ConstraintStore {
         }
         let phi = PathConstraint::parse(&job.phi, &mut labels)
             .map_err(|e| format!("bad query `{}`: {e}", job.phi))?;
-        let shared = match (&self.shared_budget, job.sigma.is_empty()) {
-            (Some(budget), true) => Some(resident.shared_state(budget)),
-            _ => None,
-        };
+        let shared =
+            (self.shared_budget.is_some() && job.sigma.is_empty()).then(|| resident.shared_state());
         Ok(PreparedJob {
             context: resident.context.clone(),
             sigma,

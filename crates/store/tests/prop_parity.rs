@@ -1,8 +1,7 @@
 //! Satellite property: warm and cold solving agree byte-for-byte.
 //!
 //! For a random matrix of contexts (random Σ, sometimes grounded at the
-//! root so the shared chase prefix has real work, sometimes with a data
-//! graph) and random jobs, solving a prepared job with the context's
+//! root, sometimes with a data graph) and random jobs, solving a prepared job with the context's
 //! amortization state attached must produce the *identical* `JobResult`
 //! — verdict, method, detail, cache outcome, and certificate — as
 //! solving it on a store with amortization disabled. Latency is the one
@@ -32,8 +31,8 @@ fn path(bits: &mut u64, max_len: u64) -> String {
 
 /// A random constraint: mostly forward word constraints, sometimes
 /// backward (chase tier), sometimes prefixed, and — for Σ — sometimes
-/// grounded at the root (`() -> x`), which is what gives the Σ-only
-/// chase prefix actual rounds to run.
+/// grounded at the root (`() -> x`), which the chase repairs on the
+/// root itself.
 fn constraint_text(mut bits: u64, allow_grounded: bool) -> String {
     let grounded = allow_grounded && bits % 8 == 0;
     bits /= 8;

@@ -179,7 +179,7 @@ fn accepted_up_to(nfa: &BitNfa, alphabet: &[Label], max_len: usize) -> Vec<Vec<L
 /// certifies the answer; returns it with the certificate's wire text.
 fn certified(sigma: &[PathConstraint], phi: &PathConstraint, shared: bool) -> (Answer, String) {
     let mut solver = Solver::new(DataContext::Semistructured);
-    let context = shared.then(|| Arc::new(SharedContext::build(sigma, &Budget::default())));
+    let context = shared.then(|| Arc::new(SharedContext::build(sigma)));
     if let Some(context) = &context {
         solver = solver.with_shared(Arc::clone(context));
     }
