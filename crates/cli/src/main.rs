@@ -1104,9 +1104,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         ));
     }
     let stats = server.stats();
-    server
-        .run()
-        .map_err(|e| CliError::Failed(format!("serve failed: {e}")))?;
+    server.run();
     let snap = stats.snapshot();
     Ok(format!(
         "served {} job(s) over {} connection(s) ({} malformed line(s), {} shed, {} slow)\n",

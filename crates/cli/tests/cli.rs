@@ -690,3 +690,64 @@ fn batch_reads_stdin_and_writes_results_file() {
     let out = run(&["check", "--results", "-", "--jobs", "-"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+#[test]
+fn serve_outlives_fd_exhaustion() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    let dir = tempdir("fd-exhaustion");
+    let socket = dir.join("s.sock");
+    let _ = std::fs::remove_file(&socket);
+    // 24 descriptors: the server runs out of them long before it has
+    // accepted 40 clients.
+    let mut child = Command::new("bash")
+        .arg("-c")
+        .arg(format!(
+            "ulimit -n 24; exec {} serve --listen unix:{} --quiet",
+            bin(),
+            socket.display()
+        ))
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let connect = || {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match UnixStream::connect(&socket) {
+                Ok(stream) => return stream,
+                Err(e) if Instant::now() > deadline => panic!("cannot connect to the server: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    };
+    let ping = |stream: &UnixStream, timeout: Duration| -> Option<String> {
+        stream.set_read_timeout(Some(timeout)).unwrap();
+        (&*stream).write_all(b"{\"op\": \"ping\"}\n").ok()?;
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).ok()?;
+        Some(line).filter(|l| !l.is_empty())
+    };
+
+    let flood: Vec<UnixStream> = (0..40).map(|_| connect()).collect();
+    let first = ping(&flood[0], Duration::from_secs(10));
+    let last = ping(&flood[39], Duration::from_millis(300));
+    assert!(last.is_none(), "the 40th client was served: {last:?}");
+    drop(flood);
+
+    // The descriptors are back; a fresh client is answered.
+    let fresh = connect();
+    let pong = ping(&fresh, Duration::from_secs(10));
+    let status = child.try_wait().unwrap();
+    let _ = child.kill();
+    let _ = child.wait();
+    assert!(
+        first.as_deref().is_some_and(|l| l.contains("\"ok\":true")),
+        "{first:?}"
+    );
+    assert!(
+        pong.as_deref().is_some_and(|l| l.contains("\"ok\":true")),
+        "fresh ping after fd exhaustion: {pong:?}, server status {status:?}"
+    );
+}

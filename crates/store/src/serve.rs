@@ -21,6 +21,11 @@
 //! without bound (the same honest-shedding contract as the batch path;
 //! shed answers are never cached).
 //!
+//! The accept loops block in `accept()`. Stopping the server sets a
+//! shared flag and then connects once to each listener to wake its
+//! loop; a failed accept (fd exhaustion, say) is retried after a short
+//! back-off instead of ending the server.
+//!
 //! The serve loop is also the observability plane's front door: every
 //! job gets a correlation id (the caller's `request_id`, or an assigned
 //! `r-<connection>-<line>`) echoed in its result record; per-op latency
@@ -35,9 +40,10 @@ use crate::metrics::MetricsPlane;
 use crate::store::ConstraintStore;
 use pathcons_engine::{canonicalize, snapshot_id, BatchEngine, Job, JobResult, Json, Verdict};
 use pathcons_telemetry::schema;
+use std::cell::Cell;
 use std::fmt;
 use std::io::{self, Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,6 +55,14 @@ use std::time::{Duration, Instant};
 /// this threshold and the rest of its line is discarded — the buffer
 /// never grows without bound, and the connection stays usable.
 pub const MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
+
+/// How long an accept loop waits before retrying a failed `accept()`
+/// other than an interrupted or aborted one — fd exhaustion under
+/// overload, say. It is the only sleep in either accept loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Longest a TCP wake connection may take to connect (see [`Stopper`]).
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Where a server listens (or a client connects).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -297,10 +311,6 @@ impl Server {
                 (Listener::Tcp(listener), Endpoint::Tcp(local.to_string()))
             }
         };
-        match &listener {
-            Listener::Unix(l) => l.set_nonblocking(true)?,
-            Listener::Tcp(l) => l.set_nonblocking(true)?,
-        }
         let stats = Arc::new(ServeStats::default());
         // Every server has a metrics plane (the `metrics` op always
         // answers).
@@ -348,7 +358,6 @@ impl Server {
     /// the server runs.
     pub fn with_metrics_addr(self, addr: &str) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let resolved = listener.local_addr()?.to_string();
         *self.http.lock().unwrap_or_else(|e| e.into_inner()) = Some(listener);
         Ok(Server {
@@ -373,11 +382,14 @@ impl Server {
         &self.endpoint
     }
 
-    /// The stop flag; setting it makes [`Server::run`] return after at
-    /// most one accept-poll interval, and makes connection threads
-    /// finish after their current line.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        self.stop.clone()
+    /// What stops this server: the shared flag plus the endpoints whose
+    /// blocked accept loops it wakes.
+    fn stopper(&self) -> Arc<Stopper> {
+        Arc::new(Stopper {
+            flag: self.stop.clone(),
+            endpoint: self.endpoint.clone(),
+            metrics_addr: self.metrics_addr.clone(),
+        })
     }
 
     /// The server's counters.
@@ -385,52 +397,53 @@ impl Server {
         self.stats.clone()
     }
 
-    /// Accept loop: runs until the stop flag is set (by
-    /// [`ServerHandle::stop`], a `{"op": "shutdown"}` line, or a signal
-    /// handler flipping the shared flag). Each connection gets its own
-    /// thread; connection threads are detached and observe the stop
-    /// flag via read timeouts.
-    pub fn run(&self) -> io::Result<()> {
-        // The Prometheus listener (when bound) gets its own detached
-        // accept thread; it observes the same stop flag as connection
-        // threads.
-        if let Some(http) = self.http.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            let plane = self.metrics.clone();
-            let stop = self.stop.clone();
-            std::thread::spawn(move || serve_prometheus(http, plane, stop));
-        }
-        while !self.stop.load(Ordering::Relaxed) {
-            let accepted = match &self.listener {
-                Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+    /// Accept loop: blocks in `accept()` until the server is stopped,
+    /// by [`ServerHandle::stop`] or a `{"op": "shutdown"}` line, both
+    /// through a [`Stopper`]. Each connection gets its own detached
+    /// thread, which observes the stop flag via read timeouts. A failed
+    /// accept never ends the loop (see [`accept_until_stopped`]).
+    pub fn run(&self) {
+        let stopper = self.stopper();
+        // The Prometheus listener (when bound) gets its own accept
+        // thread; the same stopper wakes it, and it is joined below so
+        // the metrics port is free once `run` returns.
+        let scrapes = self
+            .http
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+            .map(|http| {
+                let plane = self.metrics.clone();
+                let stop = self.stop.clone();
+                std::thread::spawn(move || serve_prometheus(http, plane, &stop))
+            });
+        let accept = || match &self.listener {
+            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+        };
+        accept_until_stopped(&self.stop, accept, |stream| {
+            let conn_id = self.stats.connections.fetch_add(1, Ordering::Relaxed);
+            let worker = ConnectionWorker {
+                store: self.store.clone(),
+                engine: self.engine.clone(),
+                stats: self.stats.clone(),
+                stopper: stopper.clone(),
+                shutdown: Cell::new(false),
+                default_deadline_ms: self.default_deadline_ms,
+                started: self.started,
+                conn_id,
+                metrics: self.metrics.clone(),
+                slow: self.slow.clone(),
             };
-            match accepted {
-                Ok(stream) => {
-                    let conn_id = self.stats.connections.fetch_add(1, Ordering::Relaxed);
-                    let worker = ConnectionWorker {
-                        store: self.store.clone(),
-                        engine: self.engine.clone(),
-                        stats: self.stats.clone(),
-                        stop: self.stop.clone(),
-                        default_deadline_ms: self.default_deadline_ms,
-                        started: self.started,
-                        conn_id,
-                        metrics: self.metrics.clone(),
-                        slow: self.slow.clone(),
-                    };
-                    std::thread::spawn(move || worker.serve(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+            // A thread that cannot be spawned drops its connection.
+            let _ = std::thread::Builder::new().spawn(move || worker.serve(stream));
+        });
         if let Endpoint::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
-        Ok(())
+        if let Some(scrapes) = scrapes {
+            let _ = scrapes.join();
+        }
     }
 
     /// Runs the accept loop on a background thread, returning a handle
@@ -438,14 +451,14 @@ impl Server {
     /// runner use this; the CLI calls [`Server::run`] directly).
     pub fn spawn(self) -> ServerHandle {
         let endpoint = self.endpoint.clone();
-        let stop = self.stop_flag();
+        let stopper = self.stopper();
         let stats = self.stats();
         let metrics = self.metrics.clone();
         let metrics_addr = self.metrics_addr.clone();
         let join = std::thread::spawn(move || self.run());
         ServerHandle {
             endpoint,
-            stop,
+            stopper,
             stats,
             metrics,
             metrics_addr,
@@ -457,11 +470,11 @@ impl Server {
 /// A handle to a server running on a background thread.
 pub struct ServerHandle {
     endpoint: Endpoint,
-    stop: Arc<AtomicBool>,
+    stopper: Arc<Stopper>,
     stats: Arc<ServeStats>,
     metrics: Arc<MetricsPlane>,
     metrics_addr: Option<String>,
-    join: std::thread::JoinHandle<io::Result<()>>,
+    join: std::thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -485,12 +498,86 @@ impl ServerHandle {
         self.metrics_addr.as_deref()
     }
 
-    /// Signals the accept loop to stop and joins it.
+    /// Whether the accept loop has returned (a `shutdown` op ends it
+    /// too); [`ServerHandle::stop`] then joins at once.
+    pub fn is_finished(&self) -> bool {
+        self.join.is_finished()
+    }
+
+    /// Stops the server, waking both accept loops, and joins it; the
+    /// metrics port (when bound) is free once this returns.
     pub fn stop(self) -> io::Result<()> {
-        self.stop.store(true, Ordering::Relaxed);
-        match self.join.join() {
-            Ok(result) => result,
-            Err(_) => Err(io::Error::other("server thread panicked")),
+        self.stopper.stop();
+        self.join
+            .join()
+            .map_err(|_| io::Error::other("server thread panicked"))
+    }
+}
+
+/// Stops a server: sets the shared stop flag, then connects once to
+/// each of the server's listeners to wake its accept loop out of a
+/// blocking `accept()`. The loops check the flag before anything else,
+/// so a wake connection is never counted or served.
+struct Stopper {
+    flag: Arc<AtomicBool>,
+    endpoint: Endpoint,
+    metrics_addr: Option<String>,
+}
+
+impl Stopper {
+    fn stop(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        // A failed wake means that listener is already gone.
+        match &self.endpoint {
+            Endpoint::Unix(path) => drop(UnixStream::connect(path)),
+            Endpoint::Tcp(addr) => wake_tcp(addr),
+        }
+        if let Some(addr) = &self.metrics_addr {
+            wake_tcp(addr);
+        }
+    }
+}
+
+/// Connects once to the TCP listener bound on `addr` (a resolved
+/// socket address); an unspecified bind address (`0.0.0.0`, `[::]`) is
+/// reached over loopback on the same port.
+fn wake_tcp(addr: &str) {
+    let Ok(mut addr) = addr.parse::<SocketAddr>() else {
+        return;
+    };
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    drop(TcpStream::connect_timeout(&addr, WAKE_CONNECT_TIMEOUT));
+}
+
+/// Blocks in `accept` and hands each connection to `serve` until the
+/// stop flag is set. The flag is checked as soon as `accept` returns,
+/// so a [`Stopper`]'s wake connection is dropped unserved. Interrupted
+/// and aborted accepts are retried at once, any other error (fd
+/// exhaustion, say) after [`ACCEPT_ERROR_BACKOFF`]: overload never ends
+/// the loop.
+fn accept_until_stopped<S>(
+    stop: &AtomicBool,
+    accept: impl Fn() -> io::Result<S>,
+    mut serve: impl FnMut(S),
+) {
+    while !stop.load(Ordering::SeqCst) {
+        let accepted = accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok(stream) => serve(stream),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) => {}
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -501,7 +588,10 @@ struct ConnectionWorker {
     store: Arc<ConstraintStore>,
     engine: Arc<BatchEngine>,
     stats: Arc<ServeStats>,
-    stop: Arc<AtomicBool>,
+    stopper: Arc<Stopper>,
+    /// Set by a `shutdown` op; the server is stopped once the responses
+    /// to the lines read with it are written.
+    shutdown: Cell<bool>,
     default_deadline_ms: Option<u64>,
     started: Instant,
     /// This connection's accept ordinal; the `r-<conn>-<line>` half of
@@ -530,7 +620,7 @@ impl ConnectionWorker {
         // discarded (not buffered) until the next newline.
         let mut discarding = false;
         loop {
-            if self.stop.load(Ordering::Relaxed) {
+            if self.stopper.flag.load(Ordering::Relaxed) {
                 return;
             }
             let n = match stream.read(&mut chunk) {
@@ -559,6 +649,7 @@ impl ConnectionWorker {
                 }
             }
             pending.extend_from_slice(data);
+            let mut peer_gone = false;
             while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
                 let line: Vec<u8> = pending.drain(..=nl).collect();
                 lineno += 1;
@@ -567,9 +658,19 @@ impl ConnectionWorker {
                     let mut payload = response.into_bytes();
                     payload.push(b'\n');
                     if stream.write_all(&payload).is_err() {
-                        return;
+                        peer_gone = true;
+                        break;
                     }
                 }
+            }
+            // A `shutdown` ack is written before the accept loop is
+            // woken: once `run` returns the process may exit.
+            if self.shutdown.get() {
+                self.stopper.stop();
+                return;
+            }
+            if peer_gone {
+                return;
             }
             if pending.len() > MAX_LINE_BYTES {
                 lineno += 1;
@@ -676,7 +777,7 @@ impl ConnectionWorker {
             }
             "metrics" => self.metrics.json().to_string(),
             "shutdown" => {
-                self.stop.store(true, Ordering::Relaxed);
+                self.shutdown.set(true);
                 obj(vec![
                     ("ok", Json::Bool(true)),
                     ("op", Json::Str("shutdown".into())),
@@ -898,23 +999,15 @@ fn overloaded_record(id: String) -> JobResult {
 
 /// The Prometheus exposition accept loop: one short-lived HTTP/1.1
 /// exchange per connection, `GET /metrics` (or `/`) answered with text
-/// exposition format 0.0.4, anything else with 404. Hand-rolled over
-/// the nonblocking listener with the same stop-flag polling discipline
-/// as the JSONL accept loop.
-fn serve_prometheus(listener: TcpListener, plane: Arc<MetricsPlane>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let plane = plane.clone();
-                std::thread::spawn(move || answer_scrape(stream, &plane));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
+/// exposition format 0.0.4, anything else with 404. It blocks in
+/// `accept()` under the same [`accept_until_stopped`] discipline as the
+/// JSONL loop, woken by the same [`Stopper`].
+fn serve_prometheus(listener: TcpListener, plane: Arc<MetricsPlane>, stop: &AtomicBool) {
+    let accept = || listener.accept().map(|(s, _)| s);
+    accept_until_stopped(stop, accept, |stream| {
+        let plane = plane.clone();
+        let _ = std::thread::Builder::new().spawn(move || answer_scrape(stream, &plane));
+    });
 }
 
 /// Longest HTTP request head a scrape connection may send; beyond this

@@ -6,9 +6,11 @@
 use pathcons_engine::{BatchEngine, EngineConfig, Job, Json};
 use pathcons_store::{Client, ConstraintStore, Endpoint, Server};
 use std::collections::BTreeMap;
+use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// A unix socket path unique to this test invocation (socket paths are
 /// length-limited, so short names in the system temp dir).
@@ -257,7 +259,7 @@ fn control_ops_answer_and_shutdown_stops_the_server() {
     )
     .unwrap();
     assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
-    // The accept loop observes the flag and run() returns; stop() joins.
+    // The shutdown op has already woken the accept loop; stop() joins.
     handle.stop().expect("server stopped by protocol op");
 }
 
@@ -277,4 +279,102 @@ fn store_resident_sigma_is_prepended_to_job_sigma() {
     let (id, verdict, _) = verdict_key(&r);
     assert_eq!((id.as_str(), verdict.as_str()), ("q", "implied"));
     handle.stop().expect("server stops");
+}
+
+/// How long a stopped server may take to exit.
+const STOP_LIMIT: Duration = Duration::from_secs(2);
+
+/// Stops and joins `handle`, failing the test if that takes longer
+/// than [`STOP_LIMIT`].
+fn stop_within_limit(handle: pathcons_store::ServerHandle) {
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || done.send(handle.stop()));
+    joined
+        .recv_timeout(STOP_LIMIT)
+        .expect("server did not stop within 2 s")
+        .expect("server stops");
+}
+
+/// One start/stop cycle: bind, ping, `shutdown` op with its ack read,
+/// then wait for the accept loop to exit on its own before joining.
+/// Only the protocol connection is counted.
+fn ping_shutdown_cycle(endpoint: &Endpoint) {
+    let handle = Server::bind(
+        endpoint,
+        Arc::new(ConstraintStore::from_jsonl("").expect("empty store")),
+        Arc::new(BatchEngine::new(EngineConfig::default())),
+        None,
+    )
+    .expect("bind")
+    .spawn();
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    let pong = client.round_trip(r#"{"op": "ping"}"#).expect("ping");
+    assert!(pong.contains(r#""ok":true"#), "{pong}");
+    let bye = client.round_trip(r#"{"op": "shutdown"}"#).expect("ack");
+    assert_eq!(bye, r#"{"ok":true,"op":"shutdown"}"#);
+    let started = Instant::now();
+    while !handle.is_finished() {
+        assert!(
+            started.elapsed() < STOP_LIMIT,
+            "the shutdown op did not end the accept loop within 2 s"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(handle.stats().connections.load(Ordering::Relaxed), 1);
+    stop_within_limit(handle);
+}
+
+#[test]
+fn unix_start_stop_cycles_never_hang() {
+    let endpoint = Endpoint::Unix(socket_path("cycle"));
+    for _ in 0..200 {
+        ping_shutdown_cycle(&endpoint);
+    }
+}
+
+#[test]
+fn tcp_start_stop_cycles_never_hang() {
+    for _ in 0..50 {
+        ping_shutdown_cycle(&Endpoint::Tcp("127.0.0.1:0".into()));
+    }
+}
+
+#[test]
+fn stop_wakes_an_idle_server_and_frees_the_metrics_port() {
+    // Unspecified addresses: the wake connections go over loopback.
+    let handle = Server::bind(
+        &Endpoint::Tcp("0.0.0.0:0".into()),
+        Arc::new(ConstraintStore::from_jsonl("").expect("empty store")),
+        Arc::new(BatchEngine::new(EngineConfig::default())),
+        None,
+    )
+    .expect("bind")
+    .with_metrics_addr("0.0.0.0:0")
+    .expect("bind metrics")
+    .spawn();
+    let metrics_addr = handle.metrics_addr().expect("metrics bound").to_owned();
+    let loopback = |addr: &str| {
+        let port = addr.rsplit(':').next().expect("port");
+        format!("127.0.0.1:{port}")
+    };
+    // One answered request on each listener shows both accept loops
+    // running; both connections close before the stop.
+    let Endpoint::Tcp(addr) = handle.endpoint() else {
+        unreachable!("bound on TCP")
+    };
+    let mut client = Client::connect(&Endpoint::Tcp(loopback(addr))).expect("connect");
+    let pong = client.round_trip(r#"{"op": "ping"}"#).expect("ping");
+    assert!(pong.contains(r#""ok":true"#), "{pong}");
+    drop(client);
+    let mut scrape = std::net::TcpStream::connect(loopback(&metrics_addr)).expect("scrape");
+    scrape
+        .write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+        .expect("scrape request");
+    let mut body = String::new();
+    scrape.read_to_string(&mut body).expect("scrape response");
+    assert!(body.starts_with("HTTP/1.1 200 OK"), "{body}");
+    drop(scrape);
+
+    stop_within_limit(handle);
+    std::net::TcpListener::bind(&metrics_addr).expect("metrics port released");
 }
