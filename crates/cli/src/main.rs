@@ -17,10 +17,7 @@
 //!                   [--verify[=check|resolve]]        validate cache hits: `check` runs
 //!                                                     the certificate checker, `resolve`
 //!                                                     re-solves as an oracle
-//!                   [--retries N] [--shed-depth N]    supervised retry budget and
-//!                                                     admission-control queue depth
-//!                   [--chaos seed=N[,rate=R][,kind=K]] deterministic fault injection
-//!                                                     (kind: panic or stall)
+//!                   [--shed-depth N]                  admission-control queue depth
 //!                   [--trace F.jsonl]                 write a structured JSONL trace and
 //!                                                     print a profile summary to stderr
 //! pathcons trace-check --trace F.jsonl               validate a trace: every line parses,
@@ -31,7 +28,8 @@
 //! pathcons snapshot info  --snapshot S.pcs            describe a snapshot
 //! pathcons serve    --listen unix:PATH|tcp:ADDR       resident store + JSONL protocol:
 //!                   [--snapshot S.pcs | --contexts F] jobs in, batch-identical results
-//!                   [engine flags as for batch]       out; `{"op": "shutdown"}` stops it
+//!                   [engine flags as for batch,       out; `{"op": "shutdown"}` stops it
+//!                    except --threads]
 //!                   [--metrics-addr HOST:PORT]        Prometheus text on /metrics
 //!                   [--slow-ms N [--slow-log F]]      JSONL slow-query log
 //!                   [--trace F.jsonl]                 engine + serve.job event trace
@@ -51,8 +49,8 @@ use pathcons_core::{
     Budget, DataContext, Evidence, Outcome, RefutationBasis, SchemaContext, Solver, Telemetry,
 };
 use pathcons_engine::{
-    canonicalize, certificate_from_json, prepare_job, snapshot_id, BatchEngine, EngineConfig,
-    FaultPlan, Job, JobResult, Json, RetryPolicy, ShedPolicy, Verdict, VerifyMode,
+    canonicalize, certificate_from_json, prepare_job, snapshot_id, BatchEngine, EngineConfig, Job,
+    JobResult, Json, ShedPolicy, Verdict, VerifyMode,
 };
 use pathcons_graph::{parse_graph, to_dot, DotOptions, Graph, LabelInterner};
 use pathcons_store::{ConstraintStore, Endpoint, Server, SnapshotError};
@@ -111,14 +109,12 @@ usage:
   pathcons dot      --graph FILE
   pathcons batch    [--jobs FILE.jsonl] [--threads N] [--cache-size N]
                     [--deadline-ms N] [--chase-rounds N] [--chase-max-nodes N]
-                    [--search-samples N] [--retries N] [--shed-depth N]
-                    [--chaos seed=N[,rate=R][,kind=panic|stall]]
+                    [--search-samples N] [--shed-depth N]
                     [--verify[=check|resolve]] [--quiet] [--trace FILE.jsonl]
                     (jobs from stdin when --jobs is `-` or absent;
                      JSONL results + a stats line on stdout; malformed job
-                     lines become per-line error records, never an abort;
-                     --chaos injects deterministic worker panics and solver
-                     stalls to exercise the supervised-recovery path;
+                     lines and panicked jobs become per-job error records,
+                     never an abort;
                      --trace writes a structured event log and profiles it on stderr)
   pathcons trace-check --trace FILE.jsonl
                     (validate a --trace log: lines parse, spans balance,
@@ -131,9 +127,9 @@ usage:
                     (validate a snapshot and describe its contents)
   pathcons serve    --listen unix:PATH|tcp:HOST:PORT
                     [--snapshot FILE.pcs | --contexts FILE.jsonl]
-                    [--threads N] [--cache-size N] [--deadline-ms N]
+                    [--cache-size N] [--deadline-ms N]
                     [--chase-rounds N] [--chase-max-nodes N]
-                    [--search-samples N] [--retries N] [--shed-depth N]
+                    [--search-samples N] [--shed-depth N]
                     [--verify[=check|resolve]] [--warm] [--no-shared] [--quiet]
                     [--metrics-addr HOST:PORT] [--slow-ms N [--slow-log FILE]]
                     [--trace FILE.jsonl]
@@ -736,38 +732,6 @@ fn describe_evidence(evidence: &Evidence) -> String {
     }
 }
 
-/// `pathcons batch`: JSONL implication jobs in, JSONL results plus a
-/// stats summary out.
-///
-/// Each input line is a job object: `{"id": "...", "sigma": ["a -> b"],
-/// "phi": "b -> a", "context": "semistructured", "deadline_ms": 50}`
-/// (`context` and `deadline_ms` optional; blank and `#` lines skipped).
-/// Per-job failures (parse errors, deadline `unknown`s, even panics)
-/// become error/unknown *results*; a malformed JSONL line likewise
-/// becomes a per-line error record (`"id":"line-N"`) rather than
-/// aborting the batch. The process only fails when the batch itself
-/// cannot run. The final stdout line is a `{"stats": …}` object; a
-/// human-readable summary goes to stderr unless `--quiet`.
-///
-/// Injected faults panic by design; without this the default hook
-/// would spray backtraces over stderr for every recovered fault. Real
-/// panics (anything not tagged by the injector) still print normally.
-fn quiet_injected_panics() {
-    let default = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let message = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| info.payload().downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        if message.contains("chaos:") {
-            return;
-        }
-        default(info);
-    }));
-}
-
 /// Parses the `--verify` family of flags into a [`VerifyMode`].
 ///
 /// Accepted spellings: bare `--verify` and `--verify check` /
@@ -799,15 +763,14 @@ fn parse_verify_mode(args: &Args) -> Result<VerifyMode, CliError> {
     }
 }
 
-/// Engine knobs shared by `batch` and `serve` (chaos and trace stay
-/// batch-only); include in the subcommand's `finish` list.
+/// Engine knobs shared by `batch` and `serve` (`--threads` stays
+/// batch-only: serve gives each connection its own thread); include in
+/// the subcommand's `finish` list.
 const ENGINE_ARGS: &[&str] = &[
-    "threads",
     "cache-size",
     "chase-rounds",
     "chase-max-nodes",
     "search-samples",
-    "retries",
     "shed-depth",
     "verify",
     "verify=check",
@@ -828,40 +791,45 @@ fn engine_config_from_args(args: &Args) -> Result<EngineConfig, CliError> {
     if let Some(samples) = parse_numeric(args, "search-samples")? {
         budget.search_samples = samples;
     }
-    let mut retry = RetryPolicy::default();
-    if let Some(n) = parse_numeric(args, "retries")? {
-        retry.max_retries = n;
-    }
     Ok(EngineConfig {
-        threads: parse_numeric(args, "threads")?.unwrap_or(0),
         cache_capacity: parse_numeric(args, "cache-size")?.unwrap_or(4096),
         verify: parse_verify_mode(args)?,
         budget,
-        retry,
         shed: ShedPolicy::queue_depth(parse_numeric(args, "shed-depth")?.unwrap_or(0)),
-        chaos: None,
+        ..EngineConfig::default()
     })
 }
 
-/// `--chaos seed=N[,rate=R][,kind=panic|stall]` arms the deterministic
-/// fault injector (worker panics, solver stalls) to exercise the
-/// supervised-recovery path; `--retries N` bounds per-job retry
-/// attempts and `--shed-depth N` sheds jobs beyond a queue depth with
-/// fast `overloaded` answers.
+/// `pathcons batch`: JSONL implication jobs in, JSONL results plus a
+/// stats summary out.
+///
+/// Each input line is a job object: `{"id": "...", "sigma": ["a -> b"],
+/// "phi": "b -> a", "context": "semistructured", "deadline_ms": 50}`
+/// (`context` and `deadline_ms` optional; blank and `#` lines skipped).
+/// Per-job failures (parse errors, deadline `unknown`s, even panics)
+/// become error/unknown *results*; a malformed JSONL line likewise
+/// becomes a per-line error record (`"id":"line-N"`) rather than
+/// aborting the batch. The process only fails when the batch itself
+/// cannot run. The final stdout line is a `{"stats": …}` object; a
+/// human-readable summary goes to stderr unless `--quiet`.
+/// `--threads N` sizes the worker pool (0 = one per core) and
+/// `--shed-depth N` sheds jobs beyond a queue depth with fast
+/// `overloaded` answers.
 fn cmd_batch(args: &Args) -> Result<String, CliError> {
     let jobs_path = args.optional("jobs");
     let results_path = args.optional("results");
     let deadline_ms = parse_numeric(args, "deadline-ms")?;
-    let chaos = match args.optional("chaos") {
-        None => None,
-        Some(spec) => Some(FaultPlan::parse(&spec).map_err(CliError::Usage)?),
-    };
-    if chaos.is_some() {
-        quiet_injected_panics();
-    }
+    let threads = parse_numeric(args, "threads")?.unwrap_or(0);
     let quiet = args.flag("quiet");
     let trace_path = args.optional("trace");
-    let mut known = vec!["jobs", "results", "deadline-ms", "chaos", "quiet", "trace"];
+    let mut known = vec![
+        "jobs",
+        "results",
+        "deadline-ms",
+        "threads",
+        "quiet",
+        "trace",
+    ];
     known.extend_from_slice(ENGINE_ARGS);
     args.finish(&known)?;
 
@@ -877,7 +845,7 @@ fn cmd_batch(args: &Args) -> Result<String, CliError> {
     }
 
     let mut config = engine_config_from_args(args)?;
-    config.chaos = chaos;
+    config.threads = threads;
     // --trace tees every engine event into a JSONL file (the durable
     // log, checkable with `pathcons trace-check`) and an in-memory
     // aggregate (the profile printed to stderr).

@@ -6,7 +6,7 @@ use crate::certify::certify;
 use crate::certwire;
 use crate::executor;
 use crate::json::Json;
-use crate::resilience::{self, FaultKind, FaultPlan, RetryPolicy, ShedPolicy};
+use crate::resilience::{self, ShedPolicy};
 use pathcons_cert::{self as cert, Certificate, CertificateBody};
 use pathcons_constraints::PathConstraint;
 use pathcons_core::{
@@ -52,16 +52,9 @@ pub struct EngineConfig {
     pub verify: VerifyMode,
     /// Base budget for every job (per-job deadlines are layered on top).
     pub budget: Budget,
-    /// Supervised-recovery policy: how often a panicked job is retried
-    /// and how its backoff grows.
-    pub retry: RetryPolicy,
     /// Admission-control policy: when to shed load with fast
     /// `Unknown(Overloaded)` answers.
     pub shed: ShedPolicy,
-    /// Deterministic fault-injection schedule. `None` (the default and
-    /// the production setting) injects nothing; the CLI installs a plan
-    /// only under `--chaos seed=N`.
-    pub chaos: Option<FaultPlan>,
 }
 
 impl Default for EngineConfig {
@@ -71,9 +64,7 @@ impl Default for EngineConfig {
             cache_capacity: 4096,
             verify: VerifyMode::Off,
             budget: Budget::default(),
-            retry: RetryPolicy::default(),
             shed: ShedPolicy::unlimited(),
-            chaos: None,
         }
     }
 }
@@ -308,39 +299,31 @@ impl BatchEngine {
         };
 
         let queued_expired = AtomicU64::new(0);
-        let (outcomes, exec) = executor::run_supervised(
-            threads,
-            jobs,
-            &self.config.retry,
-            &deadlines,
-            &|idx, attempt, job: Job| {
-                let request_id = job.request_id.clone();
-                let mut result = self.run_one(idx, attempt, job, deadlines[idx], &queued_expired);
-                // A result that does not echo its own job id is a bug.
-                // Treat it exactly like a job panic: the supervisor
-                // respawns the worker and retries the job rather than
-                // attributing the answer to the wrong id.
-                assert_eq!(
-                    result.id, ids[idx],
-                    "malformed result for job {idx}: wrong id"
-                );
-                result.request_id = request_id;
-                result
-            },
-        );
+        let outcomes = executor::run_jobs(threads, jobs, &|idx, job: Job| {
+            let request_id = job.request_id.clone();
+            let mut result = self.run_one(job, deadlines[idx], &queued_expired);
+            // A result that does not echo its own job id is a bug.
+            // Treat it exactly like a job panic: an `error` result under
+            // the job's own id, never an answer attributed to the wrong
+            // id.
+            assert_eq!(
+                result.id, ids[idx],
+                "malformed result for job {idx}: wrong id"
+            );
+            result.request_id = request_id;
+            result
+        });
 
         let mut results: Vec<JobResult> = outcomes
             .into_iter()
             .zip(ids)
             .zip(request_ids)
             .map(|((outcome, id), request_id)| {
-                outcome.unwrap_or(JobResult {
+                outcome.unwrap_or_else(|message| JobResult {
                     id,
                     verdict: Verdict::Error,
                     method: None,
-                    detail: Some(
-                        "job panicked and was not recovered within the retry budget".to_owned(),
-                    ),
+                    detail: Some(format!("job panicked: {message}")),
                     unknown_kind: None,
                     unknown_phase: None,
                     cache: None,
@@ -371,13 +354,8 @@ impl BatchEngine {
             self.cache_snapshot().0,
             stats_before,
             wall_start.elapsed(),
-            ResilienceTallies {
-                respawns: exec.respawns,
-                retries: exec.retries,
-                abandoned: exec.abandoned,
-                shed: shed as u64,
-                queued_expired: queued_expired.load(Ordering::Relaxed),
-            },
+            shed as u64,
+            queued_expired.load(Ordering::Relaxed),
         );
         if let Some(rec) = rec {
             rec.event(
@@ -395,8 +373,6 @@ impl BatchEngine {
                     ("wall_micros", stats.wall_micros),
                     ("p50_micros", stats.p50_micros),
                     ("p99_micros", stats.p99_micros),
-                    ("respawns", stats.respawns),
-                    ("retries", stats.retries),
                     ("shed", stats.shed),
                     ("queued_expired", stats.queued_expired),
                     ("validation_evictions", stats.validation_evictions),
@@ -409,17 +385,11 @@ impl BatchEngine {
             // recovery actions: its `phase.*` fields partition
             // `steps_total`, so `trace-check` validates it like any
             // solver attribution.
-            let steps = stats.respawns
-                + stats.retries
-                + stats.shed
-                + stats.queued_expired
-                + stats.validation_evictions;
+            let steps = stats.shed + stats.queued_expired + stats.validation_evictions;
             rec.event(
                 schema::EVENT_ATTRIBUTION,
                 &[
                     (schema::FIELD_STEPS_TOTAL, steps),
-                    (schema::PHASE_RESPAWN, stats.respawns),
-                    (schema::PHASE_RETRY, stats.retries),
                     (schema::PHASE_SHED, stats.shed),
                     (schema::PHASE_DEADLINE_QUEUE, stats.queued_expired),
                     (schema::PHASE_VALIDATION_EVICT, stats.validation_evictions),
@@ -465,12 +435,9 @@ impl BatchEngine {
     /// Runs one job on a worker: parse, solve through the cache, shape
     /// the result. `deadline_at` is the job's absolute deadline (armed
     /// at admission); `queued_expired` counts deadline fast-path
-    /// answers. Chaos faults (if a plan is installed) fire only on
-    /// attempt 0, so supervised retries always run clean.
+    /// answers.
     fn run_one(
         &self,
-        idx: usize,
-        attempt: usize,
         job: Job,
         deadline_at: Option<Instant>,
         queued_expired: &AtomicU64,
@@ -480,31 +447,27 @@ impl BatchEngine {
         let _span = rec.map(|r| SpanGuard::enter(r, "batch.job"));
         let start = Instant::now();
 
-        let fault = self
-            .config
-            .chaos
-            .as_ref()
-            .and_then(|plan| plan.fault_for(idx, attempt));
-        if fault == Some(FaultKind::Panic) {
-            panic!("chaos: injected panic (job {idx})");
-        }
-        if fault == Some(FaultKind::Stall) {
-            if let Some(plan) = &self.config.chaos {
-                std::thread::sleep(plan.stall_duration(idx));
-            }
-            // The stalled worker gives up as if the deadline supervisor
-            // cut it off: deterministic, honest, and never cached.
-            return deadline_result(job.id, start);
-        }
-
         // Deadline-expired-in-queue fast path: a job whose absolute
         // deadline passed while it waited is answered immediately — it
         // must not occupy a worker slot solving a query whose caller
-        // has already given up.
+        // has already given up. Its detail matches the solver's own
+        // `DeadlineExceeded` rendering, it is never cached, and `micros`
+        // covers only the time it actually spent.
         if let Some(deadline) = deadline_at {
             if Instant::now() >= deadline {
                 queued_expired.fetch_add(1, Ordering::Relaxed);
-                return deadline_result(job.id, start);
+                return JobResult {
+                    id: job.id,
+                    verdict: Verdict::Unknown,
+                    method: None,
+                    detail: Some(UnknownReason::DeadlineExceeded.to_string()),
+                    unknown_kind: Some("deadline".to_owned()),
+                    unknown_phase: None,
+                    cache: None,
+                    certificate: None,
+                    request_id: None,
+                    micros: start.elapsed().as_micros() as u64,
+                };
             }
         }
 
@@ -593,30 +556,6 @@ impl BatchEngine {
                 }
             }
         }
-    }
-}
-
-/// The result shape shared by the two deadline-induced early exits
-/// (expired-in-queue and chaos stall): an uncached `Unknown` whose
-/// detail matches the solver's own `DeadlineExceeded` rendering.
-///
-/// `micros` is measured *here*, once, at result construction — the
-/// single measurement point for the whole deadline path. (It used to be
-/// computed at each call site; the two points could drift, and a job
-/// expired in queue must report only the time it actually spent, never
-/// solver time it never reached.)
-fn deadline_result(id: String, start: Instant) -> JobResult {
-    JobResult {
-        id,
-        verdict: Verdict::Unknown,
-        method: None,
-        detail: Some(UnknownReason::DeadlineExceeded.to_string()),
-        unknown_kind: Some("deadline".to_owned()),
-        unknown_phase: None,
-        cache: None,
-        certificate: None,
-        request_id: None,
-        micros: start.elapsed().as_micros() as u64,
     }
 }
 
@@ -1074,12 +1013,6 @@ pub struct BatchStats {
     pub wall_micros: u64,
     /// Verify-mode disagreements observed during the batch.
     pub verify_mismatches: u64,
-    /// Replacement workers spawned after job panics.
-    pub respawns: u64,
-    /// Panicked jobs requeued and re-run.
-    pub retries: u64,
-    /// Panicked jobs given up on (retry budget or deadline).
-    pub abandoned: u64,
     /// Jobs shed by the admission controller (`Unknown(Overloaded)`).
     pub shed: u64,
     /// Jobs whose deadline expired while queued, answered without
@@ -1094,24 +1027,14 @@ pub struct BatchStats {
     pub cert_invalid: u64,
 }
 
-/// Recovery-action tallies handed from `run_batch` to
-/// [`BatchStats::collect`] (executor counters plus admission-control
-/// counts that no cache snapshot carries).
-struct ResilienceTallies {
-    respawns: u64,
-    retries: u64,
-    abandoned: u64,
-    shed: u64,
-    queued_expired: u64,
-}
-
 impl BatchStats {
     fn collect(
         results: &[JobResult],
         after: CacheStats,
         before: CacheStats,
         wall: Duration,
-        tallies: ResilienceTallies,
+        shed: u64,
+        queued_expired: u64,
     ) -> BatchStats {
         let mut latencies: Vec<u64> = results.iter().map(|r| r.micros).collect();
         latencies.sort_unstable();
@@ -1137,11 +1060,8 @@ impl BatchStats {
             max_micros: latencies.last().copied().unwrap_or(0),
             wall_micros: wall.as_micros() as u64,
             verify_mismatches: after.verify_mismatches - before.verify_mismatches,
-            respawns: tallies.respawns,
-            retries: tallies.retries,
-            abandoned: tallies.abandoned,
-            shed: tallies.shed,
-            queued_expired: tallies.queued_expired,
+            shed,
+            queued_expired,
             validation_evictions: after.validation_evictions - before.validation_evictions,
             checked_hits: after.checked_hits - before.checked_hits,
             cert_invalid: after.cert_invalid - before.cert_invalid,
@@ -1179,9 +1099,6 @@ impl BatchStats {
                     "verify_mismatches".to_owned(),
                     Json::Num(self.verify_mismatches as f64),
                 ),
-                ("respawns".to_owned(), Json::Num(self.respawns as f64)),
-                ("retries".to_owned(), Json::Num(self.retries as f64)),
-                ("abandoned".to_owned(), Json::Num(self.abandoned as f64)),
                 ("shed".to_owned(), Json::Num(self.shed as f64)),
                 (
                     "queued_expired".to_owned(),
@@ -1248,9 +1165,6 @@ impl BatchStats {
     fn render_resilience(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
         for (count, noun) in [
-            (self.respawns, "respawns"),
-            (self.retries, "retries"),
-            (self.abandoned, "abandoned"),
             (self.shed, "shed"),
             (self.queued_expired, "expired in queue"),
             (self.validation_evictions, "validation evictions"),
@@ -1623,39 +1537,6 @@ mod tests {
         let (stats, _) = engine.cache_snapshot();
         assert_eq!(stats.cert_invalid, 1);
         assert_eq!(stats.checked_hits, 0);
-    }
-
-    #[test]
-    fn stalled_jobs_report_wall_time_actually_spent() {
-        // Regression: `micros` used to be measured at a different point
-        // from the deadline decision, so a stalled job could report
-        // solver time it never spent. The stall fault sleeps 1–4 ms;
-        // the reported latency must cover it.
-        let engine = BatchEngine::new(EngineConfig {
-            chaos: Some(
-                FaultPlan::from_seed(1)
-                    .with_rate(256)
-                    .with_kind(FaultKind::Stall),
-            ),
-            ..EngineConfig::default()
-        });
-        let job = Job {
-            id: "stalled".into(),
-            context: String::new(),
-            sigma: vec!["a -> b".into()],
-            phi: "a -> b".into(),
-            deadline_ms: None,
-            request_id: None,
-        };
-        let report = engine.run_batch(vec![job]);
-        let result = &report.results[0];
-        assert_eq!(result.verdict, Verdict::Unknown);
-        assert_eq!(result.unknown_kind.as_deref(), Some("deadline"));
-        assert!(
-            result.micros >= 1000,
-            "stalled ≥ 1 ms but reported {} µs",
-            result.micros
-        );
     }
 
     #[test]

@@ -1,274 +1,70 @@
-//! The work-stealing batch executor, with supervised recovery.
+//! The batch executor: a scoped pool of `std::thread` workers.
 //!
-//! A fixed pool of `std::thread` workers, each with its own deque:
-//! jobs are dealt round-robin, a worker pops from the front of its own
-//! deque and, when that runs dry, steals from the *back* of a
-//! neighbour's — the classic split that keeps owners and thieves on
-//! opposite ends. Because a batch is a closed set of jobs (nothing is
-//! spawned mid-flight), a worker that finds every deque empty can
-//! retire immediately.
-//!
-//! Every job runs under `catch_unwind`, and a panicking job is treated
-//! as a **worker death**: the worker reports the in-flight job to the
-//! supervisor and exits, the supervisor respawns a replacement on the
-//! dead worker's deque and — within a bounded retry budget and only
-//! while the job's deadline still leaves room for the exponential
-//! backoff — requeues the job for another attempt. A job whose retries
-//! are exhausted (or pointless) yields `None` in its result slot; the
-//! rest of the batch is unaffected either way. With one worker and no
-//! faults, jobs run in submission order — the determinism baseline the
-//! tests compare multi-threaded runs against.
+//! Workers take the next job index from one shared cursor until the
+//! batch is drained. A batch is a closed set of jobs (nothing is spawned
+//! mid-flight), so the cursor balances load on its own: a worker held by
+//! a slow job simply takes fewer of the rest. Every job runs under
+//! `catch_unwind`, so a panicking job fills its own slot with the panic
+//! message and never touches its siblings. The solver is deterministic,
+//! so a panic would recur on every attempt; nothing is retried. With one
+//! worker, jobs run in submission order.
 
-use crate::resilience::RetryPolicy;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// Supervision counters for one executor run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Worker deaths observed (each one is a job panic).
-    pub panics: u64,
-    /// Replacement workers spawned after a death.
-    pub respawns: u64,
-    /// Panicked jobs requeued for another attempt.
-    pub retries: u64,
-    /// Panicked jobs given up on (retry budget exhausted, or the
-    /// backoff would land past the job's deadline).
-    pub abandoned: u64,
-}
-
-/// A queued job: its input-order index, which attempt this is, an
-/// optional earliest start (retry backoff), and the payload.
-struct Queued<T> {
-    idx: usize,
-    attempt: usize,
-    ready_at: Option<Instant>,
-    item: T,
-}
-
-/// A worker's terminal report to the supervisor.
-enum Event<T> {
-    /// All deques were empty; the worker exited normally.
-    Retired,
-    /// A job panicked; the worker is dead. `item` is a pre-panic clone
-    /// of the job when the retry budget made one worth taking.
-    Died {
-        worker: usize,
-        idx: usize,
-        attempt: usize,
-        item: Option<T>,
-    },
-}
-
-/// Runs `worker` over `items` on `threads` workers (clamped to at least
-/// one and at most one per item), under supervision: panicked workers
-/// are respawned and their job retried per `policy`. Returns one slot
-/// per item in input order (`None` iff every attempt panicked or the
-/// job was abandoned), plus the supervision counters.
-///
-/// `deadlines` gives each job an optional absolute give-up instant: a
-/// retry whose backoff would complete after it is not attempted
-/// (`deadlines` may be shorter than `items`; missing entries mean no
-/// deadline). The worker receives `(input index, attempt, item)`.
-pub fn run_supervised<T, R, F>(
-    threads: usize,
-    items: Vec<T>,
-    policy: &RetryPolicy,
-    deadlines: &[Option<Instant>],
-    worker: &F,
-) -> (Vec<Option<R>>, ExecStats)
+/// Runs `job` over `items` on `threads` workers (clamped to at least one
+/// and at most one per item). The job receives `(input index, item)`.
+/// Returns one slot per item, in input order: the job's result, or the
+/// panic message if it panicked.
+pub fn run_jobs<T, R, F>(threads: usize, items: Vec<T>, job: &F) -> Vec<Result<R, String>>
 where
-    T: Clone + Send,
-    R: Send,
-    F: Fn(usize, usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let mut stats = ExecStats::default();
-    if n == 0 {
-        return (Vec::new(), stats);
-    }
-    let threads = threads.clamp(1, n);
-
-    let deques: Vec<Mutex<VecDeque<Queued<T>>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        lock_queue(&deques[i % threads]).push_back(Queued {
-            idx: i,
-            attempt: 0,
-            ready_at: None,
-            item,
-        });
-    }
-
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let (tx, rx) = mpsc::channel::<Event<T>>();
-
-    std::thread::scope(|scope| {
-        let deques = &deques;
-        let results = &results;
-        let spawn_worker = |me: usize| {
-            let tx = tx.clone();
-            scope.spawn(move || worker_loop(me, deques, results, policy, worker, &tx));
-        };
-        for me in 0..threads {
-            spawn_worker(me);
-        }
-
-        // The supervisor: every worker sends exactly one terminal event,
-        // and a death spawns exactly one replacement, so counting active
-        // workers down to zero is a sound termination condition.
-        let mut active = threads;
-        while active > 0 {
-            let Ok(event) = rx.recv() else {
-                break; // unreachable: we hold a sender; defensive only
-            };
-            match event {
-                Event::Retired => active -= 1,
-                Event::Died {
-                    worker,
-                    idx,
-                    attempt,
-                    item,
-                } => {
-                    stats.panics += 1;
-                    let mut requeued = false;
-                    if let Some(item) = item {
-                        let backoff = policy.backoff(attempt);
-                        let ready_at = Instant::now() + backoff;
-                        let worth_it = deadlines
-                            .get(idx)
-                            .copied()
-                            .flatten()
-                            .map_or(true, |deadline| ready_at < deadline);
-                        if worth_it {
-                            lock_queue(&deques[worker]).push_back(Queued {
-                                idx,
-                                attempt: attempt + 1,
-                                ready_at: Some(ready_at),
-                                item,
-                            });
-                            stats.retries += 1;
-                            requeued = true;
-                        }
-                    }
-                    if !requeued {
-                        stats.abandoned += 1;
-                    }
-                    // Respawn *after* requeueing, so the replacement is
-                    // guaranteed to see the retried job even if every
-                    // other worker has already retired.
-                    stats.respawns += 1;
-                    spawn_worker(worker);
-                }
-            }
-        }
-    });
-
-    let slots = results
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect();
-    (slots, stats)
-}
-
-fn worker_loop<T, R, F>(
-    me: usize,
-    deques: &[Mutex<VecDeque<Queued<T>>>],
-    results: &[Mutex<Option<R>>],
-    policy: &RetryPolicy,
-    worker: &F,
-    tx: &mpsc::Sender<Event<T>>,
-) where
-    T: Clone + Send,
-    R: Send,
-    F: Fn(usize, usize, T) -> R + Sync,
-{
-    loop {
-        let job = pop_own(&deques[me]).or_else(|| steal(deques, me));
-        let Some(q) = job else {
-            let _ = tx.send(Event::Retired);
-            return;
-        };
-        // Honor the retry backoff. Retries are rare and the backoff is
-        // capped, so sleeping here (rather than re-shuffling queues) is
-        // the simple and sufficient choice.
-        if let Some(ready_at) = q.ready_at {
-            let now = Instant::now();
-            if ready_at > now {
-                std::thread::sleep(ready_at - now);
-            }
-        }
-        // Clone only when a retry is still possible; the terminal
-        // attempt runs clone-free.
-        let backup = (q.attempt < policy.max_retries).then(|| q.item.clone());
-        match catch_unwind(AssertUnwindSafe(|| worker(q.idx, q.attempt, q.item))) {
-            Ok(r) => {
-                *lock_slot(&results[q.idx]) = Some(r);
-            }
-            Err(_) => {
-                // This worker is dead; the supervisor takes over.
-                let _ = tx.send(Event::Died {
-                    worker: me,
-                    idx: q.idx,
-                    attempt: q.attempt,
-                    item: backup,
-                });
-                return;
-            }
-        }
-    }
-}
-
-/// Runs `worker` over `items` without retries: one attempt per item, a
-/// `None` slot iff that attempt panicked. (The classic pre-supervision
-/// surface, kept for callers that manage recovery themselves.)
-pub fn run_jobs<T, R, F>(threads: usize, items: Vec<T>, worker: &F) -> Vec<Option<R>>
-where
-    T: Clone + Send,
+    T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let (slots, _) = run_supervised(
-        threads,
-        items,
-        &RetryPolicy::none(),
-        &[],
-        &|idx, _attempt, item| worker(idx, item),
-    );
-    slots
+    let threads = threads.clamp(1, items.len().max(1));
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = items.get(idx) else {
+                return done;
+            };
+            let item = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+            let item = item.expect("the cursor hands out each index once");
+            let outcome = catch_unwind(AssertUnwindSafe(|| job(idx, item)));
+            done.push((idx, outcome.map_err(panic_message)));
+        }
+    };
+    let mut done: Vec<(usize, Result<R, String>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("job panics are caught inside the worker"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|(idx, _)| *idx);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
-/// Locks a deque, shrugging off poisoning: the queue itself is a plain
-/// `VecDeque` that no panic can tear mid-operation (jobs run outside
-/// the lock), so a poisoned mutex still guards consistent data.
-fn lock_queue<T>(deque: &Mutex<VecDeque<Queued<T>>>) -> MutexGuard<'_, VecDeque<Queued<T>>> {
-    deque.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Locks a result slot; same poisoning argument as [`lock_queue`].
-fn lock_slot<R>(slot: &Mutex<Option<R>>) -> MutexGuard<'_, Option<R>> {
-    slot.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn pop_own<T>(deque: &Mutex<VecDeque<Queued<T>>>) -> Option<Queued<T>> {
-    lock_queue(deque).pop_front()
-}
-
-fn steal<T>(deques: &[Mutex<VecDeque<Queued<T>>>], me: usize) -> Option<Queued<T>> {
-    let n = deques.len();
-    (1..n)
-        .map(|offset| &deques[(me + offset) % n])
-        .find_map(|victim| lock_queue(victim).pop_back())
+/// The text of a panic payload (`panic!` yields `&str` or `String`).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().map_or_else(
+            || "non-string panic payload".to_owned(),
+            |s| (*s).to_owned(),
+        ),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn all_items_are_processed_once() {
@@ -278,9 +74,7 @@ mod tests {
             x * 2
         });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r, Some(i as i32 * 2));
-        }
+        assert_eq!(results, (0..100).map(|x| Ok(x * 2)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -291,11 +85,11 @@ mod tests {
             }
             x
         });
-        for (i, r) in results.iter().enumerate() {
+        for (i, r) in results.into_iter().enumerate() {
             if i % 4 == 1 {
-                assert!(r.is_none(), "panicked job {i} must yield None");
+                assert_eq!(r, Err(format!("job {i} exploded")), "the message is kept");
             } else {
-                assert_eq!(*r, Some(i as i32));
+                assert_eq!(r, Ok(i as i32));
             }
         }
     }
@@ -310,96 +104,27 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_from_loaded_ones() {
-        // One slow job pins a worker; the other worker must drain the
-        // rest (including those dealt to the pinned worker's deque).
-        let slow_done = AtomicUsize::new(0);
+    fn a_slow_job_does_not_stop_the_others_draining() {
+        // Job 0 holds one worker until the other seven have finished,
+        // which only the second worker can do.
+        let finished = AtomicUsize::new(0);
         let results = run_jobs(2, (0..8).collect(), &|_, x: i32| {
             if x == 0 {
-                std::thread::sleep(Duration::from_millis(50));
-                slow_done.store(1, Ordering::Relaxed);
+                let start = Instant::now();
+                while finished.load(Ordering::SeqCst) < 7 && start.elapsed().as_secs() < 10 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                return finished.load(Ordering::SeqCst);
             }
-            x
+            finished.fetch_add(1, Ordering::SeqCst);
+            1
         });
-        assert!(results.iter().all(|r| r.is_some()));
+        assert_eq!(results[0], Ok(7), "the rest drained while job 0 ran");
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let results: Vec<Option<i32>> = run_jobs(4, Vec::<i32>::new(), &|_, x| x);
+        let results: Vec<Result<i32, String>> = run_jobs(4, Vec::<i32>::new(), &|_, x| x);
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn supervisor_respawns_and_retries_until_success() {
-        // Every job panics on its first attempt; with one retry allowed
-        // the whole batch must still complete, through respawned
-        // workers.
-        let policy = RetryPolicy {
-            max_retries: 1,
-            backoff_base: Duration::from_micros(100),
-            backoff_cap: Duration::from_millis(1),
-        };
-        let (slots, stats) =
-            run_supervised(3, (0..12).collect(), &policy, &[], &|_, attempt, x: i32| {
-                if attempt == 0 {
-                    panic!("first attempt of {x} dies");
-                }
-                x * 10
-            });
-        for (i, slot) in slots.iter().enumerate() {
-            assert_eq!(*slot, Some(i as i32 * 10), "job {i} recovered on retry");
-        }
-        assert_eq!(stats.panics, 12);
-        assert_eq!(stats.respawns, 12);
-        assert_eq!(stats.retries, 12);
-        assert_eq!(stats.abandoned, 0);
-    }
-
-    #[test]
-    fn retry_budget_bounds_attempts() {
-        // One incurably panicking job: attempts = 1 + max_retries, then
-        // the job is abandoned with a None slot; siblings are unharmed.
-        let attempts = AtomicUsize::new(0);
-        let policy = RetryPolicy {
-            max_retries: 2,
-            backoff_base: Duration::from_micros(100),
-            backoff_cap: Duration::from_millis(1),
-        };
-        let (slots, stats) = run_supervised(2, (0..6).collect(), &policy, &[], &|_, _, x: i32| {
-            if x == 3 {
-                attempts.fetch_add(1, Ordering::Relaxed);
-                panic!("job 3 always dies");
-            }
-            x
-        });
-        assert_eq!(attempts.load(Ordering::Relaxed), 3);
-        assert!(slots[3].is_none());
-        assert_eq!(slots.iter().filter(|s| s.is_some()).count(), 5);
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.abandoned, 1);
-        assert_eq!(stats.respawns, 3);
-    }
-
-    #[test]
-    fn backoff_past_deadline_skips_the_retry() {
-        // The job's deadline already passed, so a retry is pointless:
-        // the supervisor abandons instead of requeueing.
-        let attempts = AtomicUsize::new(0);
-        let deadlines = vec![Some(Instant::now() - Duration::from_millis(1))];
-        let (slots, stats) = run_supervised(
-            1,
-            vec![0i32],
-            &RetryPolicy::default(),
-            &deadlines,
-            &|_, _, _: i32| -> i32 {
-                attempts.fetch_add(1, Ordering::Relaxed);
-                panic!("dies");
-            },
-        );
-        assert_eq!(attempts.load(Ordering::Relaxed), 1, "no retry attempted");
-        assert!(slots[0].is_none());
-        assert_eq!(stats.retries, 0);
-        assert_eq!(stats.abandoned, 1);
     }
 }

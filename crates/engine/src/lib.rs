@@ -14,18 +14,14 @@
 //!   into the asking query's label space. A bounded LRU with
 //!   hit/miss/eviction counters, plus a verify mode that re-solves
 //!   every hit and counts disagreements.
-//! - **Work-stealing executor** ([`executor`]): a small `std::thread`
-//!   pool fans a `Vec<Job>` across cores; each job runs under
-//!   `catch_unwind`, so a panicking job becomes an error result and
-//!   never takes the batch down. A supervisor respawns dead workers
-//!   and retries their jobs within a bounded, deadline-aware budget
-//!   ([`executor::run_supervised`]).
-//! - **Resilience layer** ([`resilience`]): deterministic fault
-//!   injection (`--chaos seed=N`), retry/backoff and load-shedding
-//!   policies, and a hit-validator that structurally checks cached
-//!   answers before they are served. The injector covers the failures
-//!   safe Rust can have: worker panics and solver stalls. A poisoned
-//!   cache lock is cleared once and the cache emptied.
+//! - **Executor** ([`executor`]): a small scoped `std::thread` pool
+//!   fans a `Vec<Job>` across cores from one shared cursor; each job
+//!   runs under `catch_unwind`, so a panicking job becomes an `error`
+//!   result carrying its panic message and never takes the batch down.
+//! - **Resilience layer** ([`resilience`]): the load-shedding policy
+//!   and a hit-validator that structurally checks cached answers
+//!   before they are served. A poisoned cache lock is cleared once and
+//!   the cache emptied.
 //! - **Deadline budgets** (in `pathcons_core`): `Budget::with_deadline`
 //!   arms a wall-clock cut-off (plus optional cancellation flag)
 //!   checked inside the chase and search loops; an out-of-time job
@@ -66,6 +62,5 @@ pub use cache::{AnswerCache, CacheStats, CachedEntry};
 pub use canon::{canonicalize, snapshot_id, CanonicalQuery, ContextKey, QueryKey, Renaming};
 pub use certify::certify;
 pub use certwire::{certificate_from_json, certificate_to_json};
-pub use executor::ExecStats;
 pub use json::{Json, JsonError};
-pub use resilience::{validate_hit, FaultKind, FaultPlan, HitInvalid, RetryPolicy, ShedPolicy};
+pub use resilience::{validate_hit, HitInvalid, ShedPolicy};

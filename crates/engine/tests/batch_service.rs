@@ -2,24 +2,32 @@
 //! realistic (repeated / near-duplicate) workloads, and deadline
 //! isolation for deliberately hard undecidable jobs.
 
-use pathcons_engine::{BatchEngine, EngineConfig, Job, Verdict};
-use std::collections::BTreeMap;
+use pathcons_core::Budget;
+use pathcons_engine::{BatchEngine, EngineConfig, Job, JobResult, Verdict};
 
-/// A workload of `n` jobs cycling through a few query shapes, with
-/// label names rotated so most repeats are alpha-variants rather than
-/// byte-identical queries.
+/// (Σ, φ, context) templates over placeholder labels A/B/C, all in
+/// decidable untyped fragments.
+const TEMPLATES: &[(&[&str], &str, &str)] = &[
+    (&["A -> B", "B -> C"], "A -> C", ""),
+    (&["A -> B"], "B -> A", ""),
+    (&["A -> B", "B -> A"], "A -> A", ""),
+    (&["A: B -> C"], "A: B -> C", ""),
+    (&["A -> A.B"], "A.B -> A", ""),
+    (&["A.B -> C", "C -> A"], "A.B -> A", ""),
+    (&["B -> A", "C -> B"], "C -> A", ""),
+    (&["A -> B.C"], "A -> B", ""),
+];
+
+/// A workload of `n` jobs cycling through the decidable [`TEMPLATES`].
 fn workload(n: usize) -> Vec<Job> {
-    // (Σ, φ) templates over placeholder labels A/B/C.
-    let templates: &[(&[&str], &str)] = &[
-        (&["A -> B", "B -> C"], "A -> C"),
-        (&["A -> B"], "B -> A"),
-        (&["A -> B", "B -> A"], "A -> A"),
-        (&["A: B -> C"], "A: B -> C"),
-        (&["A -> A.B"], "A.B -> A"),
-        (&["A.B -> C", "C -> A"], "A.B -> A"),
-        (&["B -> A", "C -> B"], "C -> A"),
-        (&["A -> B.C"], "A -> B"),
-    ];
+    instantiate(n, TEMPLATES)
+}
+
+/// `n` jobs cycling through `templates`, with label names rotated so
+/// most repeats are alpha-variants rather than byte-identical queries.
+/// Schema-context templates use the schema's own lower-case labels,
+/// which the A/B/C rotation leaves alone.
+fn instantiate(n: usize, templates: &[(&[&str], &str, &str)]) -> Vec<Job> {
     // Rotating label alphabets: same shapes, different names.
     let alphabets: &[[&str; 3]] = &[
         ["a", "b", "c"],
@@ -30,7 +38,7 @@ fn workload(n: usize) -> Vec<Job> {
     ];
     (0..n)
         .map(|i| {
-            let (sigma, phi) = templates[i % templates.len()];
+            let (sigma, phi, context) = templates[i % templates.len()];
             let names = alphabets[(i / templates.len()) % alphabets.len()];
             let instantiate = |text: &str| {
                 text.replace('A', names[0])
@@ -39,7 +47,7 @@ fn workload(n: usize) -> Vec<Job> {
             };
             Job {
                 id: format!("job-{i}"),
-                context: String::new(),
+                context: context.to_owned(),
                 sigma: sigma.iter().map(|s| instantiate(s)).collect(),
                 phi: instantiate(phi),
                 deadline_ms: None,
@@ -49,37 +57,51 @@ fn workload(n: usize) -> Vec<Job> {
         .collect()
 }
 
-/// The observable answer of a batch as a multiset of (id, verdict).
-fn verdict_multiset(engine: &BatchEngine, jobs: Vec<Job>) -> BTreeMap<(String, Verdict), usize> {
-    let report = engine.run_batch(jobs);
-    let mut multiset = BTreeMap::new();
-    for result in report.results {
-        *multiset.entry((result.id, result.verdict)).or_insert(0) += 1;
-    }
-    multiset
+/// The deterministic part of a result: everything except cache
+/// hit/miss and latency, which legitimately vary with scheduling.
+fn signature(result: &JobResult) -> (String, Verdict, Option<String>, Option<String>) {
+    (
+        result.id.clone(),
+        result.verdict,
+        result.method.clone(),
+        result.unknown_kind.clone(),
+    )
 }
 
 #[test]
 fn parallel_batches_are_deterministic() {
-    // Satellite: N-thread batches return the same multiset of answers
-    // as the 1-thread baseline, cold cache each time.
-    let jobs = workload(120);
-    let baseline = verdict_multiset(
-        &BatchEngine::new(EngineConfig {
-            threads: 1,
+    // The thread count never changes an answer: N-thread batches give
+    // every job the same (id, verdict, method, unknown_kind), in input
+    // order, as the 1-thread baseline, cold cache each time. Besides
+    // the decidable templates, the workload mixes in a schema context
+    // and an instance of general P_c, which is undecidable: only the
+    // budget-bounded semi-deciders (chase, seeded search) answer it.
+    let mut templates = TEMPLATES.to_vec();
+    templates.push((
+        &["book.author.wrote -> book"],
+        "book -> book.author.wrote",
+        "m-bibliography",
+    ));
+    templates.push((&["p: A -> A.B", "p: B <- C"], "p: A -> C", ""));
+    let jobs = instantiate(150, &templates);
+    let run = |threads: usize| -> Vec<_> {
+        let engine = BatchEngine::new(EngineConfig {
+            threads,
+            budget: Budget::small(),
             ..EngineConfig::default()
-        }),
-        jobs.clone(),
-    );
+        });
+        engine
+            .run_batch(jobs.clone())
+            .results
+            .iter()
+            .map(signature)
+            .collect()
+    };
+    let baseline = run(1);
+    assert_eq!(baseline.len(), jobs.len());
+    assert!(baseline.iter().all(|s| s.1 != Verdict::Error));
     for threads in [2, 4, 8] {
-        let parallel = verdict_multiset(
-            &BatchEngine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            }),
-            jobs.clone(),
-        );
-        assert_eq!(baseline, parallel, "{threads}-thread batch diverged");
+        assert_eq!(baseline, run(threads), "{threads}-thread batch diverged");
     }
 }
 

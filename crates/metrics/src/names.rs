@@ -16,6 +16,12 @@ pub const CONNECTIONS_TOTAL: &str = "pathcons_connections_total";
 /// Help for [`CONNECTIONS_TOTAL`].
 pub const CONNECTIONS_TOTAL_HELP: &str = "Connections accepted";
 
+/// Failed accepts on either listener, each retried after a back-off
+/// (counter).
+pub const ACCEPT_ERRORS_TOTAL: &str = "pathcons_accept_errors_total";
+/// Help for [`ACCEPT_ERRORS_TOTAL`].
+pub const ACCEPT_ERRORS_TOTAL_HELP: &str = "Failed accepts retried after a back-off";
+
 /// Malformed request lines rejected (counter).
 pub const MALFORMED_TOTAL: &str = "pathcons_malformed_total";
 /// Help for [`MALFORMED_TOTAL`].
@@ -81,7 +87,7 @@ pub const SOLVE_MICROS_HELP: &str = "Solver latency per answered job in microsec
 pub const RESILIENCE_TOTAL: &str = "pathcons_resilience_total";
 /// Help for [`RESILIENCE_TOTAL`].
 pub const RESILIENCE_TOTAL_HELP: &str =
-    "Resilience events (respawn, retry, abandoned, shed, queued_expired, validation_evict)";
+    "Resilience events (validation_evict: cached answers the hit-validator rejected)";
 
 /// Answer-cache resident entries (gauge, set at scrape time).
 pub const CACHE_ENTRIES: &str = "pathcons_cache_entries";

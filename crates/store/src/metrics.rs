@@ -166,6 +166,13 @@ impl MetricsPlane {
             c(serve.connections),
         );
         snap.set(
+            names::ACCEPT_ERRORS_TOTAL,
+            Counter,
+            names::ACCEPT_ERRORS_TOTAL_HELP,
+            vec![],
+            c(serve.accept_errors),
+        );
+        snap.set(
             names::MALFORMED_TOTAL,
             Counter,
             names::MALFORMED_TOTAL_HELP,

@@ -24,7 +24,8 @@
 //! The accept loops block in `accept()`. Stopping the server sets a
 //! shared flag and then connects once to each listener to wake its
 //! loop; a failed accept (fd exhaustion, say) is retried after a short
-//! back-off instead of ending the server.
+//! back-off instead of ending the server, and counted in
+//! `accept_errors` (the `stats` op and `pathcons_accept_errors_total`).
 //!
 //! The serve loop is also the observability plane's front door: every
 //! job gets a correlation id (the caller's `request_id`, or an assigned
@@ -109,6 +110,8 @@ impl fmt::Display for Endpoint {
 pub struct ServeStats {
     /// Connections accepted.
     pub connections: AtomicU64,
+    /// Failed accepts on either listener that the loop backed off from.
+    pub accept_errors: AtomicU64,
     /// Job lines answered (any verdict).
     pub jobs: AtomicU64,
     /// Malformed lines answered with error records.
@@ -131,6 +134,7 @@ impl ServeStats {
     pub fn snapshot(&self) -> ServeStatsSnapshot {
         ServeStatsSnapshot {
             connections: self.connections.load(Ordering::Relaxed),
+            accept_errors: self.accept_errors.load(Ordering::Relaxed),
             jobs: self.jobs.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -146,6 +150,8 @@ impl ServeStats {
 pub struct ServeStatsSnapshot {
     /// Connections accepted.
     pub connections: u64,
+    /// Failed accepts backed off from, on either listener.
+    pub accept_errors: u64,
     /// Job lines answered (any verdict).
     pub jobs: u64,
     /// Malformed lines answered with error records.
@@ -415,13 +421,14 @@ impl Server {
             .map(|http| {
                 let plane = self.metrics.clone();
                 let stop = self.stop.clone();
-                std::thread::spawn(move || serve_prometheus(http, plane, &stop))
+                let stats = self.stats.clone();
+                std::thread::spawn(move || serve_prometheus(http, plane, &stop, &stats))
             });
         let accept = || match &self.listener {
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
         };
-        accept_until_stopped(&self.stop, accept, |stream| {
+        accept_until_stopped(&self.stop, &self.stats.accept_errors, accept, |stream| {
             let conn_id = self.stats.connections.fetch_add(1, Ordering::Relaxed);
             let worker = ConnectionWorker {
                 store: self.store.clone(),
@@ -558,10 +565,12 @@ fn wake_tcp(addr: &str) {
 /// stop flag is set. The flag is checked as soon as `accept` returns,
 /// so a [`Stopper`]'s wake connection is dropped unserved. Interrupted
 /// and aborted accepts are retried at once, any other error (fd
-/// exhaustion, say) after [`ACCEPT_ERROR_BACKOFF`]: overload never ends
-/// the loop.
+/// exhaustion, say) after [`ACCEPT_ERROR_BACKOFF`] and counted in
+/// `errors`: overload never ends the loop, and an operator sees it in
+/// the `stats` op and the scrape.
 fn accept_until_stopped<S>(
     stop: &AtomicBool,
+    errors: &AtomicU64,
     accept: impl Fn() -> io::Result<S>,
     mut serve: impl FnMut(S),
 ) {
@@ -577,7 +586,10 @@ fn accept_until_stopped<S>(
                     e.kind(),
                     io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
                 ) => {}
-            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+            Err(_) => {
+                errors.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            }
         }
     }
 }
@@ -765,6 +777,7 @@ impl ConnectionWorker {
                         Json::Num(self.started.elapsed().as_millis() as f64),
                     ),
                     ("connections", Json::Num(serve.connections as f64)),
+                    ("accept_errors", Json::Num(serve.accept_errors as f64)),
                     ("jobs", Json::Num(serve.jobs as f64)),
                     ("malformed", Json::Num(serve.malformed as f64)),
                     ("shed", Json::Num(serve.shed as f64)),
@@ -1002,9 +1015,14 @@ fn overloaded_record(id: String) -> JobResult {
 /// exposition format 0.0.4, anything else with 404. It blocks in
 /// `accept()` under the same [`accept_until_stopped`] discipline as the
 /// JSONL loop, woken by the same [`Stopper`].
-fn serve_prometheus(listener: TcpListener, plane: Arc<MetricsPlane>, stop: &AtomicBool) {
+fn serve_prometheus(
+    listener: TcpListener,
+    plane: Arc<MetricsPlane>,
+    stop: &AtomicBool,
+    stats: &ServeStats,
+) {
     let accept = || listener.accept().map(|(s, _)| s);
-    accept_until_stopped(stop, accept, |stream| {
+    accept_until_stopped(stop, &stats.accept_errors, accept, |stream| {
         let plane = plane.clone();
         let _ = std::thread::Builder::new().spawn(move || answer_scrape(stream, &plane));
     });

@@ -84,15 +84,11 @@ pub mod schema {
 
     /// `LABEL_ENGINE` value of the per-batch resilience attribution
     /// record: an [`EVENT_ATTRIBUTION`] whose `phase.*` fields count
-    /// recovery actions (respawns, retries, sheds, validation
-    /// evictions, queued-deadline fast answers) and sum to
+    /// recovery actions (sheds, validation evictions, queued-deadline
+    /// fast answers) and sum to
     /// [`FIELD_STEPS_TOTAL`], so `trace-check` validates it like any
     /// other attribution.
     pub const ENGINE_BATCH_RESILIENCE: &str = "batch.resilience";
-    /// Resilience phase: workers respawned after a job panic.
-    pub const PHASE_RESPAWN: &str = "phase.respawn";
-    /// Resilience phase: panicked jobs requeued for another attempt.
-    pub const PHASE_RETRY: &str = "phase.retry";
     /// Resilience phase: jobs shed by the admission controller.
     pub const PHASE_SHED: &str = "phase.shed";
     /// Resilience phase: cache hits rejected by the hit-validator.
